@@ -249,18 +249,48 @@ func BenchmarkNiceCheck(b *testing.B) {
 	})
 }
 
-// BenchmarkOptimizerDP (E15): dynamic programming over connected subsets
-// vs fixed-order planning.
-func BenchmarkOptimizerDP(b *testing.B) {
-	rnd := rand.New(rand.NewSource(5))
-	for _, n := range []int{4, 6, 8} {
-		g := workload.CoreWithTreesGraph(n/2, n-n/2)
-		cat := storage.NewCatalog()
-		for _, node := range g.Nodes() {
-			cat.AddRelation(node, workload.UniformRelation(rnd, node, 500, 100))
+// planColdGraph builds one of the served benchmark's plan_cold shapes
+// (benchmark/workloads.go): seven relations in a chain, a star or a
+// binary tree, the first four a join core and the rest hanging off by
+// outward outerjoin edges, over 16-row tables whose columns are keys.
+func planColdGraph(shape string) (*graph.Graph, *storage.Catalog) {
+	g := graph.New()
+	cat := storage.NewCatalog()
+	name := func(i int) string { return fmt.Sprintf("Q%d", i) }
+	for i := 0; i < 7; i++ {
+		r := relation.New(relation.SchemeOf(name(i), "a", "b"))
+		for k := 0; k < 16; k++ {
+			r.AppendRaw([]relation.Value{relation.Int(int64(k)), relation.Int(int64((5*k + i) % 16))})
 		}
+		cat.AddRelation(name(i), r)
+		if i == 0 {
+			g.MustAddNode(name(0))
+			continue
+		}
+		parent := map[string]int{"chain": i - 1, "star": 0, "tree": (i - 1) / 2}[shape]
+		p := predicate.Eq(relation.A(name(parent), "ab"[i%2:i%2+1]), relation.A(name(i), "a"))
+		var err error
+		if i < 4 {
+			err = g.AddJoinEdge(name(parent), name(i), p)
+		} else {
+			err = g.AddOuterEdge(name(parent), name(i), p)
+		}
+		if err != nil {
+			panic(err)
+		}
+	}
+	return g, cat
+}
+
+// BenchmarkOptimizerDP (E15): the plan-cache miss path — dynamic
+// programming over the connected subsets of the plan_cold shapes — vs
+// fixed-order planning of one implementing tree of the same graph.
+func BenchmarkOptimizerDP(b *testing.B) {
+	for _, shape := range []string{"chain", "star", "tree"} {
+		g, cat := planColdGraph(shape)
 		o := optimizer.New(cat)
-		b.Run(fmt.Sprintf("dp-%d", n), func(b *testing.B) {
+		b.Run("dp-"+shape+"7", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.OptimizeGraph(g); err != nil {
 					b.Fatal(err)
@@ -271,7 +301,8 @@ func BenchmarkOptimizerDP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("fixed-%d", n), func(b *testing.B) {
+		b.Run("fixed-"+shape+"7", func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.PlanFixed(its[0]); err != nil {
 					b.Fatal(err)
@@ -283,8 +314,10 @@ func BenchmarkOptimizerDP(b *testing.B) {
 
 // BenchmarkPlanCacheHit: a warm plan-cache lookup (fingerprint the graph,
 // find the resident plan) vs re-running the cold DP for the same query.
-// The hit path must beat the cold path by at least 5x for the cache to
-// carry its weight in a prepared-query pipeline.
+// The hit path must still win for the cache to carry its weight in a
+// prepared-query pipeline: ~5x measured (4.1 µs against a 21 µs DP; it
+// was ~58x while the DP cost 260 µs). The hit is now almost entirely
+// BenchmarkFingerprint's 3.5 µs.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	rnd := rand.New(rand.NewSource(15))
 	g := workload.CoreWithTreesGraph(4, 3)
@@ -324,36 +357,6 @@ func BenchmarkFingerprint(b *testing.B) {
 		if fp := plancache.Of(g); fp.Hash == 0 {
 			b.Fatal("degenerate fingerprint")
 		}
-	}
-}
-
-// BenchmarkLeftDeepVsBushy: DP planning time and plan cost under the
-// classic left-deep restriction vs full bushy search.
-func BenchmarkLeftDeepVsBushy(b *testing.B) {
-	rnd := rand.New(rand.NewSource(14))
-	g := workload.CoreWithTreesGraph(5, 3)
-	cat := storage.NewCatalog()
-	for i, node := range g.Nodes() {
-		cat.AddRelation(node, workload.UniformRelation(rnd, node, 2000/(i+1), 200))
-	}
-	for _, leftDeep := range []bool{false, true} {
-		name := "bushy"
-		if leftDeep {
-			name = "leftdeep"
-		}
-		b.Run(name, func(b *testing.B) {
-			o := optimizer.New(cat)
-			o.LeftDeepOnly = leftDeep
-			var cost float64
-			for i := 0; i < b.N; i++ {
-				p, err := o.OptimizeGraph(g)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = p.Cost
-			}
-			b.ReportMetric(cost, "plancost")
-		})
 	}
 }
 

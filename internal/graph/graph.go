@@ -14,6 +14,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -62,7 +63,13 @@ type Edge struct {
 	U, V string
 	Kind EdgeKind
 	Pred predicate.Predicate
+
+	ui, vi int // node indices of U and V in the graph that holds the edge
 }
+
+// Ends returns the node indices (NodeSet bit positions) of U and V in
+// the graph the edge was read from.
+func (e Edge) Ends() (u, v int) { return e.ui, e.vi }
 
 // Other returns the endpoint opposite to n.
 func (e Edge) Other(n string) string {
@@ -88,6 +95,7 @@ type Graph struct {
 	nodes   []string
 	nodeIdx map[string]int
 	edges   []Edge
+	adj     []NodeSet // per node, the nodes it shares an edge with
 }
 
 // New returns an empty graph.
@@ -105,6 +113,7 @@ func (g *Graph) AddNode(name string) error {
 	}
 	g.nodeIdx[name] = len(g.nodes)
 	g.nodes = append(g.nodes, name)
+	g.adj = append(g.adj, 0)
 	return nil
 }
 
@@ -121,8 +130,11 @@ func (g *Graph) HasNode(name string) bool {
 	return ok
 }
 
-// Nodes returns the node names in insertion order.
+// Nodes returns a copy of the node names in insertion order.
 func (g *Graph) Nodes() []string { return append([]string(nil), g.nodes...) }
+
+// Node returns the name of the node with bit index i.
+func (g *Graph) Node(i int) string { return g.nodes[i] }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
@@ -139,15 +151,36 @@ func (g *Graph) IndexOf(name string) int {
 	return -1
 }
 
-// edgeBetween returns the index in g.edges of the edge joining u and v in
-// either orientation, or -1.
-func (g *Graph) edgeBetween(u, v string) int {
-	for i, e := range g.edges {
-		if (e.U == u && e.V == v) || (e.U == v && e.V == u) {
-			return i
+// endpoints adds u and v as needed and returns their indices together
+// with the index in g.edges of the edge already joining them in either
+// orientation, or -1.
+func (g *Graph) endpoints(u, v string) (ui, vi, at int, err error) {
+	if u == v {
+		return 0, 0, -1, fmt.Errorf("graph: self-loop on %s", u)
+	}
+	if err := g.AddNode(u); err != nil {
+		return 0, 0, -1, err
+	}
+	if err := g.AddNode(v); err != nil {
+		return 0, 0, -1, err
+	}
+	ui, vi, at = g.nodeIdx[u], g.nodeIdx[v], -1
+	if g.adj[ui].Has(vi) {
+		for i, e := range g.edges {
+			if (e.ui == ui && e.vi == vi) || (e.ui == vi && e.vi == ui) {
+				at = i
+				break
+			}
 		}
 	}
-	return -1
+	return ui, vi, at, nil
+}
+
+// addEdge appends an edge between existing nodes ui and vi.
+func (g *Graph) addEdge(ui, vi int, kind EdgeKind, p predicate.Predicate) {
+	g.edges = append(g.edges, Edge{U: g.nodes[ui], V: g.nodes[vi], Kind: kind, Pred: p, ui: ui, vi: vi})
+	g.adj[ui] = g.adj[ui].With(vi)
+	g.adj[vi] = g.adj[vi].With(ui)
 }
 
 // AddJoinEdge adds an undirected join edge labeled p between u and v.
@@ -157,23 +190,36 @@ func (g *Graph) edgeBetween(u, v string) int {
 // (every conjunct references both operands of its operator) makes such a
 // query ill-formed, so the graph would be undefined.
 func (g *Graph) AddJoinEdge(u, v string, p predicate.Predicate) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop on %s", u)
-	}
-	if err := g.AddNode(u); err != nil {
+	ui, vi, at, err := g.endpoints(u, v)
+	if err != nil {
 		return err
 	}
-	if err := g.AddNode(v); err != nil {
-		return err
-	}
-	if i := g.edgeBetween(u, v); i >= 0 {
-		if g.edges[i].Kind != JoinEdge {
+	if at >= 0 {
+		if g.edges[at].Kind != JoinEdge {
 			return fmt.Errorf("graph: join edge %s-%s parallel to outerjoin edge: graph undefined", u, v)
 		}
-		g.edges[i].Pred = predicate.NewAnd(g.edges[i].Pred, p)
+		g.edges[at].Pred = predicate.NewAnd(g.edges[at].Pred, p)
 		return nil
 	}
-	g.edges = append(g.edges, Edge{U: u, V: v, Kind: JoinEdge, Pred: p})
+	g.addEdge(ui, vi, JoinEdge, p)
+	return nil
+}
+
+// addDirected adds a directed edge u → v of the given kind; any parallel
+// edge is rejected (see AddJoinEdge).
+func (g *Graph) addDirected(u, v string, kind EdgeKind, p predicate.Predicate) error {
+	ui, vi, at, err := g.endpoints(u, v)
+	if err != nil {
+		return err
+	}
+	if at >= 0 {
+		article := "a"
+		if kind == OuterEdge {
+			article = "an"
+		}
+		return fmt.Errorf("graph: parallel edge %s,%s involving %s %s: graph undefined", u, v, article, kind)
+	}
+	g.addEdge(ui, vi, kind, p)
 	return nil
 }
 
@@ -182,20 +228,7 @@ func (g *Graph) AddJoinEdge(u, v string, p predicate.Predicate) error {
 // rejected (see AddJoinEdge); a second outerjoin between the same pair
 // cannot arise because a relation is used at most once per query.
 func (g *Graph) AddOuterEdge(u, v string, p predicate.Predicate) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop on %s", u)
-	}
-	if err := g.AddNode(u); err != nil {
-		return err
-	}
-	if err := g.AddNode(v); err != nil {
-		return err
-	}
-	if g.edgeBetween(u, v) >= 0 {
-		return fmt.Errorf("graph: parallel edge %s,%s involving an outerjoin: graph undefined", u, v)
-	}
-	g.edges = append(g.edges, Edge{U: u, V: v, Kind: OuterEdge, Pred: p})
-	return nil
+	return g.addDirected(u, v, OuterEdge, p)
 }
 
 // NodeSet is a bitmask over a graph's node indices.
@@ -208,13 +241,10 @@ func (s NodeSet) Has(i int) bool { return s&(1<<uint(i)) != 0 }
 func (s NodeSet) With(i int) NodeSet { return s | 1<<uint(i) }
 
 // Count returns the population count.
-func (s NodeSet) Count() int {
-	n := 0
-	for t := s; t != 0; t &= t - 1 {
-		n++
-	}
-	return n
-}
+func (s NodeSet) Count() int { return bits.OnesCount64(uint64(s)) }
+
+// Lowest returns the index of the lowest set bit (64 for the empty set).
+func (s NodeSet) Lowest() int { return bits.TrailingZeros64(uint64(s)) }
 
 // AllNodes returns the set of all nodes.
 func (g *Graph) AllNodes() NodeSet {
@@ -252,33 +282,31 @@ func (g *Graph) NamesOf(s NodeSet) []string {
 
 // ConnectedSet reports whether the induced subgraph on s is connected
 // (true for the empty set and singletons).
-func (g *Graph) ConnectedSet(s NodeSet) bool {
-	if s == 0 {
-		return true
-	}
-	// Start from the lowest set bit, flood within s.
-	start := 0
-	for !s.Has(start) {
-		start++
-	}
-	seen := NodeSet(0).With(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		name := g.nodes[n]
-		for _, e := range g.edges {
-			if !e.Touches(name) {
-				continue
-			}
-			o := g.IndexOf(e.Other(name))
-			if s.Has(o) && !seen.Has(o) {
-				seen = seen.With(o)
-				frontier = append(frontier, o)
-			}
-		}
+func (g *Graph) ConnectedSet(s NodeSet) bool { return flood(g.adj, s) }
+
+// flood reports whether s is connected under the adjacency sets adj:
+// it grows the lowest node of s by neighbours inside s until nothing
+// is added.
+func flood(adj []NodeSet, s NodeSet) bool {
+	seen := s & -s
+	for frontier := seen; frontier != 0; {
+		i := frontier.Lowest()
+		frontier &^= 1 << uint(i)
+		next := adj[i] & s &^ seen
+		seen |= next
+		frontier |= next
 	}
 	return seen == s
+}
+
+// Neighbours returns the nodes outside s that share an edge with a node
+// of s.
+func (g *Graph) Neighbours(s NodeSet) NodeSet {
+	var n NodeSet
+	for t := s; t != 0; t &= t - 1 {
+		n |= g.adj[t.Lowest()]
+	}
+	return n &^ s
 }
 
 // Connected reports whether the whole graph is connected. Query graphs
@@ -290,8 +318,7 @@ func (g *Graph) Connected() bool { return g.ConnectedSet(g.AllNodes()) }
 func (g *Graph) CutEdges(s1, s2 NodeSet) []Edge {
 	var out []Edge
 	for _, e := range g.edges {
-		ui, vi := g.IndexOf(e.U), g.IndexOf(e.V)
-		if (s1.Has(ui) && s2.Has(vi)) || (s1.Has(vi) && s2.Has(ui)) {
+		if (s1.Has(e.ui) && s2.Has(e.vi)) || (s1.Has(e.vi) && s2.Has(e.ui)) {
 			out = append(out, e)
 		}
 	}
@@ -302,7 +329,7 @@ func (g *Graph) CutEdges(s1, s2 NodeSet) []Edge {
 func (g *Graph) EdgesWithin(s NodeSet) []Edge {
 	var out []Edge
 	for _, e := range g.edges {
-		if s.Has(g.IndexOf(e.U)) && s.Has(g.IndexOf(e.V)) {
+		if s.Has(e.ui) && s.Has(e.vi) {
 			out = append(out, e)
 		}
 	}
@@ -318,7 +345,7 @@ func (g *Graph) InducedSubgraph(s NodeSet) *Graph {
 		}
 	}
 	for _, e := range g.EdgesWithin(s) {
-		sub.edges = append(sub.edges, e)
+		sub.addEdge(sub.nodeIdx[e.U], sub.nodeIdx[e.V], e.Kind, e.Pred)
 	}
 	return sub
 }
@@ -368,15 +395,8 @@ func (g *Graph) String() string {
 		b.WriteString(s)
 		b.WriteByte('\n')
 	}
-	for _, n := range g.nodes {
-		isolated := true
-		for _, e := range g.edges {
-			if e.Touches(n) {
-				isolated = false
-				break
-			}
-		}
-		if isolated {
+	for i, n := range g.nodes {
+		if g.adj[i] == 0 {
 			fmt.Fprintf(&b, "  %s (isolated)\n", n)
 		}
 	}

@@ -64,22 +64,16 @@ func BuildJoinTree(g *Graph) (*JoinTree, error) {
 	// exactly the core nodes, and rooting at any of them orients every
 	// outer edge outward; one always exists in a tree, because n-1 edges
 	// cannot point at all n nodes.
-	consumed := map[string]bool{}
-	for _, e := range g.Edges() {
+	var consumed NodeSet
+	for _, e := range g.edges {
 		if e.Kind == OuterEdge {
-			consumed[e.V] = true
+			consumed = consumed.With(e.vi)
 		}
 	}
-	root := ""
-	for _, n := range g.Nodes() {
-		if !consumed[n] {
-			root = n
-			break
-		}
-	}
-	if root == "" {
+	if consumed == g.AllNodes() {
 		return nil, fmt.Errorf("graph: every node is null-supplied; no join-tree root")
 	}
+	root := g.nodes[(g.AllNodes() &^ consumed).Lowest()]
 
 	jt := &JoinTree{
 		g:        g,

@@ -26,21 +26,21 @@ func (g *Graph) IsNiceLemma1() (ok bool, reason string) {
 	// Condition 3: at most one incoming outerjoin edge per node, and
 	// condition 2: no node with an incoming outerjoin edge touches a join
 	// edge.
-	for _, n := range g.nodes {
-		incoming := 0
-		touchesJoin := false
-		for _, e := range g.edges {
-			if e.Kind == OuterEdge && e.V == n {
-				incoming++
-			}
-			if e.Kind == JoinEdge && e.Touches(n) {
-				touchesJoin = true
-			}
+	var nulled, twice, joined NodeSet
+	for _, e := range g.edges {
+		switch e.Kind {
+		case OuterEdge:
+			twice |= nulled & (1 << uint(e.vi))
+			nulled = nulled.With(e.vi)
+		case JoinEdge:
+			joined = joined.With(e.ui).With(e.vi)
 		}
-		if incoming >= 2 {
+	}
+	for i, n := range g.nodes {
+		if twice.Has(i) {
 			return false, fmt.Sprintf("node %s is null-supplied by two outerjoins (X -> Y <- Z)", n)
 		}
-		if incoming >= 1 && touchesJoin {
+		if nulled.Has(i) && joined.Has(i) {
 			return false, fmt.Sprintf("null-supplied node %s is incident to a join edge (X -> Y - Z)", n)
 		}
 	}
@@ -71,7 +71,7 @@ func (g *Graph) outerEdgesHaveCycle() bool {
 		if e.Kind != OuterEdge {
 			continue
 		}
-		ru, rv := find(g.IndexOf(e.U)), find(g.IndexOf(e.V))
+		ru, rv := find(e.ui), find(e.vi)
 		if ru == rv {
 			return true
 		}
@@ -94,72 +94,49 @@ func (g *Graph) IsNiceDefinitional() (ok bool, reason string) {
 	// G1's node set: nodes incident to join edges. If there are no join
 	// edges, G1 is a single node — the unique root of the outerjoin
 	// forest (which must then be a single tree).
-	joinNodes := map[string]bool{}
+	var core NodeSet
+	incoming := make([]int, len(g.nodes)) // outerjoin edges into each node
 	for _, e := range g.edges {
 		if e.Kind == JoinEdge {
-			joinNodes[e.U] = true
-			joinNodes[e.V] = true
+			core = core.With(e.ui).With(e.vi)
+		} else {
+			incoming[e.vi]++
 		}
 	}
 	// G1 must be connected using join edges only.
-	if len(joinNodes) > 0 {
-		var s NodeSet
-		for n := range joinNodes {
-			s = s.With(g.IndexOf(n))
-		}
-		if !g.joinConnected(s) {
-			return false, "join edges do not form a connected core"
-		}
+	if core != 0 && !g.joinConnected(core) {
+		return false, "join edges do not form a connected core"
 	}
 	// G2: the outerjoin edges must form a forest...
 	if g.outerEdgesHaveCycle() {
 		return false, "outerjoin edges form a cycle"
 	}
-	// ... directed outward: walking from any node with an incoming outer
-	// edge, that node must have exactly one incoming edge (forest +
-	// orientation), and must not belong to G1.
-	incoming := map[string]int{}
-	for _, e := range g.edges {
-		if e.Kind == OuterEdge {
-			incoming[e.V]++
-		}
-	}
-	roots := 0
-	hasOuter := false
+	// ... directed outward: a node with an incoming outer edge must have
+	// exactly one (forest + orientation) and must not belong to G1, and
+	// G1 ∩ G2 must be exactly the forest roots.
+	var roots NodeSet
 	for _, e := range g.edges {
 		if e.Kind != OuterEdge {
 			continue
 		}
-		hasOuter = true
-		if incoming[e.V] > 1 {
+		if incoming[e.vi] > 1 {
 			return false, fmt.Sprintf("outerjoin edges into %s do not form an outward tree", e.V)
 		}
-		if joinNodes[e.V] {
+		if core.Has(e.vi) {
 			return false, fmt.Sprintf("non-root forest node %s lies in the join core", e.V)
 		}
-		if incoming[e.U] == 0 {
+		if incoming[e.ui] == 0 {
 			// e.U is a forest root: it must lie in G1. With join edges
-			// present that means it touches a join edge; without any join
-			// edges G1 is a single node, so all roots must coincide.
-			if len(joinNodes) > 0 && !joinNodes[e.U] {
-				// A root outside the join core is only acceptable if it is
-				// an interior node of no tree and G1∩G2 = roots fails.
+			// present that means it touches a join edge; without any, G1
+			// is a single node, so all roots must coincide.
+			if core != 0 && !core.Has(e.ui) {
 				return false, fmt.Sprintf("outerjoin tree root %s is not in the join core", e.U)
 			}
-			roots++
+			roots = roots.With(e.ui)
 		}
 	}
-	if len(joinNodes) == 0 && hasOuter {
-		// Pure outerjoin graph: count distinct root nodes; must be one.
-		rootSet := map[string]bool{}
-		for _, e := range g.edges {
-			if e.Kind == OuterEdge && incoming[e.U] == 0 {
-				rootSet[e.U] = true
-			}
-		}
-		if len(rootSet) != 1 {
-			return false, "outerjoin forest without a join core must be a single tree"
-		}
+	if core == 0 && roots.Count() > 1 {
+		return false, "outerjoin forest without a join core must be a single tree"
 	}
 	return true, ""
 }
@@ -167,28 +144,14 @@ func (g *Graph) IsNiceDefinitional() (ok bool, reason string) {
 // joinConnected reports whether the node set s is connected using join
 // edges only.
 func (g *Graph) joinConnected(s NodeSet) bool {
-	start := 0
-	for !s.Has(start) {
-		start++
-	}
-	seen := NodeSet(0).With(start)
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		n := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		name := g.nodes[n]
-		for _, e := range g.edges {
-			if e.Kind != JoinEdge || !e.Touches(name) {
-				continue
-			}
-			o := g.IndexOf(e.Other(name))
-			if s.Has(o) && !seen.Has(o) {
-				seen = seen.With(o)
-				frontier = append(frontier, o)
-			}
+	adj := make([]NodeSet, len(g.nodes))
+	for _, e := range g.edges {
+		if e.Kind == JoinEdge {
+			adj[e.ui] = adj[e.ui].With(e.vi)
+			adj[e.vi] = adj[e.vi].With(e.ui)
 		}
 	}
-	return seen == s
+	return flood(adj, s)
 }
 
 // IsNice reports whether the graph is "nice" (the precondition of the

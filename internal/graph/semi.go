@@ -19,20 +19,7 @@ import (
 // operator, v's attributes are no longer visible. Parallel edges are
 // rejected as for outerjoins.
 func (g *Graph) AddSemiEdge(u, v string, p predicate.Predicate) error {
-	if u == v {
-		return fmt.Errorf("graph: self-loop on %s", u)
-	}
-	if err := g.AddNode(u); err != nil {
-		return err
-	}
-	if err := g.AddNode(v); err != nil {
-		return err
-	}
-	if g.edgeBetween(u, v) >= 0 {
-		return fmt.Errorf("graph: parallel edge %s,%s involving a semijoin: graph undefined", u, v)
-	}
-	g.edges = append(g.edges, Edge{U: u, V: v, Kind: SemiEdge, Pred: p})
-	return nil
+	return g.addDirected(u, v, SemiEdge, p)
 }
 
 // HasSemiEdges reports whether the graph contains semijoin edges (and is
@@ -50,33 +37,27 @@ func (g *Graph) HasSemiEdges() bool {
 // the consumed nodes that become isolated) removed — the join/outerjoin
 // skeleton the Theorem 1 conditions apply to.
 func (g *Graph) WithoutSemiEdges() *Graph {
-	keep := map[string]bool{}
-	for _, n := range g.nodes {
-		keep[n] = true
-	}
-	out := New()
 	// A consumed node stays only if a non-semi edge touches it.
-	touched := map[string]bool{}
+	var touched, consumed NodeSet
 	for _, e := range g.edges {
 		if e.Kind != SemiEdge {
-			touched[e.U] = true
-			touched[e.V] = true
+			touched = touched.With(e.ui).With(e.vi)
 		}
 	}
-	consumed := map[string]bool{}
 	for _, e := range g.edges {
-		if e.Kind == SemiEdge && !touched[e.V] {
-			consumed[e.V] = true
+		if e.Kind == SemiEdge && !touched.Has(e.vi) {
+			consumed = consumed.With(e.vi)
 		}
 	}
-	for _, n := range g.nodes {
-		if keep[n] && !consumed[n] {
+	out := New()
+	for i, n := range g.nodes {
+		if !consumed.Has(i) {
 			out.MustAddNode(n)
 		}
 	}
 	for _, e := range g.edges {
 		if e.Kind != SemiEdge {
-			out.edges = append(out.edges, e)
+			out.addEdge(out.nodeIdx[e.U], out.nodeIdx[e.V], e.Kind, e.Pred)
 		}
 	}
 	return out
@@ -99,23 +80,20 @@ func (g *Graph) WithoutSemiEdges() *Graph {
 //
 // When the graph has no semijoin edges this coincides with IsNice.
 func (g *Graph) IsNiceSemi() (bool, string) {
-	degree := map[string]int{}
-	incomingOuter := map[string]bool{}
+	var nulled NodeSet
 	for _, e := range g.edges {
-		degree[e.U]++
-		degree[e.V]++
 		if e.Kind == OuterEdge {
-			incomingOuter[e.V] = true
+			nulled = nulled.With(e.vi)
 		}
 	}
 	for _, e := range g.edges {
 		if e.Kind != SemiEdge {
 			continue
 		}
-		if degree[e.V] != 1 {
+		if g.adj[e.vi].Count() != 1 { // no parallel edges: neighbours count edges
 			return false, fmt.Sprintf("semijoin-consumed node %s has other edges (series or shared consumption)", e.V)
 		}
-		if incomingOuter[e.U] {
+		if nulled.Has(e.ui) {
 			return false, fmt.Sprintf("semijoin source %s is null-supplied by an outerjoin", e.U)
 		}
 	}

@@ -54,9 +54,6 @@ func (o *Optimizer) fingerprintFor(g *graph.Graph, filters map[string]predicate.
 		extras = append(extras, "filter "+rel+": "+plancache.CanonPred(p))
 	}
 	sort.Strings(extras)
-	if o.LeftDeepOnly {
-		extras = append(extras, "config: left-deep-only")
-	}
 	if o.Spill {
 		// Spilling changes the degradation wiring built into the plan's
 		// iterators; toggling it must not reuse the other mode's entry.

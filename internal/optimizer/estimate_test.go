@@ -12,6 +12,29 @@ import (
 
 // estimator tests: the cardinality model's fixed points.
 
+// estimateJoinRows is the output-row estimate of l op r on pred, as join
+// costing computes it.
+func (o *Optimizer) estimateJoinRows(op expr.Op, pred predicate.Predicate, l, r *Plan) float64 {
+	rows, _, _ := joinCandidates(op, l.operand(), r.operand(), o.shapeOf(pred, l, r))
+	return rows
+}
+
+// joinAlternatives materialises every physical candidate for l op r on
+// pred, not just the cheapest, so tests can build and run each one.
+func (o *Optimizer) joinAlternatives(t *testing.T, op expr.Op, pred predicate.Predicate, l, r *Plan) []*Plan {
+	t.Helper()
+	rows, cands, n := joinCandidates(op, l.operand(), r.operand(), o.shapeOf(pred, l, r))
+	var out []*Plan
+	for _, c := range cands[:n] {
+		p, err := newJoin(op, pred, l, r, c, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
 func estimatorCatalog(t *testing.T) *Optimizer {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -32,49 +55,45 @@ func estimatorCatalog(t *testing.T) *Optimizer {
 
 func TestEstimateEquijoinUsesMaxNDV(t *testing.T) {
 	o := estimatorCatalog(t)
-	l, _ := o.scanPlan("R")
-	r, _ := o.scanPlan("S")
-	sp := expr.Split{Op: expr.Join, Pred: eqp("R", "S")}
+	l, _ := o.leafPlan("R", nil)
+	r, _ := o.leafPlan("S", nil)
 	// sel = 1/max(ndv) = 1/100 → 100*50/100 = 50 rows.
-	if got := o.estimateJoinRows(sp, l, r); got != 50 {
+	if got := o.estimateJoinRows(expr.Join, eqp("R", "S"), l, r); got != 50 {
 		t.Errorf("equijoin estimate = %v, want 50", got)
 	}
 }
 
 func TestEstimateNonEquiDefaultSelectivity(t *testing.T) {
 	o := estimatorCatalog(t)
-	l, _ := o.scanPlan("R")
-	r, _ := o.scanPlan("S")
+	l, _ := o.leafPlan("R", nil)
+	r, _ := o.leafPlan("S", nil)
 	gt := predicate.Cmp(predicate.GtOp,
 		predicate.Col(relation.A("R", "a")), predicate.Col(relation.A("S", "a")))
-	sp := expr.Split{Op: expr.Join, Pred: gt}
 	want := 100.0 * 50.0 * defaultSel
-	if got := o.estimateJoinRows(sp, l, r); math.Abs(got-want) > 1e-9 {
+	if got := o.estimateJoinRows(expr.Join, gt, l, r); math.Abs(got-want) > 1e-9 {
 		t.Errorf("theta estimate = %v, want %v", got, want)
 	}
 }
 
 func TestEstimateOuterjoinFloor(t *testing.T) {
 	o := estimatorCatalog(t)
-	l, _ := o.scanPlan("R")
-	r, _ := o.scanPlan("S")
+	l, _ := o.leafPlan("R", nil)
+	r, _ := o.leafPlan("S", nil)
 	// Very selective predicate: join estimate below |L|, but outerjoin
 	// preserves every left row.
 	p := predicate.NewAnd(eqp("R", "S"), predicate.Eq(relation.A("R", "b"), relation.A("S", "a")))
-	sp := expr.Split{Op: expr.LeftOuter, Pred: p, S1Preserved: true}
-	if got := o.estimateJoinRows(sp, l, r); got != 100 {
+	if got := o.estimateJoinRows(expr.LeftOuter, p, l, r); got != 100 {
 		t.Errorf("outerjoin floor = %v, want |L| = 100", got)
 	}
 }
 
 func TestEstimateFloorsAtOne(t *testing.T) {
 	o := estimatorCatalog(t)
-	l, _ := o.scanPlan("S")
-	r, _ := o.scanPlan("S")
+	l, _ := o.leafPlan("S", nil)
+	r, _ := o.leafPlan("S", nil)
 	// Conjunction of many equalities drives the estimate below 1.
 	p := predicate.NewAnd(eqp("R", "S"), eqp("R", "S"), eqp("R", "S"))
-	sp := expr.Split{Op: expr.Join, Pred: p}
-	if got := o.estimateJoinRows(sp, l, r); got != 1 {
+	if got := o.estimateJoinRows(expr.Join, p, l, r); got != 1 {
 		t.Errorf("estimate floor = %v, want 1", got)
 	}
 }
@@ -85,14 +104,12 @@ func TestEstimateUnknownTableDefaults(t *testing.T) {
 		t.Errorf("unknown table ndv = %v", got)
 	}
 	// Non-comparison conjunct → default selectivity.
-	l, _ := o.scanPlan("R")
-	r, _ := o.scanPlan("S")
-	if got := o.conjunctSelectivity(predicate.NewIsNull(relation.A("R", "a")), l, r); got != defaultSel {
+	if got := o.conjunctSelectivity(predicate.NewIsNull(relation.A("R", "a"))); got != defaultSel {
 		t.Errorf("is-null selectivity = %v", got)
 	}
 	// Constant comparison: ndv from the single column side.
 	c := predicate.EqConst(relation.A("R", "b"), relation.Int(1))
-	if got := o.conjunctSelectivity(c, l, r); got != 0.1 {
+	if got := o.conjunctSelectivity(c); got != 0.1 {
 		t.Errorf("const eq selectivity = %v, want 0.1", got)
 	}
 }

@@ -31,10 +31,6 @@ type Trace struct {
 	Candidates int // physical candidates generated
 	Pruned     int // candidates discarded by cost comparison
 
-	// MemoHits counts split/connectivity lookups answered by the DP's
-	// SplitMemo instead of recomputed flood fills.
-	MemoHits int64
-
 	// CacheOutcome is "hit", "miss" or "coalesced" when a plan cache was
 	// consulted, empty when no cache is attached. Fingerprint is the
 	// compact hex form of the canonical query-graph fingerprint the
@@ -72,9 +68,6 @@ func (tr *Trace) String() string {
 	if tr.Subsets > 0 {
 		fmt.Fprintf(&b, "-- dp: %d connected subsets, %d splits, %d candidates (%d pruned)\n",
 			tr.Subsets, tr.Splits, tr.Candidates, tr.Pruned)
-	}
-	if tr.MemoHits > 0 {
-		fmt.Fprintf(&b, "-- memo: %d split/connectivity lookups served from the DP memo\n", tr.MemoHits)
 	}
 	if tr.CacheOutcome != "" {
 		fmt.Fprintf(&b, "-- plancache: %s (fp %s)\n", tr.CacheOutcome, tr.Fingerprint)

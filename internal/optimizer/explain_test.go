@@ -132,9 +132,8 @@ func TestExplainAnalyzeIndexPhantom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := expr.Split{Op: its[0].Op, Pred: its[0].Pred, S1Preserved: true}
 	var idx *Plan
-	for _, cand := range o.fixedJoinPlans(sp, l, r) {
+	for _, cand := range o.joinAlternatives(t, its[0].Op, its[0].Pred, l, r) {
 		if cand.Algo == AlgoIndex {
 			idx = cand
 		}

@@ -12,8 +12,56 @@ import (
 	"freejoin/internal/workload"
 )
 
-// FuzzJoinTree decodes arbitrary byte strings into small query graphs
-// and drives them through the Yannakakis front door: BuildJoinTree and
+// checkSplitRule asserts that expr.Splits — the pair enumerator under
+// both the DP and the IT enumerator — yields for every connected node
+// set of g exactly the partitions the definition admits, each once: both
+// halves connected, at least one edge between them, and the operator the
+// cut edges collapse into (expr.Leaf when they are not one operator).
+func checkSplitRule(t *testing.T, g *graph.Graph) {
+	type split struct {
+		s1, s2      graph.NodeSet
+		op          expr.Op
+		s1Preserved bool
+	}
+	want := map[split]bool{}
+	for s, all := graph.NodeSet(1), g.AllNodes(); s <= all; s++ {
+		if !g.ConnectedSet(s) {
+			continue
+		}
+		for sub := (s - 1) & s; sub != 0; sub = (sub - 1) & s {
+			cut := g.CutEdges(sub, s&^sub)
+			if !sub.Has(s.Lowest()) || len(cut) == 0 || !g.ConnectedSet(sub) || !g.ConnectedSet(s&^sub) {
+				continue
+			}
+			sp := split{s1: sub, s2: s &^ sub, op: expr.Join, s1Preserved: true}
+			for _, e := range cut {
+				if e.Kind != graph.JoinEdge {
+					sp.op, sp.s1Preserved = expr.LeftOuter, sub.Has(g.IndexOf(e.U))
+					if len(cut) > 1 {
+						sp.op, sp.s1Preserved = expr.Leaf, false
+						break
+					}
+				}
+			}
+			want[sp] = true
+		}
+	}
+	expr.Splits(g, func(sp expr.Split) bool {
+		got := split{sp.S1, sp.S2, sp.Op, sp.S1Preserved}
+		if !want[got] {
+			t.Fatalf("Splits yielded %+v, which the split rule does not admit (or twice)\ngraph:\n%s", got, g)
+		}
+		delete(want, got)
+		return true
+	})
+	if len(want) != 0 {
+		t.Fatalf("Splits missed %d partitions, e.g. %+v\ngraph:\n%s", len(want), want, g)
+	}
+}
+
+// FuzzJoinTree decodes arbitrary byte strings into small query graphs,
+// checks the split enumerator against the definition on each, and then
+// drives them through the Yannakakis front door: BuildJoinTree and
 // ReducerProgram must never panic (cyclic, disconnected, misoriented
 // and semijoin graphs must come back as errors), and whenever the graph
 // both has a join tree and is certified freely reorderable, the forced
@@ -68,6 +116,7 @@ func FuzzJoinTree(f *testing.F) {
 		if edges == 0 {
 			return
 		}
+		checkSplitRule(t, g)
 
 		jt, err := graph.BuildJoinTree(g) // must not panic on any input
 		if err != nil {

@@ -24,8 +24,7 @@ func (o *Optimizer) planGOJ(l, r *Plan, pred predicate.Predicate, s []relation.A
 	}
 	// Cardinality: the join rows plus at most one row per distinct
 	// S-projection; approximate with the outerjoin-style floor.
-	sp := expr.Split{Op: expr.LeftOuter, Pred: pred, S1Preserved: true}
-	outRows := o.estimateJoinRows(sp, l, r)
+	outRows := joinRows(expr.LeftOuter, l.EstRows, r.EstRows, o.selectivity(pred))
 	cost := l.EstRows*costProbePerRow + r.EstRows*costBuildPerRow
 	return &Plan{
 		Left: l, Right: r, Op: expr.GOJ, Pred: pred, GOJAttrs: s,

@@ -1,0 +1,174 @@
+package optimizer
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"strings"
+	"testing"
+
+	"freejoin/internal/expr"
+	"freejoin/internal/parse"
+	"freejoin/internal/relation"
+	"freejoin/internal/storage"
+	"freejoin/internal/workload"
+)
+
+// goldenFile holds the Explain() text and DP search counts of the plans
+// below as the optimizer chose them before the DP was rewritten to pair
+// enumeration with value-typed costing (captured at commit 71c6db2).
+// Plan choice — including every tie-break — is part of the engine's
+// observable behaviour: the served benchmark's scan_join, spill_join and
+// point_hit workloads plan once and then measure that plan. Regenerate
+// with UPDATE_GOLDEN=1 only for a change that means to move plans.
+const goldenFile = "testdata/explain.golden"
+
+// keyedRelation is the benchmark's keyedTable: n rows whose columns are
+// independent permutations a = aStep*[0,n) and b = bStep*[0,n).
+func keyedRelation(rnd *rand.Rand, name string, n int, aStep, bStep int64) *relation.Relation {
+	r := relation.New(relation.SchemeOf(name, "a", "b"))
+	bs := rnd.Perm(n)
+	for i, p := range rnd.Perm(n) {
+		r.AppendRaw([]relation.Value{relation.Int(int64(p) * aStep), relation.Int(int64(bs[i]) * bStep)})
+	}
+	return r
+}
+
+// benchmarkCatalog rebuilds the tables of the served benchmark's fixed
+// templates at their full sizes (benchmark/workloads.go, gen.go).
+func benchmarkCatalog(t *testing.T) *storage.Catalog {
+	t.Helper()
+	rnd := rand.New(rand.NewSource(1))
+	cat := storage.NewCatalog()
+	for _, s := range []int64{1, 2, 3, 10, 20} { // scan_join / spill_join
+		name := fmt.Sprintf("T%d", s)
+		cat.AddRelation(name, keyedRelation(rnd, name, 8000/int(s), s, s))
+	}
+	// dangling_tree5: a tenth of each table is a shared backbone, each
+	// join edge has a hot key held 150 times at both ends, the rest is
+	// private.
+	const n, hot = 3000, 150
+	for i, name := range []string{"D0", "D1", "D2", "D3", "D4"} {
+		r := relation.New(relation.SchemeOf(name, "a", "b"))
+		var keys []int64
+		for j := 0; j < n/10; j++ {
+			keys = append(keys, int64(j)*10)
+		}
+		for k, e := range [][2]int{{0, 1}, {1, 2}} {
+			for j := 0; j < hot && (e[0] == i || e[1] == i); j++ {
+				keys = append(keys, int64(100*n+k))
+			}
+		}
+		for private := int64(i+1) * 1000 * n; len(keys) < n; private++ {
+			keys = append(keys, private)
+		}
+		for _, k := range keys {
+			r.AppendRaw([]relation.Value{relation.Int(k), relation.Int(rnd.Int63n(n))})
+		}
+		cat.AddRelation(name, r)
+	}
+	cat.AddRelation("W1", keyedRelation(rnd, "W1", 6000, 1000, 100003)) // wide_result
+	cat.AddRelation("W2", keyedRelation(rnd, "W2", 6000, 2000, 100003))
+	r1 := relation.New(relation.SchemeOf("R1", "a", "b")) // point_hit's Example 1
+	r1.AppendRaw([]relation.Value{relation.Int(17), relation.Int(4711)})
+	cat.AddRelation("R1", r1)
+	for _, name := range []string{"R2", "R3"} {
+		cat.AddRelation(name, keyedRelation(rnd, name, 50000, 1, 1))
+		tb, err := cat.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tb.BuildHashIndex("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return cat
+}
+
+// traceCounts renders the DP search counts and the root estimates at
+// full float precision, so a last-bit drift in the cost arithmetic shows
+// even where Explain's rounding would hide it.
+func traceCounts(p *Plan, tr *Trace) string {
+	return fmt.Sprintf("-- strategy %s; dp %d subsets, %d splits, %d candidates, %d pruned; root rows=%v cost=%v\n",
+		tr.Strategy, tr.Subsets, tr.Splits, tr.Candidates, tr.Pruned, p.EstRows, p.Cost)
+}
+
+func TestExplainGolden(t *testing.T) {
+	var b strings.Builder
+
+	const dangling = "(((D0 -[D0.a = D1.a] D1) -[D1.a = D2.a] D2) ->[D1.a = D3.a] D3) ->[D2.a = D4.a] D4"
+	cat := benchmarkCatalog(t)
+	for _, tc := range []struct{ name, strategy, query string }{
+		{"chain3_outer", "auto", "(T20 -[T20.a = T1.a] T1) ->[T1.b = T2.a] T2"},
+		{"star4_mixed", "auto", "((T1 -[T1.a = T10.a] T10) -[T1.b = T3.a] T3) ->[T1.a = T2.a] T2"},
+		{"dangling_tree5", "dp", dangling},
+		{"dangling_tree5", "auto", dangling},
+		{"dangling_tree5", "yannakakis", dangling},
+		{"wide_outer", "", "W1 ->[W1.a = W2.a] W2"},
+		{"example1", "", "R1 -[R1.a = R2.a] (R2 ->[R2.a = R3.a] R3)"},
+	} {
+		q, err := parse.Expr(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := New(cat)
+		o.Strategy = tc.strategy
+		p, tr, err := o.PlanQueryTrace(q)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.name, tc.strategy, err)
+		}
+		fmt.Fprintf(&b, "== %s strategy=%q\n%s%s", tc.name, tc.strategy, p.Explain(), traceCounts(p, tr))
+	}
+
+	// Seeded workload graphs: tiny tables over a 4-value domain, so
+	// equal-cost candidates abound and every tie-break is exercised;
+	// cyclic cores (multi-edge cuts, collapsed parallel edges) included.
+	// Each graph is planned from a random implementing tree, which fixes
+	// the node numbering the way a served query does, with and without
+	// hash indexes.
+	rnd := rand.New(rand.NewSource(2026))
+	for i := 0; i < 50; i++ {
+		g := workload.RandomNiceGraph(rnd, 1+rnd.Intn(5), rnd.Intn(4))
+		db := workload.RandomDB(rnd, g, 6+30*(i%2))
+		its, err := expr.EnumerateITs(g, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best := its[0]
+		for _, it := range its { // order-independent pick: the smallest rendering
+			if it.StringWithPreds() < best.StringWithPreds() {
+				best = it
+			}
+		}
+		c := catalogFor(db)
+		if i%3 == 0 {
+			c = indexedCatalogFor(t, db)
+		}
+		p, tr, err := New(c).PlanQueryTrace(best)
+		if err != nil {
+			t.Fatalf("graph %d: %v", i, err)
+		}
+		fmt.Fprintf(&b, "== graph %d: %s\n%s%s", i, best.StringWithPreds(), p.Explain(), traceCounts(p, tr))
+	}
+
+	got := b.String()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(goldenFile, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("plans moved; first difference at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[min(i, len(wl)-1)])
+			}
+		}
+		t.Fatalf("plans moved: golden has %d more lines", len(wl)-len(gl))
+	}
+}

@@ -33,12 +33,6 @@ const (
 type Optimizer struct {
 	cat *storage.Catalog
 
-	// LeftDeepOnly restricts the DP to left-deep trees (every right
-	// operand a base table), the classic System R search-space trade-off.
-	// Bushy plans are searched by default; the flag exists for the
-	// ablation in BenchmarkLeftDeepVsBushy.
-	LeftDeepOnly bool
-
 	// Spill declares that plans from this optimizer run on execution
 	// contexts with spill-to-disk enabled, so blocking operators degrade
 	// to external algorithms (grace hash join, external sort) instead of
@@ -174,11 +168,17 @@ func (o *Optimizer) OptimizeGraphTrace(g *graph.Graph) (*Plan, *Trace, error) {
 
 // PlanFixed produces a physical plan honoring q's own operator order:
 // only algorithm selection, no reordering. It supports join and outerjoin
-// operators (the IT operator set).
+// operators (the IT operator set) and restrictions over them.
 func (o *Optimizer) PlanFixed(q *expr.Node) (*Plan, error) {
 	switch q.Op {
 	case expr.Leaf:
-		return o.scanPlan(q.Rel)
+		return o.leafPlan(q.Rel, nil)
+	case expr.Restrict:
+		child, err := o.PlanFixed(q.Left)
+		if err != nil {
+			return nil, err
+		}
+		return o.filterPlan(child, q.Pred), nil
 	case expr.Join, expr.LeftOuter, expr.RightOuter:
 		l, err := o.PlanFixed(q.Left)
 		if err != nil {
@@ -194,146 +194,69 @@ func (o *Optimizer) PlanFixed(q *expr.Node) (*Plan, error) {
 			l, r = r, l
 			op = expr.LeftOuter
 		}
-		sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
-		return cheapest(o.fixedJoinPlans(sp, l, r))
+		return o.planJoin(op, q.Pred, l, r, false)
 	default:
 		return nil, fmt.Errorf("optimizer: cannot plan operator %s", q.Op)
 	}
 }
 
-// cheapest picks the lowest-cost candidate. An empty slice is an error
-// (the operand schemes overlap, so no physical operator applies), not a
-// panic: fixedJoinPlans legitimately returns nothing for e.g. a query
-// that names the same relation on both sides.
-func cheapest(cands []*Plan) (*Plan, error) {
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("optimizer: no physical candidate (operand schemes overlap?)")
-	}
-	best := cands[0]
-	for _, c := range cands[1:] {
-		if c.Cost < best.Cost {
-			best = c
-		}
-	}
-	return best, nil
+// Join costing works on plain values; a candidate becomes a *Plan only
+// once it has won. operand is what costing reads of an input, joinShape
+// what it reads of the predicate, resolved for one (left, right) order.
+type operand struct{ rows, cost float64 }
+
+func (p *Plan) operand() operand { return operand{rows: p.EstRows, cost: p.Cost} }
+
+type joinShape struct {
+	sel  float64 // product of the conjunct selectivities
+	keys int     // equi-key arity; 0: not a pure equijoin across the operands
+	// idxNDV is nonzero when an index join applies — the right operand is
+	// an unfiltered base-table scan with a hash index on its single key
+	// column — and is that column's distinct count.
+	idxNDV float64
 }
 
-// scanPlan builds a leaf plan for a base table.
-func (o *Optimizer) scanPlan(name string) (*Plan, error) {
-	t, err := o.cat.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	rows := float64(t.Stats().Rows)
-	return &Plan{
-		Table:   name,
-		Scheme:  t.Scheme(),
-		EstRows: rows,
-		Cost:    rows * costScanPerRow,
-	}, nil
+// candidate is one costed physical alternative; cost includes both inputs.
+type candidate struct {
+	algo Algo
+	cost float64
 }
 
-// joinPlans generates candidate physical plans for a DP split: for a join
-// both operand orders, for an outerjoin only the preserved-left order.
-func (o *Optimizer) joinPlans(sp expr.Split, p1, p2 *Plan) []*Plan {
-	var out []*Plan
-	if sp.Op != expr.Join && sp.Op != expr.LeftOuter {
-		// Semijoin splits (the §6.3 extension) have no physical operators
-		// in this optimizer yet; such graphs simply get no DP plan.
-		return nil
+// joinCandidates is the join cost model: the estimated output rows of
+// l op r and the applicable algorithms in their fixed order — hash,
+// sort-merge, index, nested loops — each with its cumulative cost.
+func joinCandidates(op expr.Op, l, r operand, js joinShape) (rows float64, cands [4]candidate, n int) {
+	rows = joinRows(op, l.rows, r.rows, js.sel)
+	add := func(algo Algo, cost float64) {
+		cands[n] = candidate{algo, l.cost + r.cost + cost + rows*costOutputPerRow}
+		n++
 	}
-	if o.LeftDeepOnly && sp.S1.Count() > 1 && sp.S2.Count() > 1 {
-		return nil // bushy split excluded
-	}
-	if sp.Op == expr.Join {
-		out = append(out, o.fixedJoinPlans(sp, p1, p2)...)
-		out = append(out, o.fixedJoinPlans(sp, p2, p1)...)
-	} else if sp.S1Preserved {
-		// Outerjoin: the preserved side drives (left).
-		out = o.fixedJoinPlans(sp, p1, p2)
-	} else {
-		out = o.fixedJoinPlans(sp, p2, p1)
-	}
-	if o.LeftDeepOnly {
-		// Keep only candidates whose right operand is a single (possibly
-		// filtered) base table.
-		kept := out[:0]
-		for _, c := range out {
-			if singleTable(c.Right) {
-				kept = append(kept, c)
-			}
-		}
-		return kept
-	}
-	return out
-}
-
-// singleTable reports whether a plan reads exactly one base table.
-func singleTable(p *Plan) bool {
-	if p.IsLeaf() {
-		return true
-	}
-	return p.Op == expr.Restrict && p.Left.IsLeaf()
-}
-
-// fixedJoinPlans generates the applicable algorithm candidates for l ⋈ r.
-func (o *Optimizer) fixedJoinPlans(sp expr.Split, l, r *Plan) []*Plan {
-	scheme, err := l.Scheme.Concat(r.Scheme)
-	if err != nil {
-		// Overlapping schemes cannot occur for well-formed queries; skip.
-		return nil
-	}
-	outRows := o.estimateJoinRows(sp, l, r)
-	mk := func(algo Algo, idxCol string, cost float64) *Plan {
-		return &Plan{
-			Left: l, Right: r, Op: sp.Op, Pred: sp.Pred,
-			Algo: algo, IndexCol: idxCol,
-			Scheme: scheme, EstRows: outRows,
-			Cost: l.Cost + r.Cost + cost + outRows*costOutputPerRow,
-		}
-	}
-	var out []*Plan
-	lk, rk, equi := predicate.EquiParts(sp.Pred, l.Scheme, r.Scheme)
-	if equi {
-		out = append(out, mk(AlgoHash, "", l.EstRows*costProbePerRow+r.EstRows*costBuildPerRow))
+	if js.keys > 0 {
+		add(AlgoHash, l.rows*costProbePerRow+r.rows*costBuildPerRow)
 		// Sort-merge: pay an n·log n sort on each input plus the merge.
 		// Without interesting-order tracking this rarely beats hash, but
 		// the candidate keeps the cost model honest and the executor path
 		// exercised (single-key equijoins only).
-		if len(lk) == 1 {
-			sortCost := sortCostOf(l.EstRows) + sortCostOf(r.EstRows)
-			out = append(out, mk(AlgoMerge, "", sortCost+(l.EstRows+r.EstRows)*costMergePerRow))
+		if js.keys == 1 {
+			sortCost := sortCostOf(l.rows) + sortCostOf(r.rows)
+			add(AlgoMerge, sortCost+(l.rows+r.rows)*costMergePerRow)
 		}
-		// Index join: right side must be an unfiltered base table with a
-		// hash index on a single equi column. Its cost does NOT scan the
-		// right table — the Example 1 effect. (A filtered leaf cannot use
-		// this path: the index fetch would bypass the filter.)
-		if r.IsLeaf() && r.Algo == AlgoScan && len(rk) == 1 {
-			if t, err := o.cat.Table(r.Table); err == nil {
-				if _, ok := t.HashIndexOn(rk[0].Name); ok {
-					matches := r.EstRows / ndvOf(t, rk[0].Name)
-					// The index plan does not pay the right scan cost.
-					cost := l.EstRows * (costLookup + matches)
-					p := mk(AlgoIndex, rk[0].Name, cost)
-					p.Cost -= r.Cost // right table never scanned
-					out = append(out, p)
-				}
-			}
+		// Index join: its cost does NOT scan the right table — the
+		// Example 1 effect.
+		if js.idxNDV > 0 {
+			add(AlgoIndex, l.rows*(costLookup+r.rows/js.idxNDV))
+			cands[n-1].cost -= r.cost // right table never scanned
 		}
 	}
-	out = append(out, mk(AlgoNL, "", l.EstRows*r.EstRows*costNLPerPair))
-	return out
+	add(AlgoNL, l.rows*r.rows*costNLPerPair)
+	return rows, cands, n
 }
 
-// estimateJoinRows estimates the operator's output cardinality.
-func (o *Optimizer) estimateJoinRows(sp expr.Split, l, r *Plan) float64 {
-	sel := 1.0
-	for _, c := range predicate.Conjuncts(sp.Pred) {
-		sel *= o.conjunctSelectivity(c, l, r)
-	}
-	rows := l.EstRows * r.EstRows * sel
-	if sp.Op == expr.LeftOuter && rows < l.EstRows {
-		rows = l.EstRows // every preserved tuple appears at least once
+// joinRows estimates the output cardinality of a join-family operator.
+func joinRows(op expr.Op, l, r, sel float64) float64 {
+	rows := l * r * sel
+	if op == expr.LeftOuter && rows < l {
+		rows = l // every preserved tuple appears at least once
 	}
 	if rows < 1 {
 		rows = 1
@@ -341,12 +264,89 @@ func (o *Optimizer) estimateJoinRows(sp expr.Split, l, r *Plan) float64 {
 	return rows
 }
 
-func (o *Optimizer) conjunctSelectivity(c predicate.Predicate, l, r *Plan) float64 {
-	cmp, ok := c.(*predicate.Comparison)
-	if !ok {
-		return defaultSel
+// cheapestJoin picks the first lowest-cost candidate of l op r and
+// reports how many there were.
+func cheapestJoin(op expr.Op, l, r operand, js joinShape) (best candidate, rows float64, n int) {
+	rows, cands, n := joinCandidates(op, l, r, js)
+	best = cands[0]
+	for _, c := range cands[1:n] {
+		if c.cost < best.cost {
+			best = c
+		}
 	}
-	if cmp.Op != predicate.EqOp {
+	return best, rows, n
+}
+
+// shapeOf resolves pred against the operand plans l and r.
+func (o *Optimizer) shapeOf(pred predicate.Predicate, l, r *Plan) joinShape {
+	js := joinShape{sel: o.selectivity(pred)}
+	if lk, rk, equi := predicate.EquiParts(pred, l.Scheme, r.Scheme); equi {
+		if js.keys = len(lk); js.keys == 1 {
+			js.idxNDV = o.indexNDV(r, rk[0].Name)
+		}
+	}
+	return js
+}
+
+// indexNDV is joinShape.idxNDV for r as the right operand keyed on col.
+// A filtered leaf does not qualify: the index fetch would bypass the
+// filter.
+func (o *Optimizer) indexNDV(r *Plan, col string) float64 {
+	if r.IsLeaf() && r.Algo == AlgoScan {
+		if t, err := o.cat.Table(r.Table); err == nil {
+			if _, ok := t.HashIndexOn(col); ok {
+				return ndvOf(t, col)
+			}
+		}
+	}
+	return 0
+}
+
+// newJoin materialises a chosen candidate as a plan node over l and r.
+// Overlapping operand schemes — a query that names one relation on both
+// sides — are an error: no physical operator applies.
+func newJoin(op expr.Op, pred predicate.Predicate, l, r *Plan, c candidate, rows float64) (*Plan, error) {
+	scheme, err := l.Scheme.Concat(r.Scheme)
+	if err != nil {
+		return nil, fmt.Errorf("optimizer: no physical candidate: %w", err)
+	}
+	p := &Plan{
+		Left: l, Right: r, Op: op, Pred: pred, Algo: c.algo,
+		Scheme: scheme, EstRows: rows, Cost: c.cost,
+	}
+	if c.algo == AlgoIndex {
+		_, rk, _ := predicate.EquiParts(pred, l.Scheme, r.Scheme)
+		p.IndexCol = rk[0].Name
+	}
+	return p, nil
+}
+
+// planJoin costs l op r in the written orientation — and, when commute
+// is set, the reverse one, which wins only if strictly cheaper — and
+// allocates the winner.
+func (o *Optimizer) planJoin(op expr.Op, pred predicate.Predicate, l, r *Plan, commute bool) (*Plan, error) {
+	best, rows, _ := cheapestJoin(op, l.operand(), r.operand(), o.shapeOf(pred, l, r))
+	if commute {
+		if c, _, _ := cheapestJoin(op, r.operand(), l.operand(), o.shapeOf(pred, r, l)); c.cost < best.cost {
+			l, r, best = r, l, c
+		}
+	}
+	return newJoin(op, pred, l, r, best, rows)
+}
+
+// selectivity estimates the fraction of operand pairs (or, for a
+// restriction, rows) that satisfy pred: the product over its conjuncts.
+func (o *Optimizer) selectivity(pred predicate.Predicate) float64 {
+	sel := 1.0
+	for _, c := range predicate.Conjuncts(pred) {
+		sel *= o.conjunctSelectivity(c)
+	}
+	return sel
+}
+
+func (o *Optimizer) conjunctSelectivity(c predicate.Predicate) float64 {
+	cmp, ok := c.(*predicate.Comparison)
+	if !ok || cmp.Op != predicate.EqOp {
 		return defaultSel
 	}
 	ndv := 1.0
@@ -357,9 +357,6 @@ func (o *Optimizer) conjunctSelectivity(c predicate.Predicate, l, r *Plan) float
 		if d := o.attrNDV(term.Attr()); d > ndv {
 			ndv = d
 		}
-	}
-	if ndv < 1 {
-		ndv = defaultNDV
 	}
 	return 1.0 / ndv
 }

@@ -26,15 +26,15 @@ func catalogFor(db expr.DB) *storage.Catalog {
 	return cat
 }
 
-func TestScanPlan(t *testing.T) {
+func TestLeafPlanScan(t *testing.T) {
 	cat := storage.NewCatalog()
 	cat.AddRelation("R", relation.FromRows("R", []string{"a"}, []any{1}, []any{2}))
 	o := New(cat)
-	p, err := o.scanPlan("R")
+	p, err := o.leafPlan("R", nil)
 	if err != nil || !p.IsLeaf() || p.EstRows != 2 {
-		t.Fatalf("scanPlan = %+v, %v", p, err)
+		t.Fatalf("leafPlan = %+v, %v", p, err)
 	}
-	if _, err := o.scanPlan("NOPE"); err == nil {
+	if _, err := o.leafPlan("NOPE", nil); err == nil {
 		t.Error("unknown table must fail")
 	}
 	if o.CatalogOf() != cat {
@@ -255,17 +255,16 @@ func TestMergePlanBuildsAndRuns(t *testing.T) {
 	o := New(catalogFor(db))
 	for _, op := range []expr.Op{expr.Join, expr.LeftOuter} {
 		q := &expr.Node{Op: op, Left: expr.NewLeaf("A"), Right: expr.NewLeaf("B"), Pred: eqp("A", "B")}
-		l, err := o.scanPlan("A")
+		l, err := o.leafPlan("A", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := o.scanPlan("B")
+		r, err := o.leafPlan("B", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
 		var merge *Plan
-		for _, cand := range o.fixedJoinPlans(sp, l, r) {
+		for _, cand := range o.joinAlternatives(t, op, q.Pred, l, r) {
 			if cand.Algo == AlgoMerge {
 				merge = cand
 			}
@@ -291,55 +290,6 @@ func TestMergePlanBuildsAndRuns(t *testing.T) {
 	if sortCostOf(8) <= 0 {
 		t.Error("sortCostOf must grow")
 	}
-}
-
-// TestLeftDeepOnly: the restricted search still finds correct plans
-// (every right operand a base table) and never beats the bushy optimum.
-func TestLeftDeepOnly(t *testing.T) {
-	rnd := rand.New(rand.NewSource(62))
-	for trial := 0; trial < 60; trial++ {
-		g := workload.RandomNiceGraph(rnd, 1+rnd.Intn(4), rnd.Intn(3))
-		db := workload.RandomDB(rnd, g, 6)
-		bushy := New(catalogFor(db))
-		leftDeep := New(catalogFor(db))
-		leftDeep.LeftDeepOnly = true
-
-		pb, err := bushy.OptimizeGraph(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := leftDeep.OptimizeGraph(g)
-		if err != nil {
-			t.Fatalf("trial %d: left-deep plan must exist for nice graphs: %v\n%v", trial, err, g)
-		}
-		if pl.Cost < pb.Cost {
-			t.Fatalf("trial %d: left-deep cost %v beats bushy %v", trial, pl.Cost, pb.Cost)
-		}
-		assertLeftDeep(t, pl)
-		// Both compute the same result.
-		rb, _, err := bushy.Execute(pb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rl, _, err := leftDeep.Execute(pl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rb.EqualBag(rl) {
-			t.Fatalf("trial %d: left-deep result differs", trial)
-		}
-	}
-}
-
-func assertLeftDeep(t *testing.T, p *Plan) {
-	t.Helper()
-	if p.IsLeaf() || p.Op == expr.Restrict {
-		return
-	}
-	if !singleTable(p.Right) {
-		t.Fatalf("plan not left-deep: %s", p.Tree())
-	}
-	assertLeftDeep(t, p.Left)
 }
 
 func TestAlgoString(t *testing.T) {

@@ -79,7 +79,7 @@ func (o *Optimizer) planBlock(q *expr.Node) (*Plan, *Trace, error) {
 		}
 		tr.FallbackReason = "DP failed: " + err.Error()
 	}
-	p, err := o.planFixedRestricted(q)
+	p, err := o.PlanFixed(q)
 	return p, tr, err
 }
 
@@ -132,76 +132,207 @@ func stripLeafFilters(q *expr.Node) (*expr.Node, map[string]predicate.Predicate,
 	return out, filters, ok
 }
 
+// maxDPSubsets bounds the connected node sets one plan search visits. A
+// chain of 64 relations has 2,016 of them and plans in milliseconds; a
+// star of n has 2^(n-1), which no budget of time covers, so past this
+// many the search stops with ErrSearchBudget.
+const maxDPSubsets = 1 << 14
+
+// ErrSearchBudget reports a query graph whose space of connected
+// subsets is larger than the DP will enumerate. PlanQuery falls back to
+// the written operator order and records the reason in the trace.
+var ErrSearchBudget = fmt.Errorf("optimizer: plan search stopped at its budget of %d connected subsets", maxDPSubsets)
+
+// dpCell is the best plan found so far for a node set, as plain values:
+// the *Plan tree is built once, from the winning cells, when the search
+// is over.
+type dpCell struct {
+	operand
+	s1   graph.NodeSet // S1 of the winning split; 0 while the set has no plan
+	op   expr.Op
+	algo Algo
+	swap bool // the winning candidate takes S2 as its left operand
+}
+
+// edgeCost is what join costing needs of a graph edge, resolved once per
+// search instead of once per candidate.
+type edgeCost struct {
+	sels   []float64  // conjunct selectivities, in predicate order
+	keys   int        // joinShape.keys between the end relations
+	idxNDV [2]float64 // joinShape.idxNDV with V [0] or U [1] as the right operand
+}
+
+// planSearch is one run of the DP over a query graph.
+type planSearch struct {
+	g     *graph.Graph
+	tr    *Trace  // search statistics
+	leaf  []*Plan // per node
+	edges []edgeCost
+	table map[graph.NodeSet]dpCell // node sets of two or more relations
+	err   error
+}
+
 // optimizeGraph is the DP of OptimizeGraph with per-relation filters
 // folded into the leaf plans. When tr is non-nil the search statistics
 // (subsets, splits, candidates, pruned) are recorded into it.
 func (o *Optimizer) optimizeGraph(g *graph.Graph, filters map[string]predicate.Predicate, tr *Trace) (*Plan, error) {
-	if g.NumNodes() == 0 {
+	n := g.NumNodes()
+	if n == 0 {
 		return nil, fmt.Errorf("optimizer: empty graph")
 	}
 	if !g.Connected() {
 		return nil, fmt.Errorf("optimizer: graph is not connected")
 	}
-	best := make(map[graph.NodeSet]*Plan)
-	for _, name := range g.Nodes() {
-		p, err := o.leafPlan(name, filters[name])
-		if err != nil {
+	if tr == nil {
+		tr = new(Trace)
+	}
+	ps := &planSearch{g: g, tr: tr, leaf: make([]*Plan, n), edges: make([]edgeCost, len(g.Edges())),
+		table: make(map[graph.NodeSet]dpCell, 4*n)}
+	for i := range ps.leaf {
+		var err error
+		if ps.leaf[i], err = o.leafPlan(g.Node(i), filters[g.Node(i)]); err != nil {
 			return nil, err
 		}
-		s, err := g.SetOf(name)
-		if err != nil {
-			return nil, err
-		}
-		best[s] = p
 	}
-	all := g.AllNodes()
-	// One ascending pass over the subset masks suffices: every proper
-	// subset of s is numerically smaller than s, so both halves of any
-	// split are planned before s itself is reached. The SplitMemo shares
-	// connectivity flood fills and split lists across subsets — the same
-	// half recurs under many supersets (Trace.MemoHits counts the wins).
-	sm := expr.NewSplitMemo(g)
-	for s := graph.NodeSet(1); s <= all; s++ {
-		if s&all != s || s.Count() < 2 || !sm.Connected(s) {
-			continue
+	sels := make([]float64, 0, 2*len(ps.edges))
+	for i, e := range g.Edges() {
+		ec := &ps.edges[i]
+		from := len(sels)
+		for _, c := range predicate.Conjuncts(e.Pred) {
+			sels = append(sels, o.conjunctSelectivity(c))
 		}
-		splits := sm.Splits(s)
-		if tr != nil {
-			tr.Subsets++
-			tr.Splits += len(splits)
-		}
-		var bestPlan *Plan
-		cands := 0
-		for _, sp := range splits {
-			p1, p2 := best[sp.S1], best[sp.S2]
-			if p1 == nil || p2 == nil {
-				continue
-			}
-			for _, cand := range o.joinPlans(sp, p1, p2) {
-				cands++
-				if bestPlan == nil || cand.Cost < bestPlan.Cost {
-					bestPlan = cand
-				}
-			}
-		}
-		if tr != nil {
-			tr.Candidates += cands
-		}
-		if bestPlan != nil {
-			best[s] = bestPlan
-			if tr != nil {
-				tr.Pruned += cands - 1
+		ec.sels = sels[from:len(sels):len(sels)]
+		u, v := e.Ends()
+		if uk, vk, equi := predicate.EquiParts(e.Pred, ps.leaf[u].Scheme, ps.leaf[v].Scheme); equi {
+			if ec.keys = len(uk); ec.keys == 1 {
+				ec.idxNDV = [2]float64{o.indexNDV(ps.leaf[v], vk[0].Name), o.indexNDV(ps.leaf[u], uk[0].Name)}
 			}
 		}
 	}
-	if tr != nil {
-		tr.MemoHits += sm.Hits()
+
+	// Splits yields every partition of S1 and of S2 before the pair
+	// (S1, S2), so both halves hold their final plans when it is costed.
+	if expr.Splits(g, ps.visit); ps.err != nil {
+		return nil, ps.err
 	}
-	p := best[all]
-	if p == nil {
+	if n > 1 && ps.table[g.AllNodes()].s1 == 0 {
 		return nil, fmt.Errorf("optimizer: no plan (graph admits no implementing tree)")
 	}
-	return p, nil
+	return ps.build(g.AllNodes())
+}
+
+// operand returns the costing view of the best plan for s, if it has one.
+func (ps *planSearch) operand(s graph.NodeSet) (operand, bool) {
+	if s&(s-1) == 0 {
+		return ps.leaf[s.Lowest()].operand(), true
+	}
+	c := ps.table[s]
+	return c.operand, c.s1 != 0
+}
+
+// visit costs one split and keeps it if it beats the set's best so far.
+// Candidates are totally ordered — lower cost, then the larger S1, then
+// the order within a split (see cost) — so the winner does not depend on
+// the order splits arrive in.
+func (ps *planSearch) visit(sp expr.Split) bool {
+	s := sp.S1 | sp.S2
+	cell, stored := ps.table[s]
+	if !stored {
+		if len(ps.table) == maxDPSubsets {
+			ps.err = ErrSearchBudget
+			return false
+		}
+		ps.tr.Subsets++
+	}
+	if sp.Op != expr.Leaf { // else: connected, but this cut is no single operator
+		ps.tr.Splits++
+		c, ok := ps.cost(sp)
+		if ok && (cell.s1 == 0 || c.cost < cell.cost || (c.cost == cell.cost && c.s1 > cell.s1)) {
+			if cell.s1 == 0 {
+				ps.tr.Pruned-- // all candidates but each set's winner are pruned
+			}
+			cell, stored = c, false
+		}
+	}
+	if !stored {
+		ps.table[s] = cell
+	}
+	return true
+}
+
+// cost returns the cheapest candidate of one split, if it has any: for
+// an outerjoin the preserved side is the left operand; for a join both
+// orders are costed, S2 on the left winning only when strictly cheaper.
+func (ps *planSearch) cost(sp expr.Split) (dpCell, bool) {
+	l, lok := ps.operand(sp.S1)
+	r, rok := ps.operand(sp.S2)
+	if !lok || !rok || (sp.Op != expr.Join && sp.Op != expr.LeftOuter) {
+		// A half has no plan, or the split is a semijoin (the §6.3
+		// extension), which has no physical operator in this optimizer
+		// yet; such graphs simply get no DP plan.
+		return dpCell{}, false
+	}
+	js, equi := joinShape{sel: 1.0}, true
+	for _, i := range sp.Cut {
+		ec := &ps.edges[i]
+		for _, sel := range ec.sels {
+			js.sel *= sel
+		}
+		js.keys += ec.keys
+		equi = equi && ec.keys > 0
+	}
+	if !equi {
+		js.keys = 0
+	}
+	ls, rs := sp.S1, sp.S2
+	swap := sp.Op == expr.LeftOuter && !sp.S1Preserved
+	if swap {
+		l, r, ls, rs = r, l, rs, ls
+	}
+	best, rows, n := cheapestJoin(sp.Op, l, r, ps.indexed(js, sp.Cut, rs))
+	if sp.Op == expr.Join {
+		c, _, m := cheapestJoin(sp.Op, r, l, ps.indexed(js, sp.Cut, ls))
+		if n += m; c.cost < best.cost {
+			best, swap = c, true
+		}
+	}
+	ps.tr.Candidates += n
+	ps.tr.Pruned += n
+	return dpCell{operand{rows, best.cost}, sp.S1, sp.Op, best.algo, swap}, true
+}
+
+// indexed completes a cut's shape for right as the right operand: an
+// index join needs a single relation reached over one single-key edge.
+func (ps *planSearch) indexed(js joinShape, cut []int, right graph.NodeSet) joinShape {
+	if js.keys == 1 && right&(right-1) == 0 {
+		end := 0
+		if u, _ := ps.g.Edges()[cut[0]].Ends(); right.Has(u) {
+			end = 1
+		}
+		js.idxNDV = ps.edges[cut[0]].idxNDV[end]
+	}
+	return js
+}
+
+// build materialises the winning plan for s, top-down from its cell.
+func (ps *planSearch) build(s graph.NodeSet) (*Plan, error) {
+	if s&(s-1) == 0 {
+		return ps.leaf[s.Lowest()], nil
+	}
+	c := ps.table[s]
+	ls, rs := c.s1, s&^c.s1
+	if c.swap {
+		ls, rs = rs, ls
+	}
+	l, err := ps.build(ls)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ps.build(rs)
+	if err != nil {
+		return nil, err
+	}
+	return newJoin(c.op, expr.CutPred(ps.g, ls, rs), l, r, candidate{c.algo, c.cost}, c.rows)
 }
 
 // leafPlan plans a base-table access under an optional pushed-down
@@ -209,16 +340,14 @@ func (o *Optimizer) optimizeGraph(g *graph.Graph, filters map[string]predicate.P
 // upgrades the access path to an index scan; remaining conjuncts apply as
 // a residual filter.
 func (o *Optimizer) leafPlan(name string, filter predicate.Predicate) (*Plan, error) {
-	scan, err := o.scanPlan(name)
-	if err != nil {
-		return nil, err
-	}
-	if filter == nil {
-		return scan, nil
-	}
 	t, err := o.cat.Table(name)
 	if err != nil {
 		return nil, err
+	}
+	rows := float64(t.Stats().Rows)
+	scan := &Plan{Table: name, Scheme: t.Scheme(), EstRows: rows, Cost: rows * costScanPerRow}
+	if filter == nil {
+		return scan, nil
 	}
 	conjuncts := predicate.Conjuncts(filter)
 	for i, c := range conjuncts {
@@ -229,14 +358,14 @@ func (o *Optimizer) leafPlan(name string, filter predicate.Predicate) (*Plan, er
 		if _, hasIdx := t.HashIndexOn(col); !hasIdx {
 			continue
 		}
-		rows := float64(t.Stats().Rows) / ndvOf(t, col)
-		if rows < 1 {
-			rows = 1
+		fetched := rows / ndvOf(t, col)
+		if fetched < 1 {
+			fetched = 1
 		}
 		p := &Plan{
 			Table: name, Algo: AlgoIndexScan, IndexCol: col, IndexVal: val,
-			Scheme: scan.Scheme, EstRows: rows,
-			Cost: rows * costLookup,
+			Scheme: scan.Scheme, EstRows: fetched,
+			Cost: fetched * costLookup,
 		}
 		rest := append(append([]predicate.Predicate(nil), conjuncts[:i]...), conjuncts[i+1:]...)
 		if len(rest) > 0 {
@@ -268,11 +397,7 @@ func constEquality(p predicate.Predicate, rel string) (string, relation.Value, b
 
 // filterPlan wraps a plan in a Filter with a selectivity-scaled estimate.
 func (o *Optimizer) filterPlan(child *Plan, pred predicate.Predicate) *Plan {
-	sel := 1.0
-	for _, c := range predicate.Conjuncts(pred) {
-		sel *= o.conjunctSelectivity(c, child, child)
-	}
-	rows := child.EstRows * sel
+	rows := child.EstRows * o.selectivity(pred)
 	if rows < 1 {
 		rows = 1
 	}
@@ -281,38 +406,6 @@ func (o *Optimizer) filterPlan(child *Plan, pred predicate.Predicate) *Plan {
 		Scheme: child.Scheme, EstRows: rows,
 		Cost: child.Cost + child.EstRows + rows*costOutputPerRow,
 	}
-}
-
-// planFixedRestricted is PlanFixed extended with Restrict nodes.
-func (o *Optimizer) planFixedRestricted(q *expr.Node) (*Plan, error) {
-	if q.Op == expr.Restrict {
-		child, err := o.planFixedRestricted(q.Left)
-		if err != nil {
-			return nil, err
-		}
-		return o.filterPlan(child, q.Pred), nil
-	}
-	if q.Op == expr.Leaf {
-		return o.scanPlan(q.Rel)
-	}
-	if q.Op != expr.Join && q.Op != expr.LeftOuter && q.Op != expr.RightOuter {
-		return nil, fmt.Errorf("optimizer: cannot plan operator %s", q.Op)
-	}
-	l, err := o.planFixedRestricted(q.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := o.planFixedRestricted(q.Right)
-	if err != nil {
-		return nil, err
-	}
-	op := q.Op
-	if op == expr.RightOuter {
-		l, r = r, l
-		op = expr.LeftOuter
-	}
-	sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
-	return cheapest(o.fixedJoinPlans(sp, l, r))
 }
 
 // buildFilter lowers a Restrict plan node.

@@ -103,8 +103,7 @@ func TestJoinCandidatesAllBuildable(t *testing.T) {
 			l, r = r, l
 			op = expr.LeftOuter
 		}
-		sp := expr.Split{Op: op, Pred: q.Pred, S1Preserved: true}
-		cands := o.fixedJoinPlans(sp, l, r)
+		cands := o.joinAlternatives(t, op, q.Pred, l, r)
 		if len(cands) == 0 {
 			t.Fatalf("trial %d: no candidates for %s", trial, q.StringWithPreds())
 		}

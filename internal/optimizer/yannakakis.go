@@ -45,12 +45,12 @@ func (o *Optimizer) planYannakakis(g *graph.Graph, filters map[string]predicate.
 	// immutable *Plan nodes — a reduced relation's plan appears both as
 	// the source of later reductions and in the join phase.
 	cur := make(map[string]*Plan, g.NumNodes())
-	for _, name := range g.Nodes() {
-		p, err := o.leafPlan(name, filters[name])
+	for i := 0; i < g.NumNodes(); i++ {
+		p, err := o.leafPlan(g.Node(i), filters[g.Node(i)])
 		if err != nil {
 			return nil, err
 		}
-		cur[name] = p
+		cur[g.Node(i)] = p
 	}
 
 	for _, step := range jt.ReducerProgram() {
@@ -71,16 +71,10 @@ func (o *Optimizer) planYannakakis(g *graph.Graph, filters map[string]predicate.
 			if e.Kind == graph.OuterEdge {
 				op = expr.LeftOuter
 			}
-			sp := expr.Split{Op: op, Pred: e.Pred, S1Preserved: true}
-			cands := o.fixedJoinPlans(sp, acc, sub[c])
-			if op == expr.Join {
-				cands = append(cands, o.fixedJoinPlans(sp, sub[c], acc)...)
-			}
-			best, err := cheapest(cands)
-			if err != nil {
+			var err error
+			if acc, err = o.planJoin(op, e.Pred, acc, sub[c], op == expr.Join); err != nil {
 				return nil, fmt.Errorf("yannakakis join phase at %s: %w", n, err)
 			}
-			acc = best
 		}
 		sub[n] = acc
 	}
@@ -92,11 +86,7 @@ func (o *Optimizer) planYannakakis(g *graph.Graph, filters map[string]predicate.
 // by the predicate's selectivity against the source, never exceeding the
 // target (a filter cannot grow its input).
 func (o *Optimizer) semiReducePlan(target, source *Plan, pred predicate.Predicate) *Plan {
-	sel := 1.0
-	for _, c := range predicate.Conjuncts(pred) {
-		sel *= o.conjunctSelectivity(c, target, source)
-	}
-	rows := target.EstRows * source.EstRows * sel
+	rows := target.EstRows * source.EstRows * o.selectivity(pred)
 	if rows > target.EstRows {
 		rows = target.EstRows
 	}
