@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench bench-json bench-diff profile experiments faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
+.PHONY: all check build test race cover bench bench-json bench-diff benchmark-ab profile experiments faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
 
 all: check
 
@@ -37,6 +37,20 @@ bench-diff:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -o /tmp/bench-new.json && \
 	$(GO) run ./cmd/benchjson -diff $$base /tmp/bench-new.json
+
+# Served-query A/B: the benchmark at REF against the working tree in
+# PAIRS alternating pairs of SECONDS-second runs per workload (seeds
+# 101, 102, ...), printed as per-metric medians with REF's quartiles and
+# a better/worse verdict (>= 9 of 10 pairs, medians further apart than
+# REF's interquartile range). TRACE=1 compares the per-layer metrics.
+# REF is exported with git archive; nothing under benchmark/ is touched.
+REF ?= HEAD
+WORKLOADS ?= point_hit plan_cold scan_join spill_join wide_result
+PAIRS ?= 10
+SECONDS ?= 15
+TRACE ?= 0
+benchmark-ab:
+	$(GO) run ./cmd/benchab -ref $(REF) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS) -trace $(TRACE)
 
 # Continuous-profiling snapshot: bench the root package (go test only
 # accepts -cpuprofile/-memprofile for a single package) under CPU and
@@ -150,17 +164,19 @@ fuzz:
 	$(GO) test -fuzz='FuzzValue$$' -fuzztime=$(FUZZTIME) ./internal/parse
 	$(GO) test -fuzz='FuzzBytes$$' -fuzztime=$(FUZZTIME) ./internal/parse
 	$(GO) test -fuzz='FuzzProtocol$$' -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -fuzz='FuzzResponseJSON$$' -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -fuzz='FuzzJoinTree$$' -fuzztime=$(FUZZTIME) ./internal/optimizer
 
 # Quick fuzz smoke for check/CI: a few seconds each on the pipeline
 # targets (parser front half, plan-cache fingerprint invariance, the
-# full protocol dispatch surface) catches gross regressions without the
-# full fuzz budget.
+# full protocol dispatch surface, the response encoder against
+# json.Marshal) catches gross regressions without the full fuzz budget.
 SMOKETIME ?= 5s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='FuzzParse$$' -fuzztime=$(SMOKETIME) ./internal/parse
 	$(GO) test -run='^$$' -fuzz='FuzzFingerprint$$' -fuzztime=$(SMOKETIME) ./internal/plancache
 	$(GO) test -run='^$$' -fuzz='FuzzProtocol$$' -fuzztime=$(SMOKETIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz='FuzzResponseJSON$$' -fuzztime=$(SMOKETIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz='FuzzJoinTree$$' -fuzztime=$(SMOKETIME) ./internal/optimizer
 
 fmt:

@@ -50,7 +50,7 @@ func releaseBatch(b *Batch) *Batch {
 // per-call interface and governor costs ~1000x.
 const DefaultBatchSize = 1024
 
-// Batch is a row-slab of tuples: Len() rows of Width() values stored
+// Batch is a row-slab of tuples: Len() rows of width values stored
 // contiguously in a single backing slice, plus a null bitmap with one
 // bit per (row, column) slot. The bitmap is maintained by the append
 // methods and mirrors relation.Value.IsNull; batch operators use it for
@@ -95,9 +95,6 @@ func (b *Batch) Scheme() *relation.Scheme { return b.scheme }
 // Len returns the number of rows currently in the batch.
 func (b *Batch) Len() int { return b.n }
 
-// Width returns the number of columns per row.
-func (b *Batch) Width() int { return b.width }
-
 // Cap returns the row capacity the batch was allocated with.
 func (b *Batch) Cap() int { return b.capRows }
 
@@ -125,12 +122,6 @@ func (b *Batch) Row(i int) []relation.Value {
 func (b *Batch) IsNull(i, col int) bool {
 	bit := i*b.width + col
 	return b.nulls[bit>>6]&(1<<(uint(bit)&63)) != 0
-}
-
-func (b *Batch) setNull(i, col int) {
-	bit := i*b.width + col
-	b.growNulls(bit)
-	b.nulls[bit>>6] |= 1 << (uint(bit) & 63)
 }
 
 // growNulls ensures the bitmap covers bit (appends past the original
@@ -233,6 +224,7 @@ func (b *Batch) appendToRelation(out *relation.Relation) {
 	}
 	slab := make([]relation.Value, len(b.vals))
 	copy(slab, b.vals)
+	out.Grow(b.n)
 	for i := 0; i < b.n; i++ {
 		s := i * b.width
 		e := s + b.width

@@ -11,7 +11,7 @@ import (
 )
 
 // BatchHashJoin is the vectorized hash join: the right input is drained
-// a batch at a time into a flat value arena indexed by an open-addressed
+// a batch at a time into a chunked value arena indexed by an open-addressed
 // hash table (no per-row map or key-string allocations), and the left
 // input probes batch by batch, emitting concatenated / padded rows into
 // a reused output batch. Governor accounting is amortized: one Reserve
@@ -40,23 +40,21 @@ type BatchHashJoin struct {
 	ec   *ExecContext
 	held hold
 
-	// Build arena: brows rows of rwidth values, each with its join-key
-	// bytes in one arena and a precomputed hash for fast chain rejection.
-	bvals    []relation.Value
-	brows    int
-	keyBytes []byte
-	koff     []int32 // per build row: start offset into keyBytes
-	hashes   []uint32
-	heads    []int32 // open-addressed: bucket -> first row index (-1 empty)
-	chain    []int32 // row -> next row in the same bucket (-1 end)
-	mask     uint32
+	// Build arena: one chunk per build batch, sized as that batch's
+	// governor charge and never regrown, so no row is re-copied; links
+	// (one per row) carry each row's key hash, bucket chain and location.
+	chunks [][]relation.Value
+	brows  int
+	links  []buildLink
+	heads  []int32 // open-addressed: bucket -> first row index (-1 empty)
+	mask   uint32
 
 	// Probe state.
 	bleft BatchIterator
 	lb    *Batch
 	lpos  int
 	ldone bool
-	kbuf  []byte
+	kbuf  []byte           // scratch join-key encoding, hashed
 	crow  []relation.Value // scratch concat row for the residual
 
 	// A left row whose match chain outgrew the output batch: emission
@@ -71,6 +69,13 @@ type BatchHashJoin struct {
 	cur batchCursor
 
 	delegate Iterator // row HashJoin after a build memory trip
+}
+
+// buildLink is one build row's entry in the hash index.
+type buildLink struct {
+	hash       uint32 // hash of the row's join-key encoding
+	next       int32  // next row in the same bucket, -1 at the end
+	chunk, off int32  // the row is chunks[chunk][off : off+rwidth]
 }
 
 // NewBatchHashJoin mirrors NewHashJoin with a configured batch size
@@ -153,13 +158,13 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	h.bleft = Batching(h.left, size)
 	bright := Batching(h.right, size)
 	if err := h.right.Open(ec); err != nil {
-		h.right.Close()
+		bright.Close()
 		return h.tripToRow(ec, err)
 	}
 	for {
 		b, ok, err := bright.NextBatch()
 		if err != nil {
-			h.right.Close()
+			bright.Close()
 			h.resetBuild(ec)
 			return h.tripToRow(ec, err)
 		}
@@ -168,13 +173,13 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 		}
 		// Amortized accounting: one reservation per build batch.
 		if cerr := h.held.chargeN(ec, "hashjoin", int64(b.Len()), b.Bytes()); cerr != nil {
-			h.right.Close()
+			bright.Close()
 			h.resetBuild(ec)
 			return h.tripToRow(ec, cerr)
 		}
 		h.appendBuild(b)
 	}
-	if err := h.right.Close(); err != nil {
+	if err := bright.Close(); err != nil {
 		h.resetBuild(ec)
 		return err
 	}
@@ -211,9 +216,11 @@ func (h *BatchHashJoin) tripToRow(ec *ExecContext, err error) error {
 	return nil
 }
 
-// appendBuild copies a right batch's non-null-key rows into the arena.
+// appendBuild copies a right batch's non-null-key rows into a new arena
+// chunk, sized for the whole batch: the batch's charge covers it.
 func (h *BatchHashJoin) appendBuild(b *Batch) {
 	n := b.Len()
+	chunk := make([]relation.Value, 0, n*h.rwidth)
 	for i := 0; i < n; i++ {
 		null := false
 		for _, k := range h.rkeys {
@@ -225,21 +232,16 @@ func (h *BatchHashJoin) appendBuild(b *Batch) {
 		if null {
 			continue // null keys never match; only the left side drives emission
 		}
-		row := b.Row(i)
-		start := len(h.keyBytes)
-		kb := h.keyBytes
-		for _, k := range h.rkeys {
-			kb = relation.AppendJoinKey(kb, row[k])
-		}
-		h.keyBytes = kb
-		h.koff = append(h.koff, int32(start))
-		h.hashes = append(h.hashes, hashutil.Sum32(kb[start:]))
-		h.bvals = append(h.bvals, row...)
-		h.brows++
+		chunk = append(chunk, b.Row(i)...)
+	}
+	if len(chunk) > 0 {
+		h.chunks = append(h.chunks, chunk)
+		h.brows += len(chunk) / h.rwidth
 	}
 }
 
-// buildIndex lays the open-addressed chains over the arena.
+// buildIndex hashes every arena row's join key and lays the
+// open-addressed chains over the arena.
 func (h *BatchHashJoin) buildIndex() {
 	n := 16
 	for n < 2*h.brows {
@@ -254,58 +256,58 @@ func (h *BatchHashJoin) buildIndex() {
 	for i := range h.heads {
 		h.heads[i] = -1
 	}
-	if cap(h.chain) >= h.brows {
-		h.chain = h.chain[:h.brows]
+	if cap(h.links) >= h.brows {
+		h.links = h.links[:h.brows]
 	} else {
-		h.chain = make([]int32, h.brows)
+		h.links = make([]buildLink, h.brows)
 	}
-	for i := 0; i < h.brows; i++ {
-		b := h.hashes[i] & h.mask
-		h.chain[i] = h.heads[b]
-		h.heads[b] = int32(i)
+	j := int32(0)
+	for c, chunk := range h.chunks {
+		for off := 0; off < len(chunk); off += h.rwidth {
+			kb := h.kbuf[:0]
+			for _, k := range h.rkeys {
+				kb = relation.AppendJoinKey(kb, chunk[off+k])
+			}
+			h.kbuf = kb
+			hash := hashutil.Sum32(kb)
+			b := hash & h.mask
+			h.links[j] = buildLink{hash: hash, next: h.heads[b], chunk: int32(c), off: int32(off)}
+			h.heads[b] = j
+			j++
+		}
 	}
 }
 
 // buildRow returns build row j as a view into the arena.
 func (h *BatchHashJoin) buildRow(j int32) []relation.Value {
-	s := int(j) * h.rwidth
-	e := s + h.rwidth
-	return h.bvals[s:e:e]
+	l := &h.links[j]
+	e := int(l.off) + h.rwidth
+	return h.chunks[l.chunk][l.off:e:e]
 }
 
-// keyEnd returns the end offset of build row j's key bytes.
-func (h *BatchHashJoin) keyEnd(j int32) int32 {
-	if int(j)+1 < len(h.koff) {
-		return h.koff[j+1]
+// matches reports whether build row brow joins left row lrow: equal join
+// keys, compared as values (no key bytes are stored per build row), and
+// then the residual, if any, on lrow ++ brow.
+func (h *BatchHashJoin) matches(lrow, brow []relation.Value) bool {
+	for i, k := range h.rkeys {
+		if !relation.JoinKeyEqual(lrow[h.lkeys[i]], brow[k]) {
+			return false
+		}
 	}
-	return int32(len(h.keyBytes))
-}
-
-// keyEq reports whether build row j's key equals the current probe key
-// in kbuf.
-func (h *BatchHashJoin) keyEq(j int32) bool {
-	return string(h.keyBytes[h.koff[j]:h.keyEnd(j)]) == string(h.kbuf)
-}
-
-// matches applies the residual (if any) to lrow ++ build row j.
-func (h *BatchHashJoin) matches(lrow []relation.Value, j int32) bool {
 	if h.residual == nil {
 		return true
 	}
 	crow := h.crow[:0]
 	crow = append(crow, lrow...)
-	crow = append(crow, h.buildRow(j)...)
+	crow = append(crow, brow...)
 	h.crow = crow
 	return h.residual.Holds(crow)
 }
 
 // chainHasMatch walks bucket chain idx for a key/residual match.
 func (h *BatchHashJoin) chainHasMatch(lrow []relation.Value, hash uint32, idx int32) bool {
-	for j := idx; j >= 0; j = h.chain[j] {
-		if h.hashes[j] != hash || !h.keyEq(j) {
-			continue
-		}
-		if h.matches(lrow, j) {
+	for j := idx; j >= 0; j = h.links[j].next {
+		if h.links[j].hash == hash && h.matches(lrow, h.buildRow(j)) {
 			return true
 		}
 	}
@@ -409,20 +411,20 @@ func (h *BatchHashJoin) probeRow(out *Batch, i int) {
 }
 
 // drainChain emits the pending row's matches until the chain or the
-// output batch is exhausted. kbuf holds the pending row's key and is
-// not touched until the chain completes.
+// output batch is exhausted.
 func (h *BatchHashJoin) drainChain(out *Batch) {
 	for h.pendIdx >= 0 && !out.Full() {
 		j := h.pendIdx
-		h.pendIdx = h.chain[j]
-		if h.hashes[j] != h.pendHash || !h.keyEq(j) {
+		h.pendIdx = h.links[j].next
+		if h.links[j].hash != h.pendHash {
 			continue
 		}
-		if !h.matches(h.pendRow, j) {
+		brow := h.buildRow(j)
+		if !h.matches(h.pendRow, brow) {
 			continue
 		}
 		h.pendMatched = true
-		out.AppendConcat(h.pendRow, h.buildRow(j))
+		out.AppendConcat(h.pendRow, brow)
 	}
 	if h.pendIdx < 0 {
 		if h.mode == LeftOuterMode && !h.pendMatched {
@@ -465,12 +467,10 @@ func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
 }
 
 // resetBuild drops the arena and returns its governor charge, keeping
-// the allocations for reuse within this Open cycle.
+// the index allocations for reuse within this Open cycle.
 func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
-	h.bvals = h.bvals[:0]
-	h.keyBytes = h.keyBytes[:0]
-	h.koff = h.koff[:0]
-	h.hashes = h.hashes[:0]
+	clear(h.chunks)
+	h.chunks = h.chunks[:0]
 	h.brows = 0
 	h.held.release(ec)
 }
@@ -507,8 +507,7 @@ func (h *BatchHashJoin) Close() error {
 		return h.delegate.Close()
 	}
 	h.resetBuild(h.ec)
-	h.bvals, h.keyBytes, h.koff, h.hashes = nil, nil, nil, nil
-	h.heads, h.chain = nil, nil
+	h.chunks, h.links, h.heads = nil, nil, nil
 	return h.left.Close()
 }
 
@@ -612,14 +611,14 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 	s.bleft = Batching(s.left, size)
 	bright := Batching(s.right, size)
 	if err := s.right.Open(ec); err != nil {
-		s.right.Close()
+		bright.Close()
 		return err
 	}
 	s.rehash(16)
 	for {
 		b, ok, err := bright.NextBatch()
 		if err != nil {
-			s.right.Close()
+			bright.Close()
 			s.resetKeys(ec)
 			return err
 		}
@@ -629,12 +628,12 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		newRows, newBytes := s.insertBatch(b)
 		// Charge only the retained (newly distinct) keys, once per batch.
 		if cerr := s.held.chargeN(ec, "semireduce", newRows, newBytes); cerr != nil {
-			s.right.Close()
+			bright.Close()
 			s.resetKeys(ec)
 			return s.tripToRow(ec, cerr)
 		}
 	}
-	if err := s.right.Close(); err != nil {
+	if err := bright.Close(); err != nil {
 		s.resetKeys(ec)
 		return err
 	}

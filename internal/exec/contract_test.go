@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"testing"
 
 	"freejoin/internal/relation"
@@ -67,7 +68,7 @@ func drainBag(t *testing.T, it Iterator) *relation.Relation {
 		// Next/Close; retaining it across calls requires a copy. (The
 		// batch evaluators really do reuse the backing slab, so aliasing
 		// here corrupts the drained bag.)
-		out.AppendRaw(relation.CopyRow(row))
+		out.AppendRaw(slices.Clone(row))
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

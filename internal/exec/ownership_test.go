@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,7 +53,7 @@ func (p *poisonIterator) Next() ([]relation.Value, bool, error) {
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	p.last = relation.CopyRow(row)
+	p.last = slices.Clone(row)
 	return p.last, true, nil
 }
 
@@ -78,7 +79,7 @@ func drainScribbled(t *testing.T, it Iterator) *relation.Relation {
 		if !ok {
 			break
 		}
-		out.AppendRaw(relation.CopyRow(row))
+		out.AppendRaw(slices.Clone(row))
 		for i := range row {
 			row[i] = relation.Str(poisonMark)
 		}

@@ -15,7 +15,7 @@ import (
 //
 // TuplesRetrieved and WallTime are inclusive of the operator's subtree:
 // a parent's Next covers the child Next calls it triggers. Exclusive
-// ("self") figures are derived by StatsNode.SelfTuples / SelfTime.
+// ("self") tuples are derived by StatsNode.SelfTuples.
 type Stats struct {
 	// Opens counts Open calls (re-opens included).
 	Opens int64
@@ -98,18 +98,6 @@ func (n *StatsNode) SelfTuples() int64 {
 		t -= c.Stats.TuplesRetrieved
 	}
 	return t
-}
-
-// SelfTime returns the wall time spent in this operator alone.
-func (n *StatsNode) SelfTime() time.Duration {
-	d := n.Stats.WallTime
-	for _, c := range n.Children {
-		d -= c.Stats.WallTime
-	}
-	if d < 0 {
-		d = 0
-	}
-	return d
 }
 
 // Executed reports whether the operator ran at all. An index join's inner

@@ -1,9 +1,11 @@
 package relation
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Relation is a finite bag of rows over a scheme. Rows are stored
@@ -31,17 +33,6 @@ func (r *Relation) Row(i int) Tuple { return Tuple{scheme: r.scheme, vals: r.row
 
 // RawRow returns the i-th row's value slice; callers must not modify it.
 func (r *Relation) RawRow(i int) []Value { return r.rows[i] }
-
-// CopyRow returns a fresh copy of a row. Operators use it to retain a
-// row past the producer's next Next/NextBatch call: under the ownership
-// contract a row handed up by an iterator is only valid until then, so
-// anything buffered (a hash-join build side, a sort buffer, a merge-join
-// group) must be copied first.
-func CopyRow(row []Value) []Value {
-	out := make([]Value, len(row))
-	copy(out, row)
-	return out
-}
 
 // Append adds a row; the arity must match the scheme.
 func (r *Relation) Append(vals ...Value) error {
@@ -118,19 +109,36 @@ func (r *Relation) PadTo(target *Scheme) (*Relation, error) {
 	return out, nil
 }
 
-// SortCanonical orders rows by the total order on values; it is used to
-// render relations deterministically and to speed up bag comparison of
-// large results.
-func (r *Relation) SortCanonical() {
-	sort.Slice(r.rows, func(i, j int) bool {
-		a, b := r.rows[i], r.rows[j]
-		for k := range a {
-			if c := a[k].Compare(b[k]); c != 0 {
-				return c < 0
-			}
+// compareRows is the canonical row order AppendText renders in: the
+// total order on values, column by column. Rows it cannot tell apart
+// otherwise are ordered by value kind and then by rendered text (Int(0)
+// before Float(-0) before Float(0)), so the rendering of a bag does not
+// depend on the order its rows arrived in.
+func compareRows(a, b []Value) int {
+	for k := range a {
+		if c := a[k].Compare(b[k]); c != 0 {
+			return c
 		}
-		return false
-	})
+	}
+	for k := range a { // of one kind, only floats (-0, 0) render differently
+		c := cmp.Compare(a[k].kind, b[k].kind)
+		if c == 0 && a[k].kind == KindFloat {
+			var x, y [32]byte
+			c = bytes.Compare(a[k].appendText(x[:0]), b[k].appendText(y[:0]))
+		}
+		if c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// Grow makes room for n more rows, at least doubling the row list when
+// it reallocates (append regrows a large slice by only 1.25x).
+func (r *Relation) Grow(n int) {
+	if len(r.rows)+n > cap(r.rows) {
+		r.rows = slices.Grow(r.rows, max(n, len(r.rows)))
+	}
 }
 
 // EqualBag reports multiset equality of two relations. The schemes must
@@ -201,55 +209,82 @@ func (r *Relation) HasDuplicates() bool {
 	return false
 }
 
-// String renders the relation as an aligned text table, rows in canonical
-// order (the receiver is not mutated).
-func (r *Relation) String() string {
-	cp := r.Clone()
-	cp.SortCanonical()
-	cols := r.scheme.Len()
-	widths := make([]int, cols)
-	header := make([]string, cols)
-	for i := 0; i < cols; i++ {
-		header[i] = r.scheme.At(i).String()
-		widths[i] = len(header[i])
-	}
-	cells := make([][]string, len(cp.rows))
-	for ri, row := range cp.rows {
-		cells[ri] = make([]string, cols)
-		for ci, v := range row {
-			s := v.String()
-			cells[ri][ci] = s
-			if len(s) > widths[ci] {
-				widths[ci] = len(s)
-			}
+// String renders the relation as an aligned text table (AppendText).
+func (r *Relation) String() string { return string(r.AppendText(nil)) }
+
+// sortKey is a row's slot in the render order: its index and, when its
+// first value is an int, that int, so most comparisons skip the rows.
+type sortKey struct {
+	key  int64
+	idx  int32
+	lead bool
+}
+
+// AppendText appends the relation rendered as an aligned text table to
+// dst: attribute names, a dashed rule, the rows in canonical order
+// (compareRows; the receiver is not mutated) and a "(N rows)" footer.
+// Widths come from cell lengths, so each cell is formatted once, into dst.
+func (r *Relation) AppendText(dst []byte) []byte {
+	order := make([]sortKey, len(r.rows))
+	for i, row := range r.rows {
+		order[i].idx = int32(i)
+		if len(row) > 0 && row[0].kind == KindInt {
+			order[i].key, order[i].lead = row[0].i, true
 		}
 	}
-	var b strings.Builder
-	writeRow := func(fields []string) {
-		for i, f := range fields {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(f)
-			if i < len(fields)-1 { // no trailing padding on the last column
-				for p := len(f); p < widths[i]; p++ {
-					b.WriteByte(' ')
-				}
-			}
+	slices.SortFunc(order, func(a, b sortKey) int {
+		if a.lead && b.lead && a.key != b.key {
+			return cmp.Compare(a.key, b.key)
 		}
-		b.WriteByte('\n')
+		return compareRows(r.rows[a.idx], r.rows[b.idx])
+	})
+
+	attrs := r.scheme.attrs
+	widths := make([]int, len(attrs))
+	for c, a := range attrs {
+		widths[c] = len(a.Rel) + 1 + len(a.Name)
 	}
-	writeRow(header)
-	for i := range widths {
-		if i > 0 {
-			b.WriteString("  ")
+	for _, row := range r.rows {
+		for c, v := range row {
+			widths[c] = max(widths[c], v.textLen())
 		}
-		b.WriteString(strings.Repeat("-", widths[i]))
 	}
-	b.WriteByte('\n')
-	for _, row := range cells {
-		writeRow(row)
+	line := 1 // a line's bytes, every cell padded, and the newline
+	for _, w := range widths {
+		line += w + 2
 	}
-	fmt.Fprintf(&b, "(%d rows)\n", len(cp.rows))
-	return b.String()
+	dst = slices.Grow(dst, (len(r.rows)+2)*line+32)
+
+	last := len(attrs) - 1
+	for c, a := range attrs {
+		start := len(dst)
+		dst = padCell(append(append(append(dst, a.Rel...), '.'), a.Name...), start, widths[c], c == last)
+	}
+	dst = append(dst, '\n')
+	for c, w := range widths {
+		start := len(dst)
+		for range w {
+			dst = append(dst, '-')
+		}
+		dst = padCell(dst, start, w, c == last)
+	}
+	dst = append(dst, '\n')
+	for _, o := range order {
+		for c, v := range r.rows[o.idx] {
+			start := len(dst)
+			dst = padCell(v.appendText(dst), start, widths[c], c == last)
+		}
+		dst = append(dst, '\n')
+	}
+	dst = strconv.AppendInt(append(dst, '('), int64(len(r.rows)), 10)
+	return append(dst, " rows)\n"...)
+}
+
+// padCell pads the cell written to dst since start to width plus the
+// two-space column gap; the last cell of a line is not padded.
+func padCell(dst []byte, start, width int, last bool) []byte {
+	for n := len(dst) - start; !last && n < width+2; n++ {
+		dst = append(dst, ' ')
+	}
+	return dst
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,7 +261,7 @@ func TestSortCanonicalProperty(t *testing.T) {
 		for _, x := range xs {
 			r.MustAppend(Int(int64(x)))
 		}
-		r.SortCanonical()
+		slices.SortFunc(r.rows, compareRows)
 		for i := 1; i < r.Len(); i++ {
 			if r.Row(i-1).At(0).Compare(r.Row(i).At(0)) > 0 {
 				return false

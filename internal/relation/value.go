@@ -217,21 +217,43 @@ func cmpFloat64(a, b float64) int {
 // String renders the value for display; null renders as "-" following the
 // paper's figures (e.g. "(r1, -, -)").
 func (v Value) String() string {
-	switch v.kind {
-	case KindNull:
-		return "-"
-	case KindBool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
-	case KindInt:
-		return strconv.FormatInt(v.i, 10)
-	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
-	default:
+	if v.kind == KindString {
 		return v.s
 	}
+	var b [32]byte
+	return string(v.appendText(b[:0]))
+}
+
+// appendText appends the value's String text to b.
+func (v Value) appendText(b []byte) []byte {
+	switch v.kind {
+	case KindNull:
+		return append(b, '-')
+	case KindBool:
+		return strconv.AppendBool(b, v.i != 0)
+	case KindInt:
+		return strconv.AppendInt(b, v.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
+	default:
+		return append(b, v.s...)
+	}
+}
+
+// textLen is len(v.String()), counting an int's digits unformatted.
+func (v Value) textLen() int {
+	switch v.kind {
+	case KindInt:
+		n := 1 + int(uint64(v.i)>>63) // the digits, and a minus sign
+		for u := v.i; u/10 != 0; u /= 10 {
+			n++
+		}
+		return n
+	case KindString:
+		return len(v.s)
+	}
+	var b [32]byte
+	return len(v.appendText(b[:0]))
 }
 
 // AppendKey appends an unambiguous encoding of the value to b, used to
@@ -245,14 +267,34 @@ func AppendKey(b []byte, v Value) []byte { return v.appendKey(b) }
 // float encodes like the equal int, so hash joins agree with the
 // nested-loop three-valued comparison semantics. Callers must skip null
 // values (null never equi-matches).
-func AppendJoinKey(b []byte, v Value) []byte {
+func AppendJoinKey(b []byte, v Value) []byte { return v.joinKey().appendKey(b) }
+
+// JoinKeyEqual reports whether a and b have equal AppendJoinKey
+// encodings, without encoding either.
+func JoinKeyEqual(a, b Value) bool {
+	if a.kind == b.kind && a.kind != KindFloat {
+		return a == b // the common case, kept small enough to inline
+	}
+	return floatJoinKeyEqual(a, b)
+}
+
+// floatJoinKeyEqual is JoinKeyEqual with a float on either side; after
+// joinKey, a float's key encodes its bits.
+func floatJoinKeyEqual(a, b Value) bool {
+	a, b = a.joinKey(), b.joinKey()
+	return a.kind == b.kind && a.i == b.i && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
+// joinKey maps an integral float to the equal int, the one value
+// AppendJoinKey encodes differently from AppendKey.
+func (v Value) joinKey() Value {
 	if v.kind == KindFloat {
 		f := v.f
 		if f == math.Trunc(f) && f >= -9.2e18 && f <= 9.2e18 {
-			return Int(int64(f)).appendKey(b)
+			return Int(int64(f))
 		}
 	}
-	return v.appendKey(b)
+	return v
 }
 
 // appendKey appends an unambiguous encoding of the value, used to build

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // garbage-glued shapes the chaos layer produces. The contract: Exec
 // never panics (panics here would be caught by SafeExec in production,
 // but the fuzzer treats any as a bug to fix), and every response
-// marshals to one JSON line.
+// encodes with AppendJSON to exactly json.Marshal's bytes.
 func FuzzProtocol(f *testing.F) {
 	for _, seed := range []string{
 		"ping",
@@ -55,8 +56,12 @@ func FuzzProtocol(f *testing.F) {
 		// connection's worth of state.
 		sess := NewSession(core)
 		resp := sess.Exec(context.Background(), line)
-		if _, err := json.Marshal(resp); err != nil {
+		want, err := json.Marshal(resp)
+		if err != nil {
 			t.Fatalf("response for %q does not marshal: %v", line, err)
+		}
+		if got := resp.AppendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("response for %q: AppendJSON\n got %q\nwant %q", line, got, want)
 		}
 		if !resp.OK && resp.Code == "" {
 			t.Fatalf("error response for %q carries no code: %+v", line, resp)

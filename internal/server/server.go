@@ -3,7 +3,6 @@ package server
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -207,15 +206,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	connCtx, connCancel := context.WithCancel(s.baseCtx)
 	defer connCancel()
 
+	// Each response, the hello line included, is one pooled buffer, one Write.
 	write := func(resp Response) bool {
-		buf, err := json.Marshal(resp)
-		if err != nil {
-			return false
-		}
+		buf := respBufs.Get().(*[]byte)
+		*buf = append(resp.AppendJSON(*buf), '\n')
 		if wt := s.core.cfg.writeTimeout(); wt > 0 {
 			conn.SetWriteDeadline(time.Now().Add(wt))
 		}
-		_, err = conn.Write(append(buf, '\n'))
+		_, err := conn.Write(*buf)
+		putRespBuf(buf)
 		return err == nil
 	}
 

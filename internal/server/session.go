@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -119,6 +120,23 @@ type Session struct {
 	batchSize int
 
 	prepared map[string]*preparedStmt
+}
+
+// maxKeptBuffer caps the render and encode buffers kept for reuse: a
+// buffer that grew past it for one huge result is dropped, not pooled.
+const maxKeptBuffer = 1 << 20
+
+// respBufs holds render and encode buffers (*[]byte) between responses.
+// It is process-wide, so an idle connection or session holds no buffer.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// putRespBuf pools p for reuse, or drops it once it outgrew
+// maxKeptBuffer.
+func putRespBuf(p *[]byte) {
+	if cap(*p) <= maxKeptBuffer {
+		*p = (*p)[:0]
+		respBufs.Put(p)
+	}
 }
 
 type preparedStmt struct {
@@ -518,8 +536,12 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	if err != nil {
 		return errResp(classifyExecErr(err), err), nil
 	}
-	resp = Response{OK: true, Output: out.String(), Rows: int64(out.Len()),
+	// Render into a pooled buffer; Output is the one copy that outlives it.
+	buf := respBufs.Get().(*[]byte)
+	*buf = out.AppendText(*buf)
+	resp = Response{OK: true, Output: string(*buf), Rows: int64(out.Len()),
 		Tuples: c.TuplesRetrieved(), Cache: tr.CacheOutcome}
+	putRespBuf(buf)
 	if withPlan {
 		resp.Plan = p.Tree()
 	}
