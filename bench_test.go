@@ -360,117 +360,6 @@ func BenchmarkFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinAlgorithms (DESIGN.md ablation 2): the physical join
-// algorithms on the same equijoin.
-func BenchmarkJoinAlgorithms(b *testing.B) {
-	const n = 20000
-	rnd := rand.New(rand.NewSource(6))
-	lrel := workload.UniformRelation(rnd, "L", n, int64(n))
-	rrel := workload.UniformRelation(rnd, "R", n, int64(n))
-	lt := storage.NewTable("L", lrel)
-	rt := storage.NewTable("R", rrel)
-	if _, err := rt.BuildHashIndex("a"); err != nil {
-		b.Fatal(err)
-	}
-	la, ra := relation.A("L", "a"), relation.A("R", "a")
-
-	b.Run("hash", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hj, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-				[]relation.Attr{la}, []relation.Attr{ra}, nil, exec.InnerMode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(hj, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ij, err := exec.NewIndexJoin(exec.NewScan(lt, nil), rt, "a", la, nil, exec.InnerMode, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(ij, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("merge", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ls, err := exec.NewSort(exec.NewScan(lt, nil), []relation.Attr{la})
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs, err := exec.NewSort(exec.NewScan(rt, nil), []relation.Attr{ra})
-			if err != nil {
-				b.Fatal(err)
-			}
-			mj, err := exec.NewMergeJoin(ls, rs, la, ra, exec.InnerMode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(mj, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("nestedloop-1k", func(b *testing.B) {
-		small := workload.UniformRelation(rand.New(rand.NewSource(7)), "L", 1000, 1000)
-		st := storage.NewTable("L", small)
-		smallR := workload.UniformRelation(rand.New(rand.NewSource(8)), "R", 1000, 1000)
-		srt := storage.NewTable("R", smallR)
-		p := predicate.Eq(la, ra)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			nl, err := exec.NewNestedLoopJoin(exec.NewScan(st, nil), exec.NewScan(srt, nil), p, exec.InnerMode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(nl, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkParallelJoin: the partitioned parallel hash join vs the serial
-// one on the same inner equijoin (concurrency ablation).
-func BenchmarkParallelJoin(b *testing.B) {
-	const n = 100000
-	rnd := rand.New(rand.NewSource(13))
-	lt := storage.NewTable("L", workload.UniformRelation(rnd, "L", n, int64(n)))
-	rt := storage.NewTable("R", workload.UniformRelation(rnd, "R", n, int64(n)))
-	la, ra := relation.A("L", "a"), relation.A("R", "a")
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hj, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-				[]relation.Attr{la}, []relation.Attr{ra}, nil, exec.InnerMode)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := exec.Collect(hj, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				pj, err := exec.NewParallelHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil),
-					la, ra, exec.InnerMode, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := exec.Collect(pj, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkTupleRepresentation (DESIGN.md ablation 1): positional rows
 // (the library's representation) vs map-based tuples for a restrict-and-
 // project loop.
@@ -708,43 +597,6 @@ func BenchmarkExternalSort(b *testing.B) {
 				}
 				if out.Len() != n {
 					b.Fatalf("lost rows: %d", out.Len())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGraceHashJoin measures the grace hash join against the
-// in-memory build on the same inputs.
-func BenchmarkGraceHashJoin(b *testing.B) {
-	const n = 10000
-	rnd := rand.New(rand.NewSource(33))
-	lt := storage.NewTable("L", workload.UniformRelation(rnd, "L", n, int64(n/4)))
-	rt := storage.NewTable("R", workload.UniformRelation(rnd, "R", n, int64(n/4)))
-	lk := []relation.Attr{relation.A("L", "a")}
-	rk := []relation.Attr{relation.A("R", "a")}
-	for _, bc := range []struct {
-		name  string
-		bytes int64
-	}{
-		{"in-memory", 0},
-		{"grace-64KB", 64 << 10},
-		{"grace-8KB", 8 << 10},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				h, err := exec.NewHashJoin(exec.NewScan(lt, nil), exec.NewScan(rt, nil), lk, rk, nil, exec.InnerMode)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var ec *exec.ExecContext
-				if bc.bytes > 0 {
-					ec = exec.NewExecContext(context.Background(), exec.NewGovernor(0, bc.bytes))
-					ec.EnableSpill(exec.SpillConfig{Dir: dir})
-				}
-				if _, err := exec.CollectCtx(ec, h, nil); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

@@ -72,15 +72,19 @@ func TestBatchHashJoinBuildAllocs(t *testing.T) {
 
 // BenchmarkBatchHashJoin: build and probe on unique int keys, and on a
 // duplicate-heavy string key (2,000 rows over 20 keys, 200,000 matches),
-// where every chain entry goes through the join-key comparison.
+// where every chain entry goes through the join-key comparison; spilled
+// is the unique-key join under a 64 KB budget with spilling on, which
+// trips a few batches into the build and runs as a grace hash join.
 func BenchmarkBatchHashJoin(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
 		rows, nk int
 		key      func(i int) relation.Value
+		budget   int64
 	}{
-		{"int_unique", 6000, 6000, func(i int) relation.Value { return relation.Int(int64(i)) }},
-		{"string_dup", 2000, 20, func(i int) relation.Value { return relation.Str(fmt.Sprintf("customer-key-%012d", i)) }},
+		{"int_unique", 6000, 6000, func(i int) relation.Value { return relation.Int(int64(i)) }, 1 << 32},
+		{"string_dup", 2000, 20, func(i int) relation.Value { return relation.Str(fmt.Sprintf("customer-key-%012d", i)) }, 1 << 32},
+		{"spilled", 6000, 6000, func(i int) relation.Value { return relation.Int(int64(i)) }, 64 << 10},
 	} {
 		left := relation.New(relation.SchemeOf("R", "a", "b"))
 		right := relation.New(relation.SchemeOf("S", "a", "b"))
@@ -89,7 +93,9 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 			right.MustAppend(bc.key(i%bc.nk), relation.Int(int64(i)))
 		}
 		b.Run(bc.name, func(b *testing.B) {
-			gov := NewGovernor(0, 1<<32)
+			gov := NewGovernor(0, bc.budget)
+			ec := NewExecContext(context.Background(), gov)
+			ec.EnableSpill(SpillConfig{Dir: b.TempDir()})
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h, err := NewBatchHashJoin(NewRelationScan(left), NewRelationScan(right),
@@ -97,7 +103,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if err := h.Open(NewExecContext(context.Background(), gov)); err != nil {
+				if err := h.Open(ec); err != nil {
 					b.Fatal(err)
 				}
 				for {

@@ -4,25 +4,30 @@ import (
 	"errors"
 	"fmt"
 
+	"freejoin/internal/exec/spill"
 	"freejoin/internal/hashutil"
 	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 )
 
-// BatchHashJoin is the vectorized hash join: the right input is drained
-// a batch at a time into a chunked value arena indexed by an open-addressed
-// hash table (no per-row map or key-string allocations), and the left
-// input probes batch by batch, emitting concatenated / padded rows into
-// a reused output batch. Governor accounting is amortized: one Reserve
-// per build batch instead of one per row.
+// BatchHashJoin is the hash join: the right input is drained a batch at
+// a time into a chunked value arena indexed by an open-addressed hash
+// table (no per-row map or key-string allocations), and the left input
+// probes batch by batch, emitting concatenated / padded rows into a
+// reused output batch. Governor accounting is amortized: one Reserve per
+// build batch instead of one per row.
 //
-// A memory-budget trip during the build delegates to the row HashJoin
-// over the same children: the arena is released, the right child is
-// closed, and the row join re-opens it and brings its full degradation
-// machinery — grace-hash spilling when the context allows it, the
-// optimizer's index fallback (SetFallback) otherwise, and the typed
-// resource error when neither applies.
+// A memory-budget trip during the build degrades in place, without
+// re-running the build child. With spilling enabled the join turns into
+// a grace hash join (see spill): what is built so far and the rest of
+// the build stream, then the probe stream, are hash-partitioned into one
+// spill file, and each partition pair is joined by a sub-join over the
+// two runs — which re-partitions one level deeper if it trips too, and
+// past SpillConfig.Recursion() hands the pair to a NestedLoopJoin that
+// scans the build run in place. With spilling off, the optimizer's index
+// fallback (SetFallback) serves the join; with neither, the typed
+// resource error surfaces.
 type BatchHashJoin struct {
 	left, right Iterator
 	lattrs      []relation.Attr
@@ -68,7 +73,7 @@ type BatchHashJoin struct {
 	out *Batch
 	cur batchCursor
 
-	delegate Iterator // row HashJoin after a build memory trip
+	grace *graceJoin // set by a build trip (a sub-join's is set before it opens)
 }
 
 // buildLink is one build row's entry in the hash index.
@@ -78,7 +83,8 @@ type buildLink struct {
 	chunk, off int32  // the row is chunks[chunk][off : off+rwidth]
 }
 
-// NewBatchHashJoin mirrors NewHashJoin with a configured batch size
+// NewBatchHashJoin builds a hash join on leftKeys = rightKeys (attribute
+// lists of equal length); residual may be nil. size is the batch size
 // (size <= 0 means DefaultBatchSize or the execution context override).
 func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr, residual predicate.Predicate, mode JoinMode, size int) (*BatchHashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
@@ -123,59 +129,61 @@ func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr,
 	return h, nil
 }
 
-// SetFallback registers the index degradation path, forwarded to the
-// row hash join if a build trip delegates to it.
+// SetFallback registers the spill-off degradation path: when the build
+// trips the memory budget and the context does not allow spilling, mk is
+// invoked with the (not yet opened) left input and the resulting
+// iterator — typically an IndexJoin over the same key — serves the join
+// instead. It must produce the same bag over the same output scheme.
 func (h *BatchHashJoin) SetFallback(mk func(left Iterator) (Iterator, error)) { h.mkFallback = mk }
-
-// DegradedTo returns the row hash join serving the query after a build
-// memory trip, or nil when the batch path ran.
-func (h *BatchHashJoin) DegradedTo() Iterator { return h.delegate }
 
 // Scheme implements Iterator.
 func (h *BatchHashJoin) Scheme() *relation.Scheme { return h.scheme }
 
-// Open implements Iterator: builds the arena from the right input a
-// batch at a time.
+// Open implements Iterator.
 func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	h.resetBuild(h.ec) // re-Open without Close: drop stale arena + charge
+	h.closeGrace()     // ... and any stale spill state
+	h.grace = nil
 	h.ec = ec
-	if h.delegate != nil {
-		// A prior execution delegated: the row join owns the children and
-		// any grace-hash spill state. Close it (idempotent if the plan was
-		// closed normally) before rebuilding over the same children, or a
-		// re-Open-without-Close would leak its runs.
-		h.delegate.Close()
-		h.delegate = nil
-	}
 	h.cur.reset()
 	h.lb, h.lpos, h.ldone = nil, 0, false
 	h.pendRow, h.pendIdx, h.pendMatched = nil, -1, false
 	if err := ec.Err("hashjoin"); err != nil {
 		return err
 	}
+	return h.open(ec)
+}
+
+// open builds the arena from the right input a batch at a time, then
+// opens the left input; a memory trip degrades instead. Sub-joins of a
+// grace hash join start here, with their grace state already set.
+func (h *BatchHashJoin) open(ec *ExecContext) error {
 	size := resolveBatchSize(ec, h.size)
 	h.out = ensureBatch(h.out, h.scheme, size)
 	h.bleft = Batching(h.left, size)
 	bright := Batching(h.right, size)
 	if err := h.right.Open(ec); err != nil {
 		bright.Close()
-		return h.tripToRow(ec, err)
+		return h.fallBack(ec, err)
 	}
 	for {
 		b, ok, err := bright.NextBatch()
 		if err != nil {
 			bright.Close()
 			h.resetBuild(ec)
-			return h.tripToRow(ec, err)
+			return h.fallBack(ec, err)
 		}
 		if !ok {
 			break
 		}
 		// Amortized accounting: one reservation per build batch.
 		if cerr := h.held.chargeN(ec, "hashjoin", int64(b.Len()), b.Bytes()); cerr != nil {
+			if spillable(ec, cerr) && (h.grace == nil || h.grace.depth < ec.Spill().Recursion()) {
+				return h.spill(ec, bright, b)
+			}
 			bright.Close()
 			h.resetBuild(ec)
-			return h.tripToRow(ec, cerr)
+			return h.fallBack(ec, cerr)
 		}
 		h.appendBuild(b)
 	}
@@ -191,28 +199,24 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	return nil
 }
 
-// tripToRow delegates a MemoryExceeded build failure to the row
-// HashJoin over the same children (the right child has been closed and
-// will be re-opened by the delegate, which the iterator contract makes
-// a full reset). Non-memory errors propagate unchanged.
-func (h *BatchHashJoin) tripToRow(ec *ExecContext, err error) error {
+// fallBack is the spill-off degradation: on a memory trip with a
+// registered index alternative the join delegates to it; any other
+// error is surfaced as-is.
+func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
+	if h.mkFallback == nil || !errors.As(err, &re) || re.Kind != MemoryExceeded {
 		return err
 	}
-	d, derr := NewHashJoin(h.left, h.right, h.lattrs, h.rattrs, h.residualP, h.mode)
-	if derr != nil {
+	fb, ferr := h.mkFallback(h.left)
+	if ferr != nil {
 		return err // keep the original trip
 	}
-	if h.mkFallback != nil {
-		d.SetFallback(h.mkFallback)
-	}
-	ec.Governor().Note("hashjoin: batch build memory trip, delegating to row hash join")
-	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
+	if oerr := fb.Open(ec); oerr != nil {
 		return oerr
 	}
-	h.delegate = d
+	ec.Governor().Note("hashjoin: memory budget trip, degraded to index strategy")
+	obs.GovernorDegradations.Inc()
+	h.trip().sub = Batching(fb, resolveBatchSize(ec, h.size))
 	return nil
 }
 
@@ -222,22 +226,24 @@ func (h *BatchHashJoin) appendBuild(b *Batch) {
 	n := b.Len()
 	chunk := make([]relation.Value, 0, n*h.rwidth)
 	for i := 0; i < n; i++ {
-		null := false
-		for _, k := range h.rkeys {
-			if b.IsNull(i, k) {
-				null = true
-				break
-			}
+		if !nullKey(b, i, h.rkeys) { // null keys never match; only the left side drives emission
+			chunk = append(chunk, b.Row(i)...)
 		}
-		if null {
-			continue // null keys never match; only the left side drives emission
-		}
-		chunk = append(chunk, b.Row(i)...)
 	}
 	if len(chunk) > 0 {
 		h.chunks = append(h.chunks, chunk)
 		h.brows += len(chunk) / h.rwidth
 	}
+}
+
+// nullKey reports whether row i of b has a null in any key column.
+func nullKey(b *Batch, i int, keys []int) bool {
+	for _, k := range keys {
+		if b.IsNull(i, k) {
+			return true
+		}
+	}
+	return false
 }
 
 // buildIndex hashes every arena row's join key and lays the
@@ -316,8 +322,8 @@ func (h *BatchHashJoin) chainHasMatch(lrow []relation.Value, hash uint32, idx in
 
 // NextBatch implements BatchIterator: the probe loop.
 func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
-	if h.delegate != nil {
-		return h.delegateBatch()
+	if h.grace != nil && h.grace.tripped {
+		return h.graceBatch()
 	}
 	if err := h.ec.Err("hashjoin"); err != nil {
 		return nil, false, err
@@ -363,17 +369,10 @@ func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
 // probeRow probes left row i of the current batch, emitting into out.
 // Inner/outer rows with matches hand off to the pending chain walk.
 func (h *BatchHashJoin) probeRow(out *Batch, i int) {
+	lrow := h.lb.Row(i)
 	// Null bitmap short-circuit: a null key column feeds straight into
 	// the 3VL outcome (no match) without evaluating the key equality.
-	null := false
-	for _, k := range h.lkeys {
-		if h.lb.IsNull(i, k) {
-			null = true
-			break
-		}
-	}
-	lrow := h.lb.Row(i)
-	if null {
+	if nullKey(h.lb, i, h.lkeys) {
 		switch h.mode {
 		case LeftOuterMode:
 			out.AppendPad(lrow)
@@ -437,32 +436,8 @@ func (h *BatchHashJoin) drainChain(out *Batch) {
 	}
 }
 
-// delegateBatch serves the row delegate's stream re-batched.
-func (h *BatchHashJoin) delegateBatch() (*Batch, bool, error) {
-	out := h.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := h.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly, avoiding a pointless re-batching round trip).
+// Next implements Iterator through the batch cursor.
 func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
-	if h.delegate != nil {
-		return h.delegate.Next()
-	}
 	return h.cur.next(h.NextBatch)
 }
 
@@ -475,11 +450,11 @@ func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
 	h.held.release(ec)
 }
 
-// BufferedRows implements Buffered: the arena's row count (or the
-// delegate's buffer).
+// BufferedRows implements Buffered: the arena's row count, or after a
+// trip that of the join serving the current partition pair.
 func (h *BatchHashJoin) BufferedRows() int {
-	if h.delegate != nil {
-		if b, ok := h.delegate.(Buffered); ok {
+	if g := h.grace; g != nil && g.sub != nil {
+		if b, ok := g.sub.(Buffered); ok {
 			return b.BufferedRows()
 		}
 		return 0
@@ -487,28 +462,405 @@ func (h *BatchHashJoin) BufferedRows() int {
 	return h.brows
 }
 
-// SpillInfo implements Spiller: only the row delegate can spill.
+// SpillInfo implements Spiller: the grace partitioning of the latest
+// Open cycle, re-partitions included.
 func (h *BatchHashJoin) SpillInfo() SpillStats {
-	if h.delegate != nil {
-		if s, ok := h.delegate.(Spiller); ok {
-			return s.SpillInfo()
-		}
+	if h.grace == nil {
+		return SpillStats{}
 	}
-	return SpillStats{}
+	return h.grace.root.spst
 }
 
-// Close implements Iterator: the arena (and its charge) is released.
-// After a delegation the row join owns both children and closes them.
+// Close implements Iterator: the arena (and its charge) and any spill
+// state are released.
 func (h *BatchHashJoin) Close() error {
 	h.cur.reset()
 	h.out = releaseBatch(h.out)
 	h.lb, h.pendRow, h.pendIdx = nil, nil, -1
-	if h.delegate != nil {
-		return h.delegate.Close()
-	}
+	err := h.closeGrace()
 	h.resetBuild(h.ec)
 	h.chunks, h.links, h.heads = nil, nil, nil
-	return h.left.Close()
+	if lerr := h.left.Close(); err == nil {
+		err = lerr
+	}
+	return err
+}
+
+// graceJoin is a BatchHashJoin's state once its build has tripped the
+// memory budget. The join the plan holds is the root; the sub-joins of
+// its partition pairs, one partitioning level deeper each, share the
+// root's spill file and stats.
+type graceJoin struct {
+	root    *graceJoin
+	depth   int  // partitioning level: the salt of this join's own split
+	tripped bool // the build tripped: NextBatch serves pairs (or the fallback)
+
+	file *spill.File // root only: every run of the operator
+	spst SpillStats  // root only
+
+	pairs []gracePair   // partition pairs still to join, next one last
+	cur   gracePair     // the pair sub is joining
+	sub   BatchIterator // the current pair's join, or the fallback
+}
+
+// gracePair is one partition: the build (r) and probe (l) rows whose
+// salted key hash landed in the same bucket.
+type gracePair struct{ r, l *spill.Run }
+
+func (p gracePair) drop() {
+	p.r.Drop()
+	p.l.Drop()
+}
+
+// trip marks the join tripped, creating its root grace state if it has
+// none yet.
+func (h *BatchHashJoin) trip() *graceJoin {
+	if h.grace == nil {
+		h.grace = &graceJoin{}
+		h.grace.root = h.grace
+	}
+	h.grace.tripped = true
+	return h.grace
+}
+
+// spill turns a tripped build into a grace hash join. The arena, the
+// batch whose charge tripped and the rest of the same build stream are
+// hash-partitioned into the spill file and the arena's charge released;
+// then the probe side is partitioned the same way, batch by batch,
+// leaving one pair of runs per partition for NextBatch to join. The
+// build child is never re-opened.
+func (h *BatchHashJoin) spill(ec *ExecContext, bright BatchIterator, b *Batch) error {
+	g := h.trip()
+	if g.root.file == nil {
+		f, err := spill.Create(ec, "hashjoin")
+		if err != nil {
+			bright.Close()
+			h.resetBuild(ec)
+			return err
+		}
+		g.root.file = f
+	}
+	parts := ec.Spill().Fanout()
+	rruns, err := h.partitionBuild(bright, b, parts)
+	h.resetBuild(ec) // the build rows now live on disk under the spill budget
+	var lruns []*spill.Run
+	if err == nil {
+		if lruns, err = h.partitionProbe(ec, parts); err != nil {
+			for _, r := range rruns {
+				r.Drop()
+			}
+		}
+	}
+	if err != nil {
+		h.closeGrace()
+		return err
+	}
+	st := &g.root.spst
+	for i := parts - 1; i >= 0; i-- {
+		g.pairs = append(g.pairs, gracePair{r: rruns[i], l: lruns[i]})
+		st.Runs += 2
+		st.Bytes += rruns[i].Bytes + lruns[i].Bytes
+	}
+	st.Partitions += int64(parts)
+	obs.SpillPartitions.Add(int64(parts))
+	if g.depth == 0 {
+		obs.GovernorDegradations.Inc()
+		ec.Governor().Note(fmt.Sprintf("hashjoin: memory budget trip, grace hash join spilling to %d partitions", parts))
+	} else {
+		ec.Governor().Note(fmt.Sprintf("hashjoin: re-partitioning over-budget partition at depth %d", g.depth))
+	}
+	return nil
+}
+
+// partitionBuild writes the arena, the tripped batch b and the rest of
+// bright to the build partitions, closing bright. Null-key rows are
+// dropped: they never match.
+func (h *BatchHashJoin) partitionBuild(bright BatchIterator, b *Batch, parts int) ([]*spill.Run, error) {
+	p := h.newPartitioner(h.rkeys, parts)
+	err := func() error {
+		for _, chunk := range h.chunks {
+			for off := 0; off < len(chunk); off += h.rwidth {
+				if err := p.add(chunk[off : off+h.rwidth]); err != nil {
+					return err
+				}
+			}
+		}
+		for {
+			for i := 0; i < b.Len(); i++ {
+				if nullKey(b, i, h.rkeys) {
+					continue
+				}
+				if err := p.add(b.Row(i)); err != nil {
+					return err
+				}
+			}
+			var ok bool
+			var err error
+			if b, ok, err = bright.NextBatch(); err != nil || !ok {
+				return err
+			}
+		}
+	}()
+	if cerr := bright.Close(); err == nil {
+		err = cerr
+	}
+	return p.finish(err)
+}
+
+// partitionProbe opens the left input and writes it to the probe
+// partitions, closing it again. Null-key rows are kept only where the
+// mode emits unmatched probe rows; they go to partition 0, whose join
+// pads or emits them.
+func (h *BatchHashJoin) partitionProbe(ec *ExecContext, parts int) ([]*spill.Run, error) {
+	if err := h.left.Open(ec); err != nil {
+		return nil, err
+	}
+	p := h.newPartitioner(h.lkeys, parts)
+	keepNull := h.mode == LeftOuterMode || h.mode == AntiMode
+	err := func() error {
+		for {
+			b, ok, err := h.bleft.NextBatch()
+			if err != nil || !ok {
+				return err
+			}
+			for i := 0; i < b.Len(); i++ {
+				switch {
+				case !nullKey(b, i, h.lkeys):
+					err = p.add(b.Row(i))
+				case keepNull:
+					err = p.ws[0].Append(b.Row(i))
+				}
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}()
+	if cerr := h.bleft.Close(); err == nil {
+		err = cerr
+	}
+	return p.finish(err)
+}
+
+// partitioner routes rows to one run writer per partition by a hash of
+// their join key salted with the partitioning level, so a partition that
+// collided at one level spreads out at the next.
+type partitioner struct {
+	ws   []*spill.Writer
+	keys []int
+	salt uint32
+	kbuf []byte
+}
+
+func (h *BatchHashJoin) newPartitioner(keys []int, parts int) *partitioner {
+	p := &partitioner{ws: make([]*spill.Writer, parts), keys: keys, salt: uint32(h.grace.depth) * 0x9e3779b9}
+	for i := range p.ws {
+		p.ws[i] = h.grace.root.file.NewWriter()
+	}
+	return p
+}
+
+func (p *partitioner) add(row []relation.Value) error {
+	kb := p.kbuf[:0]
+	for _, k := range p.keys {
+		kb = relation.AppendJoinKey(kb, row[k])
+	}
+	p.kbuf = kb
+	// FNV's low bits depend only on the low bits of each key byte, so
+	// the salted hash goes through a full-avalanche finalizer (murmur3's
+	// fmix32) and the partition comes from its high bits.
+	x := hashutil.Sum32(kb) ^ p.salt
+	x ^= x >> 16
+	x *= 0x85ebca6b
+	x ^= x >> 13
+	x *= 0xc2b2ae35
+	x ^= x >> 16
+	return p.ws[uint64(x)*uint64(len(p.ws))>>32].Append(row)
+}
+
+// finish seals every partition into a run, or — after err, or if
+// sealing fails — frees them all and returns the error.
+func (p *partitioner) finish(err error) ([]*spill.Run, error) {
+	runs := make([]*spill.Run, 0, len(p.ws))
+	for _, w := range p.ws {
+		if err != nil {
+			w.Abort()
+			continue
+		}
+		var run *spill.Run
+		if run, err = w.Finish(); err == nil {
+			runs = append(runs, run)
+		}
+	}
+	if err != nil {
+		for _, r := range runs {
+			r.Drop()
+		}
+		return nil, err
+	}
+	return runs, nil
+}
+
+// graceBatch serves a tripped join: the current pair's join (or the
+// index fallback) batch by batch, then the next pair's.
+func (h *BatchHashJoin) graceBatch() (*Batch, bool, error) {
+	g := h.grace
+	for {
+		if err := h.ec.Err("hashjoin"); err != nil {
+			return nil, false, err
+		}
+		if g.sub != nil {
+			b, ok, err := g.sub.NextBatch()
+			if err != nil || ok {
+				return b, ok, err
+			}
+			err = g.sub.Close() // releases the pair's arena before the next one builds
+			g.sub = nil
+			g.cur.drop()
+			if err != nil {
+				return nil, false, err
+			}
+			continue
+		}
+		n := len(g.pairs)
+		if n == 0 {
+			return nil, false, nil
+		}
+		pair := g.pairs[n-1]
+		g.pairs = g.pairs[:n-1]
+		if pair.l.Rows == 0 {
+			pair.drop() // every mode emits from probe rows only
+			continue
+		}
+		if err := h.startPair(pair); err != nil {
+			pair.drop()
+			return nil, false, err
+		}
+	}
+}
+
+// startPair opens the join of one partition pair: a sub-join over the
+// two runs one partitioning level deeper, which spills again on its own
+// trip. A sub-join at the recursion bound gives its trip back instead
+// (key skew no re-partitioning can split), and the pair goes to a
+// NestedLoopJoin on the key equalities and the residual, which scans the
+// build run in place once per probe row in O(1) memory.
+func (h *BatchHashJoin) startPair(pair gracePair) error {
+	g, ec := h.grace, h.ec
+	size := resolveBatchSize(ec, h.size)
+	sub := &BatchHashJoin{
+		left:   &runScan{run: pair.l, scheme: h.left.Scheme(), size: size},
+		right:  &runScan{run: pair.r, scheme: h.right.Scheme(), size: size},
+		lattrs: h.lattrs, rattrs: h.rattrs, residualP: h.residualP,
+		scheme: h.scheme, lkeys: h.lkeys, rkeys: h.rkeys, residual: h.residual,
+		mode: h.mode, size: h.size, rwidth: h.rwidth, pendIdx: -1, ec: ec,
+		grace: &graceJoin{root: g.root, depth: g.depth + 1},
+	}
+	err := sub.open(ec)
+	if err == nil {
+		g.cur, g.sub = pair, sub
+		return nil
+	}
+	sub.Close()
+	if !spillable(ec, err) {
+		return err
+	}
+	var conj []predicate.Predicate
+	for i := range h.lattrs {
+		conj = append(conj, predicate.Eq(h.lattrs[i], h.rattrs[i]))
+	}
+	if h.residualP != nil {
+		conj = append(conj, h.residualP)
+	}
+	nl, err := NewNestedLoopJoin(sub.left, sub.right, predicate.NewAnd(conj...), h.mode) // the closed run scans re-open
+	if err != nil {
+		return err
+	}
+	if err := nl.Open(ec); err != nil {
+		return err
+	}
+	ec.Governor().Note(fmt.Sprintf("hashjoin: partition over budget at depth %d, nested-loop join over its runs", g.depth+1))
+	g.cur, g.sub = pair, Batching(nl, size)
+	return nil
+}
+
+// closeGrace releases a tripped join's spill state — the current pair's
+// join, the runs of pairs not yet joined, and at the root the spill file
+// with every run in it — keeping the record for SpillInfo until the next
+// Open.
+func (h *BatchHashJoin) closeGrace() error {
+	g := h.grace
+	if g == nil {
+		return nil
+	}
+	var err error
+	if g.sub != nil {
+		err = g.sub.Close()
+		g.sub = nil
+	}
+	g.cur.drop()
+	for _, p := range g.pairs {
+		p.drop()
+	}
+	g.cur, g.pairs = gracePair{}, nil
+	if g.root == g {
+		g.file.Close()
+		g.file = nil
+	}
+	return err
+}
+
+// runScan reads a spill run back a batch at a time, decoding each row
+// straight into the batch slab: the inputs of a grace partition pair's
+// join.
+type runScan struct {
+	run    *spill.Run
+	scheme *relation.Scheme
+	size   int
+	rd     *spill.Reader
+	out    *Batch
+	cur    batchCursor
+}
+
+func (s *runScan) Scheme() *relation.Scheme { return s.scheme }
+
+func (s *runScan) Open(ec *ExecContext) error {
+	s.rd = s.run.Open()
+	s.out = ensureBatch(s.out, s.scheme, s.size)
+	s.cur.reset()
+	return nil
+}
+
+func (s *runScan) NextBatch() (*Batch, bool, error) {
+	b := s.out
+	b.Reset()
+	for !b.Full() {
+		vals, ok, err := s.rd.AppendNext(b.vals)
+		if err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			break
+		}
+		if len(vals) != len(b.vals)+b.width {
+			return nil, false, fmt.Errorf("exec: spill run row of %d values, want %d", len(vals)-len(b.vals), b.width)
+		}
+		b.vals = vals
+		b.n++
+		b.noteRowNulls(b.n - 1)
+	}
+	if b.Len() == 0 {
+		return nil, false, nil
+	}
+	return b, true, nil
+}
+
+func (s *runScan) Next() ([]relation.Value, bool, error) { return s.cur.next(s.NextBatch) }
+
+func (s *runScan) Close() error {
+	s.out = releaseBatch(s.out)
+	s.rd = nil
+	return nil
 }
 
 // BatchSemiReduce is the vectorized equi-mode SemiReduce: the right

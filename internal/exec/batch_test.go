@@ -10,8 +10,8 @@ import (
 )
 
 // Unit coverage for the batch layer itself: the null bitmap, the
-// row/batch adapter round-trip, boundary batch sizes, trip delegation,
-// and the single-row stream mode of the batch nested-loop join — with
+// row/batch adapter round-trip, boundary batch sizes, the hash join's
+// in-place spill, and the single-row stream mode of the batch nested-loop join — with
 // regression tests for the two ownership bugs the vectorization work
 // surfaced (re-Open leaking a stale delegate's spill run, and the peek
 // leaving the left child doubly opened across a delegation).
@@ -110,23 +110,22 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchHashJoinTripDelegates forces the batched build over budget
-// with spilling on and checks the join degrades to the row hash join —
-// observable through DegradedTo — which completes through its
-// grace-hash path, still producing the right bag.
-func TestBatchHashJoinTripDelegates(t *testing.T) {
+// TestBatchHashJoinTripSpills forces the batched build over budget with
+// spilling on: the join grace-partitions in place — one trip, one
+// degradation, no delegation, the build child opened once — and still
+// produces the right bag.
+func TestBatchHashJoinTripSpills(t *testing.T) {
 	rt, st := contractTables(t)
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
-	mk := func() *BatchHashJoin {
-		var c Counters
-		h, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c),
+	mk := func(right Iterator) *BatchHashJoin {
+		h, err := NewBatchHashJoin(NewScan(rt, nil), right,
 			[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	ref, err := Collect(mk(), nil)
+	ref, err := Collect(mk(NewScan(st, nil)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,17 +133,24 @@ func TestBatchHashJoinTripDelegates(t *testing.T) {
 		t.Fatal("join produced no rows")
 	}
 
-	h := mk()
+	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
+	h := mk(rf)
 	ec, gov, dir := spillCtx(t, 150)
 	got, err := CollectCtx(ec, h, nil)
 	if err != nil {
-		t.Fatalf("tripped join should delegate, not fail: %v", err)
+		t.Fatalf("tripped join should spill, not fail: %v", err)
 	}
-	if h.DegradedTo() == nil {
-		t.Fatal("150-byte budget did not force delegation to the row join")
+	if !h.SpillInfo().Spilled() {
+		t.Fatalf("150-byte budget did not force the grace path: %+v", h.SpillInfo())
+	}
+	if rf.OpenCalls != 1 {
+		t.Errorf("build child opened %d times, want once", rf.OpenCalls)
+	}
+	if n := countEvents(gov, "grace hash join spilling"); n != 1 {
+		t.Errorf("%d grace events, want 1: %v", n, gov.Events())
 	}
 	if !got.EqualBag(ref) {
-		t.Errorf("delegated bag differs: %d rows, want %d", got.Len(), ref.Len())
+		t.Errorf("spilled bag differs: %d rows, want %d", got.Len(), ref.Len())
 	}
 	checkSpillDrained(t, gov, dir)
 }

@@ -586,9 +586,9 @@ func (p *Project) Close() error {
 // enabling merge joins and deterministic output. In memory it is a plain
 // materializing sort; when the governor trips the memory budget and the
 // context enables spilling, it becomes an external merge sort — sorted
-// runs are written to disk as the budget fills, reduced to at most
-// mergeFanIn runs by intermediate merge passes, and streamed through a
-// final k-way merge on Next.
+// runs are written to the sort's spill file as the budget fills, reduced
+// to at most mergeFanIn runs by intermediate merge passes, and streamed
+// through a final k-way merge on Next.
 type Sort struct {
 	child Iterator
 	by    []int
@@ -598,6 +598,7 @@ type Sort struct {
 	arena rowArena
 	pos   int
 
+	file  *spill.File // opened at the first spilled run
 	runs  []*spill.Run
 	merge *runMerge
 	spst  SpillStats
@@ -626,7 +627,7 @@ func (s *Sort) Scheme() *relation.Scheme { return s.child.Scheme() }
 // Open implements Iterator.
 func (s *Sort) Open(ec *ExecContext) error {
 	s.held.release(s.ec) // re-Open without Close: drop any stale charge
-	s.reset(s.ec)        // ... and any stale spill state
+	s.reset()            // ... and any stale spill state
 	s.ec = ec
 	s.spst = SpillStats{}
 	if err := ec.Err("sort"); err != nil {
@@ -699,20 +700,15 @@ func (s *Sort) abort(ec *ExecContext, err error) error {
 func (s *Sort) fail(ec *ExecContext, err error) error {
 	s.rows, s.pos = nil, 0
 	s.held.release(ec)
-	s.reset(ec)
+	s.reset()
 	return err
 }
 
-// reset drops spill state (runs and the merge) against ec.
-func (s *Sort) reset(ec *ExecContext) {
-	if s.merge != nil {
-		s.merge.Close()
-		s.merge = nil
-	}
-	for _, r := range s.runs {
-		r.Drop(ec)
-	}
-	s.runs = nil
+// reset drops spill state: the merge, the runs and the file holding them.
+func (s *Sort) reset() {
+	s.merge, s.runs = nil, nil
+	s.file.Close()
+	s.file = nil
 }
 
 // sortRows orders the in-memory buffer by the sort columns.
@@ -722,15 +718,19 @@ func (s *Sort) sortRows() {
 	})
 }
 
-// spillRun sorts the buffer, writes it to a new run file, and releases
-// the buffer's governor charge (the rows now live on disk, charged
-// against the spill budget instead).
+// spillRun sorts the buffer, writes it to a new run, and releases the
+// buffer's governor charge (the rows now live on disk, charged against
+// the spill budget instead).
 func (s *Sort) spillRun(ec *ExecContext) error {
 	s.sortRows()
-	w, err := spill.NewWriter(ec, "sort")
-	if err != nil {
-		return err
+	if s.file == nil {
+		f, err := spill.Create(ec, "sort")
+		if err != nil {
+			return err
+		}
+		s.file = f
 	}
+	w := s.file.NewWriter()
 	for _, row := range s.rows {
 		if err := w.Append(row); err != nil {
 			w.Abort()
@@ -768,7 +768,7 @@ func (s *Sort) reduceRuns(ec *ExecContext) error {
 				return err
 			}
 			for _, r := range group {
-				r.Drop(ec)
+				r.Drop()
 			}
 			rest = rest[n:]
 			next = append(next, merged)
@@ -779,17 +779,13 @@ func (s *Sort) reduceRuns(ec *ExecContext) error {
 	return nil
 }
 
-// mergeToRun merges a group of sorted runs into one new run file.
+// mergeToRun merges a group of sorted runs into one new run.
 func (s *Sort) mergeToRun(ec *ExecContext, group []*spill.Run) (*spill.Run, error) {
 	m, err := newRunMerge(group, s.by)
 	if err != nil {
 		return nil, err
 	}
-	defer m.Close()
-	w, err := spill.NewWriter(ec, "sort")
-	if err != nil {
-		return nil, err
-	}
+	w := s.file.NewWriter()
 	for {
 		if err := ec.Err("sort"); err != nil {
 			w.Abort()
@@ -835,12 +831,12 @@ func (s *Sort) Next() ([]relation.Value, bool, error) {
 
 // Close implements Iterator: the materialized input is released (a Sort
 // that merely finished streaming would otherwise pin every input row for
-// the lifetime of the plan), run files are deleted and their spill-byte
-// charges returned.
+// the lifetime of the plan), and the spill file is deleted and its
+// spill-byte charge returned.
 func (s *Sort) Close() error {
 	s.rows = nil
 	s.held.release(s.ec)
-	s.reset(s.ec)
+	s.reset()
 	return nil
 }
 
@@ -873,20 +869,14 @@ type runMerge struct {
 	heads [][]relation.Value // nil entry = run exhausted
 }
 
-// newRunMerge opens every run and primes the heads; on error whatever
-// was opened is closed again.
+// newRunMerge opens every run and primes the heads.
 func newRunMerge(runs []*spill.Run, by []int) (*runMerge, error) {
 	m := &runMerge{by: by}
 	for _, run := range runs {
-		rd, err := run.Open()
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
+		rd := run.Open()
 		m.rds = append(m.rds, rd)
 		head, ok, err := rd.Next()
 		if err != nil {
-			m.Close()
 			return nil, err
 		}
 		if !ok {
@@ -924,14 +914,6 @@ func (m *runMerge) Next() ([]relation.Value, bool, error) {
 		m.heads[best] = nil
 	}
 	return row, true, nil
-}
-
-// Close releases every reader. The runs themselves belong to the Sort.
-func (m *runMerge) Close() {
-	for _, rd := range m.rds {
-		rd.Close()
-	}
-	m.rds, m.heads = nil, nil
 }
 
 // materialize drains an iterator into memory (used by blocking joins),

@@ -185,6 +185,10 @@ func TestSort(t *testing.T) {
 	}
 }
 
+// hashJoinSizes are the batch sizes every hash-join test runs at: one
+// row per batch, a size that splits the inputs unevenly, and the default.
+var hashJoinSizes = []int{1, 7, DefaultBatchSize}
+
 func TestHashJoinAllModes(t *testing.T) {
 	rnd := rand.New(rand.NewSource(17))
 	key := predicate.Eq(relation.A("R", "k"), relation.A("S", "k"))
@@ -192,21 +196,23 @@ func TestHashJoinAllModes(t *testing.T) {
 		lrel := randRel(rnd, "R", rnd.Intn(10))
 		rrel := randRel(rnd, "S", rnd.Intn(10))
 		for _, mode := range allModes {
-			ls, _ := scanOf(t, "R", lrel, nil)
-			rs, _ := scanOf(t, "S", rrel, nil)
-			hj, err := NewHashJoin(ls, rs,
-				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-				nil, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Collect(hj, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := refFor(t, mode, lrel, rrel, key)
-			if !got.EqualBag(want) {
-				t.Fatalf("trial %d mode %s: hash join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, got, want)
+			for _, size := range hashJoinSizes {
+				ls, _ := scanOf(t, "R", lrel, nil)
+				rs, _ := scanOf(t, "S", rrel, nil)
+				hj, err := NewBatchHashJoin(ls, rs,
+					[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
+					nil, mode, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Collect(hj, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refFor(t, mode, lrel, rrel, key)
+				if !got.EqualBag(want) {
+					t.Fatalf("trial %d mode %s size %d: hash join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, size, got, want)
+				}
 			}
 		}
 	}
@@ -222,18 +228,20 @@ func TestHashJoinResidual(t *testing.T) {
 		lrel := randRel(rnd, "R", rnd.Intn(10))
 		rrel := randRel(rnd, "S", rnd.Intn(10))
 		for _, mode := range allModes {
-			ls, _ := scanOf(t, "R", lrel, nil)
-			rs, _ := scanOf(t, "S", rrel, nil)
-			hj, err := NewHashJoin(ls, rs,
-				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-				residual, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _ := Collect(hj, nil)
-			want := refFor(t, mode, lrel, rrel, full)
-			if !got.EqualBag(want) {
-				t.Fatalf("trial %d mode %s: residual hash join mismatch", trial, mode)
+			for _, size := range hashJoinSizes {
+				ls, _ := scanOf(t, "R", lrel, nil)
+				rs, _ := scanOf(t, "S", rrel, nil)
+				hj, err := NewBatchHashJoin(ls, rs,
+					[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
+					residual, mode, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := Collect(hj, nil)
+				want := refFor(t, mode, lrel, rrel, full)
+				if !got.EqualBag(want) {
+					t.Fatalf("trial %d mode %s size %d: residual hash join mismatch", trial, mode, size)
+				}
 			}
 		}
 	}
@@ -244,16 +252,21 @@ func TestHashJoinErrors(t *testing.T) {
 	rrel := randRel(rand.New(rand.NewSource(2)), "S", 3)
 	ls, _ := scanOf(t, "R", lrel, nil)
 	rs, _ := scanOf(t, "S", rrel, nil)
-	if _, err := NewHashJoin(ls, rs, nil, nil, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs, nil, nil, nil, InnerMode, 0); err == nil {
 		t.Error("empty key list must fail")
 	}
-	if _, err := NewHashJoin(ls, rs,
-		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs,
+		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0); err == nil {
 		t.Error("bad left key must fail")
 	}
-	if _, err := NewHashJoin(ls, rs,
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs,
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode, 0); err == nil {
 		t.Error("bad right key must fail")
+	}
+	if _, err := NewBatchHashJoin(ls, rs,
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
+		predicate.Eq(relation.A("Z", "z"), relation.A("S", "k")), InnerMode, 0); err == nil {
+		t.Error("residual over an unknown attribute must fail")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,8 +145,8 @@ func TestExpiredDeadline(t *testing.T) {
 	rt, st := contractTables(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	hj, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode)
+	hj, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +176,8 @@ func TestMemoryBudgetTrips(t *testing.T) {
 			return s, "sort"
 		},
 		"hashjoin": func(t *testing.T) (Iterator, string) {
-			h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+			h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,47 +251,46 @@ func TestMemoryBudgetTrips(t *testing.T) {
 // TestHashJoinGracefulDegradation: a hash join with a marked index
 // fallback must, when its build side trips the budget, serve the same
 // bag through the index strategy instead of aborting — in all four join
-// modes.
+// modes, at every batch size.
 func TestHashJoinGracefulDegradation(t *testing.T) {
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mkJoin := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			for _, size := range hashJoinSizes {
+				mkJoin := func() *BatchHashJoin {
+					h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+						[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return h
+				}
+				want, err := Collect(mkJoin(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return h
-			}
-			want, err := Collect(mkJoin(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			h := mkJoin()
-			h.SetFallback(func(left Iterator) (Iterator, error) {
-				return NewIndexJoin(left, st, "k", rk, nil, mode, nil)
-			})
-			gov := NewGovernor(1, 0) // the 4-row build side cannot fit
-			got, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil)
-			if err != nil {
-				t.Fatalf("degraded run failed: %v", err)
-			}
-			if h.DegradedTo() == nil {
-				t.Fatal("join should have degraded to the index strategy")
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("degraded bag differs:\nwant (%d rows):\n%vgot (%d rows):\n%v",
-					want.Len(), want, got.Len(), got)
-			}
-			if gov.UsedRows() != 0 {
-				t.Errorf("governor holds %d rows after degraded run", gov.UsedRows())
-			}
-			if evs := gov.Events(); len(evs) < 2 {
-				t.Errorf("expected trip + degradation events, got %v", evs)
+				h := mkJoin()
+				h.SetFallback(func(left Iterator) (Iterator, error) {
+					return NewIndexJoin(left, st, "k", rk, nil, mode, nil)
+				})
+				gov := NewGovernor(1, 0) // the 4-row build side cannot fit
+				got, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil)
+				if err != nil {
+					t.Fatalf("size %d: degraded run failed: %v", size, err)
+				}
+				if !want.EqualBag(got) {
+					t.Errorf("size %d: degraded bag differs:\nwant (%d rows):\n%vgot (%d rows):\n%v",
+						size, want.Len(), want, got.Len(), got)
+				}
+				if gov.UsedRows() != 0 {
+					t.Errorf("size %d: governor holds %d rows after degraded run", size, gov.UsedRows())
+				}
+				if evs := gov.Events(); len(evs) != 2 || !strings.Contains(evs[1], "degraded to index strategy") {
+					t.Errorf("size %d: expected one trip and one degradation event, got %v", size, evs)
+				}
 			}
 		})
 	}
@@ -302,8 +302,8 @@ func TestHashJoinFallbackNotTakenWithoutTrip(t *testing.T) {
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
-	h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,8 +314,8 @@ func TestHashJoinFallbackNotTakenWithoutTrip(t *testing.T) {
 	if _, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil); err != nil {
 		t.Fatal(err)
 	}
-	if h.DegradedTo() != nil {
-		t.Error("fallback must not engage within budget")
+	if evs := gov.Events(); len(evs) != 0 {
+		t.Errorf("fallback must not engage within budget: %v", evs)
 	}
 }
 

@@ -1,12 +1,9 @@
 package exec
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 
 	"freejoin/internal/exec/spill"
-	"freejoin/internal/hashutil"
 	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
@@ -53,40 +50,6 @@ func outputScheme(l, r *relation.Scheme, mode JoinMode) (*relation.Scheme, error
 	return sch, nil
 }
 
-// HashJoin joins two inputs on equi-key columns: the right input is built
-// into a hash table at Open, the left probes. A residual predicate (the
-// non-equi remainder, if any) filters matches.
-//
-// A memory-budget trip while building the hash table degrades
-// gracefully instead of aborting. When spilling is enabled on the
-// execution context, the join switches to a grace hash join: both
-// inputs are hash-partitioned to disk and each partition pair is joined
-// with an in-memory table, recursively re-partitioning pairs that still
-// exceed the budget (see openGrace). Otherwise, when the optimizer
-// marked an index-based alternative available (see SetFallback), the
-// partial build is released and the join delegates to the index
-// strategy.
-type HashJoin struct {
-	left, right Iterator
-	scheme      *relation.Scheme
-	lkeys       []int
-	rkeys       []int
-	residual    *predicate.Bound
-	mode        JoinMode
-	mkFallback  func(left Iterator) (Iterator, error)
-
-	ec        *ExecContext
-	held      hold
-	arena     rowArena
-	table     map[string][][]relation.Value
-	tableRows int
-	pending   [][]relation.Value
-	rwidth    int
-	delegate  Iterator   // non-nil after an index degradation
-	grace     *graceJoin // non-nil after a grace-hash spill
-	spst      SpillStats
-}
-
 // joinKey appends row's join key at positions keys to buf; null reports
 // a null key column (null keys never match any row).
 func joinKey(buf []byte, row []relation.Value, keys []int) ([]byte, bool) {
@@ -99,785 +62,12 @@ func joinKey(buf []byte, row []relation.Value, keys []int) ([]byte, bool) {
 	return buf, false
 }
 
-// NewHashJoin builds a hash join on leftKeys = rightKeys (attribute lists
-// of equal length). residual may be nil.
-func NewHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr, residual predicate.Predicate, mode JoinMode) (*HashJoin, error) {
-	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
-		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
-	}
-	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
-	if err != nil {
-		return nil, err
-	}
-	h := &HashJoin{left: left, right: right, scheme: sch, mode: mode, rwidth: right.Scheme().Len()}
-	for _, a := range leftKeys {
-		p := left.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: hash join key %s not in left scheme", a)
-		}
-		h.lkeys = append(h.lkeys, p)
-	}
-	for _, a := range rightKeys {
-		p := right.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: hash join key %s not in right scheme", a)
-		}
-		h.rkeys = append(h.rkeys, p)
-	}
-	if residual != nil {
-		full, err := left.Scheme().Concat(right.Scheme())
-		if err != nil {
-			return nil, err
-		}
-		b, err := predicate.Bind(residual, full)
-		if err != nil {
-			return nil, fmt.Errorf("exec: hash join residual: %w", err)
-		}
-		h.residual = &b
-	}
-	return h, nil
-}
-
-// SetFallback registers a degradation path: when the hash-table build
-// trips the memory budget, mk is invoked with the (not yet opened) left
-// input and the resulting iterator — typically an IndexJoin over the
-// same key — serves the join instead. The iterator must produce the same
-// bag over the same output scheme.
-func (h *HashJoin) SetFallback(mk func(left Iterator) (Iterator, error)) { h.mkFallback = mk }
-
-// DegradedTo returns the substitute iterator after a graceful
-// degradation, or nil when the hash strategy ran.
-func (h *HashJoin) DegradedTo() Iterator { return h.delegate }
-
-// Scheme implements Iterator.
-func (h *HashJoin) Scheme() *relation.Scheme { return h.scheme }
-
-// Open implements Iterator: builds the hash table from the right input.
-func (h *HashJoin) Open(ec *ExecContext) error {
-	h.held.release(h.ec) // re-Open without Close: drop any stale charge
-	h.dropGrace(h.ec)    // ... and any stale spill state
-	h.ec = ec
-	h.delegate = nil
-	h.spst = SpillStats{}
-	if err := ec.Err("hashjoin"); err != nil {
-		return err
-	}
-	if err := h.right.Open(ec); err != nil {
-		h.right.Close()
-		return h.degradeOrFail(ec, err)
-	}
-	// Drain the build side charging row by row, so a budget trip can
-	// hand the partial buffer straight to the grace spill path.
-	var rows [][]relation.Value
-	for {
-		row, ok, err := h.right.Next()
-		if err != nil {
-			h.right.Close()
-			h.held.release(ec)
-			return h.degradeOrFail(ec, err)
-		}
-		if !ok {
-			break
-		}
-		if cerr := h.held.charge(ec, "hashjoin", row); cerr != nil {
-			if spillable(ec, cerr) {
-				return h.openGrace(ec, rows, row)
-			}
-			h.right.Close()
-			h.held.release(ec)
-			return h.degradeOrFail(ec, cerr)
-		}
-		// The build side buffers past the child's next Next: copy.
-		rows = append(rows, h.arena.copyRow(row))
-	}
-	if err := h.right.Close(); err != nil {
-		h.held.release(ec)
-		return err
-	}
-	h.buildTable(rows)
-	h.pending = nil
-	if err := h.left.Open(ec); err != nil {
-		h.table = nil
-		h.tableRows = 0
-		h.held.release(ec)
-		return err
-	}
-	return nil
-}
-
-// buildTable indexes rows by join key. Null-key rows are dropped: they
-// can never match, and for the null-supplying modes only the left side
-// decides emission.
-func (h *HashJoin) buildTable(rows [][]relation.Value) {
-	h.table = make(map[string][][]relation.Value, len(rows))
-	h.tableRows = 0
-	var buf []byte
-	for _, row := range rows {
-		key, null := joinKey(buf[:0], row, h.rkeys)
-		buf = key
-		if null {
-			continue
-		}
-		h.table[string(key)] = append(h.table[string(key)], row)
-		h.tableRows++
-	}
-}
-
-// degradeOrFail is the spill-disabled degradation path: on a memory
-// trip with a registered index alternative, the join delegates to it;
-// any other error is surfaced as-is.
-func (h *HashJoin) degradeOrFail(ec *ExecContext, err error) error {
-	var re *ResourceError
-	if h.mkFallback == nil || !errors.As(err, &re) || re.Kind != MemoryExceeded {
-		return err
-	}
-	fb, ferr := h.mkFallback(h.left)
-	if ferr != nil {
-		return err // keep the original trip
-	}
-	if oerr := fb.Open(ec); oerr != nil {
-		return oerr
-	}
-	ec.Governor().Note("hashjoin: memory budget trip, degraded to index strategy")
-	obs.GovernorDegradations.Inc()
-	h.delegate = fb
-	return nil
-}
-
-// BufferedRows implements Buffered.
-func (h *HashJoin) BufferedRows() int {
-	if h.delegate != nil {
-		if b, ok := h.delegate.(Buffered); ok {
-			return b.BufferedRows()
-		}
-		return 0
-	}
-	return h.tableRows + len(h.pending)
-}
-
-// SpillInfo implements Spiller.
-func (h *HashJoin) SpillInfo() SpillStats { return h.spst }
-
-// Next implements Iterator.
-func (h *HashJoin) Next() ([]relation.Value, bool, error) {
-	if h.delegate != nil {
-		return h.delegate.Next()
-	}
-	if h.grace != nil {
-		return h.graceNext()
-	}
-	for {
-		if len(h.pending) > 0 {
-			out := h.pending[0]
-			h.pending = h.pending[1:]
-			return out, true, nil
-		}
-		lrow, ok, err := h.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		matches := h.probe(lrow)
-		switch h.mode {
-		case InnerMode, LeftOuterMode:
-			for _, rrow := range matches {
-				h.pending = append(h.pending, concatRows(lrow, rrow))
-			}
-			if len(matches) == 0 && h.mode == LeftOuterMode {
-				return padRight(lrow, h.rwidth), true, nil
-			}
-		case SemiMode:
-			if len(matches) > 0 {
-				return lrow, true, nil
-			}
-		case AntiMode:
-			if len(matches) == 0 {
-				return lrow, true, nil
-			}
-		}
-	}
-}
-
-// probe returns the right rows matching lrow (keys plus residual).
-func (h *HashJoin) probe(lrow []relation.Value) [][]relation.Value {
-	key, null := joinKey(nil, lrow, h.lkeys)
-	if null {
-		return nil
-	}
-	candidates := h.table[string(key)]
-	if h.residual == nil {
-		return candidates
-	}
-	var out [][]relation.Value
-	for _, rrow := range candidates {
-		if h.residual.Holds(concatRows(lrow, rrow)) {
-			out = append(out, rrow)
-		}
-	}
-	return out
-}
-
-// Close implements Iterator: the build table (and its governor charge) is
-// released, along with every live spill run. After a degradation the
-// substitute iterator is closed instead (it owns the left child).
-func (h *HashJoin) Close() error {
-	h.table = nil
-	h.tableRows = 0
-	h.pending = nil
-	h.held.release(h.ec)
-	h.dropGrace(h.ec)
-	if h.delegate != nil {
-		// The delegate stays recorded (DegradedTo) until a re-Open resets
-		// it; the substitute owns the left child, so it closes it.
-		return h.delegate.Close()
-	}
-	return h.left.Close()
-}
-
-// graceJoin is the spilled state of a HashJoin after a build-side
-// budget trip: both inputs hash-partitioned to disk, plus the work list
-// of partition pairs still to join.
-type graceJoin struct {
-	parts    int
-	maxDepth int
-
-	work []gracePair // partition pairs still to join (LIFO)
-
-	cur gracePair     // partition currently probed via the hash table
-	lrd *spill.Reader // cur's left (probe) reader
-
-	nullLeft *spill.Run // null-key left rows (leftouter pads, anti emits)
-	nullRd   *spill.Reader
-
-	// Block-nested streaming of a pair that stays over budget even at
-	// maxDepth (heavy key skew): every left row scans the right run.
-	// Memory stays O(1), so this terminal mode always completes.
-	stream   bool
-	spair    gracePair
-	slrd     *spill.Reader
-	scur     []relation.Value
-	smatched bool
-	srd      *spill.Reader
-
-	// Every writer and run ever created, so cleanup after an error or
-	// early Close can be exhaustive: Abort and Drop are idempotent
-	// no-ops for writers already finished and runs already dropped.
-	writers []*spill.Writer
-	runs    []*spill.Run
-
-	kbuf []byte // join-key scratch
-	hbuf []byte // salted-hash scratch
-}
-
-// gracePair is one partition pair: the right (build) and left (probe)
-// rows whose salted key hash landed in the same bucket. depth is the
-// number of partitioning passes that produced it.
-type gracePair struct {
-	r, l  *spill.Run
-	depth int
-}
-
-// bucket assigns a join key to a partition. The salt (the partitioning
-// depth) changes the hash at each recursion level, so a bucket that
-// collided at one level spreads out at the next.
-func (g *graceJoin) bucket(key []byte, salt int) int {
-	g.hbuf = append(g.hbuf[:0], byte(salt))
-	g.hbuf = append(g.hbuf, key...)
-	return int(hashutil.Sum32(g.hbuf) % uint32(g.parts))
-}
-
-// dropGrace aborts every in-flight writer, drops every live run (both
-// idempotent), closes open readers and detaches the grace state.
-func (h *HashJoin) dropGrace(ec *ExecContext) {
-	g := h.grace
-	if g == nil {
-		return
-	}
-	for _, rd := range []*spill.Reader{g.lrd, g.nullRd, g.slrd, g.srd} {
-		if rd != nil {
-			rd.Close()
-		}
-	}
-	for _, w := range g.writers {
-		w.Abort()
-	}
-	for _, r := range g.runs {
-		r.Drop(ec)
-	}
-	h.grace = nil
-}
-
-// newPartWriters opens one spill writer per partition, registering them
-// for cleanup.
-func (h *HashJoin) newPartWriters(ec *ExecContext) ([]*spill.Writer, error) {
-	g := h.grace
-	ws := make([]*spill.Writer, g.parts)
-	for i := range ws {
-		w, err := spill.NewWriter(ec, "hashjoin")
-		if err != nil {
-			return nil, err
-		}
-		ws[i] = w
-		g.writers = append(g.writers, w)
-	}
-	return ws, nil
-}
-
-// finishWriters seals the partition writers into runs, registering them
-// for cleanup and counting them into the spill stats.
-func (h *HashJoin) finishWriters(ws []*spill.Writer) ([]*spill.Run, error) {
-	g := h.grace
-	runs := make([]*spill.Run, len(ws))
-	for i, w := range ws {
-		run, err := w.Finish()
-		if err != nil {
-			return nil, err
-		}
-		runs[i] = run
-		g.runs = append(g.runs, run)
-		h.spst.Runs++
-		h.spst.Bytes += run.Bytes
-	}
-	return runs, nil
-}
-
-// partWrite routes row to the partition its salted key hash selects.
-// Null-key rows are dropped — callers that must keep them (the probe
-// side of null-supplying modes) divert them before calling.
-func (h *HashJoin) partWrite(ws []*spill.Writer, row []relation.Value, keys []int, salt int) error {
-	g := h.grace
-	key, null := joinKey(g.kbuf[:0], row, keys)
-	g.kbuf = key
-	if null {
-		return nil
-	}
-	return ws[g.bucket(key, salt)].Append(row)
-}
-
-// openGrace converts a tripped in-memory build into a grace hash join:
-// the buffered build rows, the row whose charge tripped, and the rest
-// of the right input are hash-partitioned to disk, then the probe side
-// is partitioned the same way, seeding one partition pair per bucket.
-func (h *HashJoin) openGrace(ec *ExecContext, buffered [][]relation.Value, tripRow []relation.Value) error {
-	g := &graceJoin{parts: ec.Spill().Fanout(), maxDepth: ec.Spill().Recursion()}
-	h.grace = g
-	h.pending = nil
-	fail := func(err error, closeRight, closeLeft bool) error {
-		if closeRight {
-			h.right.Close()
-		}
-		if closeLeft {
-			h.left.Close()
-		}
-		h.held.release(ec)
-		h.dropGrace(ec)
-		return err
-	}
-	ws, err := h.newPartWriters(ec)
-	if err != nil {
-		return fail(err, true, false)
-	}
-	for _, row := range buffered {
-		if err := h.partWrite(ws, row, h.rkeys, 0); err != nil {
-			return fail(err, true, false)
-		}
-	}
-	if err := h.partWrite(ws, tripRow, h.rkeys, 0); err != nil {
-		return fail(err, true, false)
-	}
-	h.held.release(ec) // the build rows now live on disk under the spill budget
-	for {
-		row, ok, nerr := h.right.Next()
-		if nerr != nil {
-			return fail(nerr, true, false)
-		}
-		if !ok {
-			break
-		}
-		if err := h.partWrite(ws, row, h.rkeys, 0); err != nil {
-			return fail(err, true, false)
-		}
-	}
-	if err := h.right.Close(); err != nil {
-		return fail(err, false, false)
-	}
-	rruns, err := h.finishWriters(ws)
-	if err != nil {
-		return fail(err, false, false)
-	}
-
-	// Partition the probe side the same way. Null-key left rows go to a
-	// dedicated run when the mode emits unmatched left rows; otherwise
-	// they are dropped (they can never match).
-	var nullW *spill.Writer
-	if h.mode == LeftOuterMode || h.mode == AntiMode {
-		w, werr := spill.NewWriter(ec, "hashjoin")
-		if werr != nil {
-			return fail(werr, false, false)
-		}
-		g.writers = append(g.writers, w)
-		nullW = w
-	}
-	lws, err := h.newPartWriters(ec)
-	if err != nil {
-		return fail(err, false, false)
-	}
-	if err := h.left.Open(ec); err != nil {
-		return fail(err, false, false)
-	}
-	for {
-		row, ok, nerr := h.left.Next()
-		if nerr != nil {
-			return fail(nerr, false, true)
-		}
-		if !ok {
-			break
-		}
-		key, null := joinKey(g.kbuf[:0], row, h.lkeys)
-		g.kbuf = key
-		if null {
-			if nullW != nil {
-				if err := nullW.Append(row); err != nil {
-					return fail(err, false, true)
-				}
-			}
-			continue
-		}
-		if err := lws[g.bucket(key, 0)].Append(row); err != nil {
-			return fail(err, false, true)
-		}
-	}
-	if err := h.left.Close(); err != nil {
-		return fail(err, false, false)
-	}
-	lruns, err := h.finishWriters(lws)
-	if err != nil {
-		return fail(err, false, false)
-	}
-	if nullW != nil {
-		run, ferr := nullW.Finish()
-		if ferr != nil {
-			return fail(ferr, false, false)
-		}
-		g.runs = append(g.runs, run)
-		h.spst.Runs++
-		h.spst.Bytes += run.Bytes
-		if run.Rows > 0 {
-			g.nullLeft = run
-		} else {
-			run.Drop(ec)
-		}
-	}
-	for i := len(rruns) - 1; i >= 0; i-- {
-		g.work = append(g.work, gracePair{r: rruns[i], l: lruns[i], depth: 1})
-	}
-	h.spst.Partitions += int64(g.parts)
-	obs.SpillPartitions.Add(int64(g.parts))
-	obs.GovernorDegradations.Inc()
-	ec.Governor().Note(fmt.Sprintf("hashjoin: memory budget trip, grace hash join spilling to %d partitions", g.parts))
-	return nil
-}
-
-// loadPartition builds the in-memory hash table for pair's build run
-// and opens its probe run. A budget trip during the load either splits
-// the pair one level deeper or, at the recursion bound, switches the
-// pair to the streaming block-nested scan.
-func (h *HashJoin) loadPartition(ec *ExecContext, pair gracePair) error {
-	g := h.grace
-	rd, err := pair.r.Open()
-	if err != nil {
-		return err
-	}
-	h.table = make(map[string][][]relation.Value)
-	h.tableRows = 0
-	var buf []byte
-	for {
-		row, ok, rerr := rd.Next()
-		if rerr != nil {
-			rd.Close()
-			h.releaseTable(ec)
-			return rerr
-		}
-		if !ok {
-			break
-		}
-		if cerr := h.held.charge(ec, "hashjoin", row); cerr != nil {
-			rd.Close()
-			h.releaseTable(ec)
-			if !spillable(ec, cerr) {
-				return cerr
-			}
-			if pair.depth >= g.maxDepth {
-				return h.startStream(ec, pair)
-			}
-			return h.splitPair(ec, pair)
-		}
-		key, null := joinKey(buf[:0], row, h.rkeys)
-		buf = key
-		if null {
-			continue
-		}
-		h.table[string(key)] = append(h.table[string(key)], row)
-		h.tableRows++
-	}
-	rd.Close()
-	lrd, err := pair.l.Open()
-	if err != nil {
-		h.releaseTable(ec)
-		return err
-	}
-	g.cur, g.lrd = pair, lrd
-	return nil
-}
-
-func (h *HashJoin) releaseTable(ec *ExecContext) {
-	h.table = nil
-	h.tableRows = 0
-	h.held.release(ec)
-}
-
-// repartition re-buckets a run with the next salt, producing one run
-// per partition.
-func (h *HashJoin) repartition(ec *ExecContext, run *spill.Run, keys []int, salt int) ([]*spill.Run, error) {
-	ws, err := h.newPartWriters(ec)
-	if err != nil {
-		return nil, err
-	}
-	rd, err := run.Open()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		row, ok, rerr := rd.Next()
-		if rerr != nil {
-			rd.Close()
-			return nil, rerr
-		}
-		if !ok {
-			break
-		}
-		if werr := h.partWrite(ws, row, keys, salt); werr != nil {
-			rd.Close()
-			return nil, werr
-		}
-	}
-	rd.Close()
-	return h.finishWriters(ws)
-}
-
-// splitPair re-partitions an over-budget pair one level deeper and
-// queues the resulting sub-pairs.
-func (h *HashJoin) splitPair(ec *ExecContext, pair gracePair) error {
-	g := h.grace
-	rruns, err := h.repartition(ec, pair.r, h.rkeys, pair.depth)
-	if err != nil {
-		return err
-	}
-	lruns, err := h.repartition(ec, pair.l, h.lkeys, pair.depth)
-	if err != nil {
-		return err
-	}
-	pair.r.Drop(ec)
-	pair.l.Drop(ec)
-	for i := len(rruns) - 1; i >= 0; i-- {
-		g.work = append(g.work, gracePair{r: rruns[i], l: lruns[i], depth: pair.depth + 1})
-	}
-	h.spst.Partitions += int64(g.parts)
-	obs.SpillPartitions.Add(int64(g.parts))
-	ec.Governor().Note(fmt.Sprintf("hashjoin: re-partitioning over-budget partition at depth %d", pair.depth))
-	return nil
-}
-
-// startStream switches a pair that is still over budget at the
-// recursion bound (heavy key skew re-partitioning cannot shrink) to
-// the block-nested scan.
-func (h *HashJoin) startStream(ec *ExecContext, pair gracePair) error {
-	g := h.grace
-	lrd, err := pair.l.Open()
-	if err != nil {
-		return err
-	}
-	g.spair, g.slrd = pair, lrd
-	g.scur, g.srd = nil, nil
-	g.stream = true
-	ec.Governor().Note(fmt.Sprintf("hashjoin: partition over budget at depth %d, block-nested streaming", pair.depth))
-	return nil
-}
-
-// graceMatch reports whether a left/right row pair joins: equal
-// non-null keys plus the residual predicate.
-func (h *HashJoin) graceMatch(lrow, rrow []relation.Value) bool {
-	lkey, lnull := joinKey(nil, lrow, h.lkeys)
-	if lnull {
-		return false
-	}
-	rkey, rnull := joinKey(nil, rrow, h.rkeys)
-	if rnull {
-		return false
-	}
-	if !bytes.Equal(lkey, rkey) {
-		return false
-	}
-	return h.residual == nil || h.residual.Holds(concatRows(lrow, rrow))
-}
-
-// graceNext drives the spilled join: stream the current block-nested
-// pair if one is active, probe the currently loaded partition, load the
-// next pair from the work list, and finally emit the null-key left tail.
-func (h *HashJoin) graceNext() ([]relation.Value, bool, error) {
-	g := h.grace
-	ec := h.ec
-	for {
-		if len(h.pending) > 0 {
-			out := h.pending[0]
-			h.pending = h.pending[1:]
-			return out, true, nil
-		}
-		if err := ec.Err("hashjoin"); err != nil {
-			return nil, false, err
-		}
-		switch {
-		case g.stream:
-			if g.scur == nil {
-				lrow, ok, err := g.slrd.Next()
-				if err != nil {
-					return nil, false, err
-				}
-				if !ok {
-					g.slrd.Close()
-					g.slrd = nil
-					g.spair.l.Drop(ec)
-					g.spair.r.Drop(ec)
-					g.stream = false
-					continue
-				}
-				rd, err := g.spair.r.Open()
-				if err != nil {
-					return nil, false, err
-				}
-				g.scur, g.smatched, g.srd = lrow, false, rd
-			}
-			rrow, ok, err := g.srd.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				g.srd.Close()
-				g.srd = nil
-				lrow := g.scur
-				g.scur = nil
-				switch h.mode {
-				case LeftOuterMode:
-					if !g.smatched {
-						return padRight(lrow, h.rwidth), true, nil
-					}
-				case SemiMode:
-					if g.smatched {
-						return lrow, true, nil
-					}
-				case AntiMode:
-					if !g.smatched {
-						return lrow, true, nil
-					}
-				}
-				continue
-			}
-			if !h.graceMatch(g.scur, rrow) {
-				continue
-			}
-			g.smatched = true
-			switch h.mode {
-			case InnerMode, LeftOuterMode:
-				return concatRows(g.scur, rrow), true, nil
-			case SemiMode:
-				g.srd.Close()
-				g.srd = nil
-				lrow := g.scur
-				g.scur = nil
-				return lrow, true, nil
-			case AntiMode:
-				g.srd.Close()
-				g.srd = nil
-				g.scur = nil
-			}
-
-		case g.lrd != nil:
-			lrow, ok, err := g.lrd.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				g.lrd.Close()
-				g.lrd = nil
-				g.cur.l.Drop(ec)
-				g.cur.r.Drop(ec)
-				h.releaseTable(ec)
-				continue
-			}
-			matches := h.probe(lrow)
-			switch h.mode {
-			case InnerMode, LeftOuterMode:
-				for _, rrow := range matches {
-					h.pending = append(h.pending, concatRows(lrow, rrow))
-				}
-				if len(matches) == 0 && h.mode == LeftOuterMode {
-					return padRight(lrow, h.rwidth), true, nil
-				}
-			case SemiMode:
-				if len(matches) > 0 {
-					return lrow, true, nil
-				}
-			case AntiMode:
-				if len(matches) == 0 {
-					return lrow, true, nil
-				}
-			}
-
-		case len(g.work) > 0:
-			pair := g.work[len(g.work)-1]
-			g.work = g.work[:len(g.work)-1]
-			if pair.r.Rows == 0 && pair.l.Rows == 0 {
-				pair.r.Drop(ec)
-				pair.l.Drop(ec)
-				continue
-			}
-			if err := h.loadPartition(ec, pair); err != nil {
-				return nil, false, err
-			}
-
-		case g.nullLeft != nil:
-			if g.nullRd == nil {
-				rd, err := g.nullLeft.Open()
-				if err != nil {
-					return nil, false, err
-				}
-				g.nullRd = rd
-			}
-			row, ok, err := g.nullRd.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				g.nullRd.Close()
-				g.nullRd = nil
-				g.nullLeft.Drop(ec)
-				g.nullLeft = nil
-				continue
-			}
-			if h.mode == LeftOuterMode {
-				return padRight(row, h.rwidth), true, nil
-			}
-			return row, true, nil // AntiMode: null left key never matches
-
-		default:
-			return nil, false, nil
-		}
-	}
-}
-
 // NestedLoopJoin joins on an arbitrary predicate; the right input is
 // materialized once at Open. When the materialization trips the memory
 // budget with spilling enabled, the inner input moves to a single spill
-// run instead, and Next re-scans the run once per left row.
+// run instead, and Next re-scans the run once per left row. An inner
+// input that already is a run (a grace hash join's over-budget partition)
+// is scanned in place.
 type NestedLoopJoin struct {
 	left, right Iterator
 	scheme      *relation.Scheme
@@ -891,7 +81,8 @@ type NestedLoopJoin struct {
 	rwidth  int
 	pending [][]relation.Value
 
-	rrun       *spill.Run // inner input on disk after a budget trip
+	file       *spill.File // holds rrun, unless the inner input was a run already
+	rrun       *spill.Run  // inner input on disk after a budget trip
 	rrd        *spill.Reader
 	cur        []relation.Value // left row currently scanning rrun
 	curMatched bool
@@ -922,7 +113,7 @@ func (n *NestedLoopJoin) Scheme() *relation.Scheme { return n.scheme }
 // Open implements Iterator.
 func (n *NestedLoopJoin) Open(ec *ExecContext) error {
 	n.held.release(n.ec) // re-Open without Close: drop any stale charge
-	n.dropRun(n.ec)      // ... and any stale spill run
+	n.dropRun()          // ... and any stale spill run
 	n.ec = ec
 	n.rrows, n.pending, n.cur = nil, nil, nil
 	n.spst = SpillStats{}
@@ -949,10 +140,17 @@ func (n *NestedLoopJoin) Open(ec *ExecContext) error {
 				n.held.release(ec)
 				return cerr
 			}
+			if rs, ok := n.right.(*runScan); ok {
+				// The inner input is on disk already: scan it there.
+				n.rrows = nil
+				n.held.release(ec)
+				n.rrun = rs.run
+				break
+			}
 			if serr := n.spillRight(ec, row); serr != nil {
 				n.right.Close()
 				n.held.release(ec)
-				n.dropRun(ec)
+				n.dropRun()
 				return serr
 			}
 			break
@@ -962,13 +160,13 @@ func (n *NestedLoopJoin) Open(ec *ExecContext) error {
 	if err := n.right.Close(); err != nil {
 		n.rrows = nil
 		n.held.release(ec)
-		n.dropRun(ec)
+		n.dropRun()
 		return err
 	}
 	if err := n.left.Open(ec); err != nil {
 		n.rrows = nil
 		n.held.release(ec)
-		n.dropRun(ec)
+		n.dropRun()
 		return err
 	}
 	return nil
@@ -978,10 +176,12 @@ func (n *NestedLoopJoin) Open(ec *ExecContext) error {
 // buffered so far, the row whose charge tripped, then the rest of the
 // right stream.
 func (n *NestedLoopJoin) spillRight(ec *ExecContext, tripRow []relation.Value) error {
-	w, err := spill.NewWriter(ec, "nestedloop")
+	f, err := spill.Create(ec, "nestedloop")
 	if err != nil {
 		return err
 	}
+	n.file = f
+	w := f.NewWriter()
 	for _, row := range n.rrows {
 		if werr := w.Append(row); werr != nil {
 			w.Abort()
@@ -1020,21 +220,17 @@ func (n *NestedLoopJoin) spillRight(ec *ExecContext, tripRow []relation.Value) e
 	return nil
 }
 
-// dropRun releases the spill run and its reader, if any.
-func (n *NestedLoopJoin) dropRun(ec *ExecContext) {
-	if n.rrd != nil {
-		n.rrd.Close()
-		n.rrd = nil
-	}
-	if n.rrun != nil {
-		n.rrun.Drop(ec)
-		n.rrun = nil
-	}
+// dropRun releases the spill run, its reader and its file, if any. A
+// run scanned in place belongs to its producer and is left alone.
+func (n *NestedLoopJoin) dropRun() {
+	n.rrun, n.rrd = nil, nil
+	n.file.Close()
+	n.file = nil
 }
 
-// spilledNext is the Next loop of the spilled mode: each left row opens
-// a fresh sequential scan of the inner run, emitting matches one at a
-// time (no pending buffer, so memory stays flat).
+// spilledNext is the Next loop of the spilled mode: each left row
+// rewinds one sequential scan of the inner run, emitting matches one at
+// a time (no pending buffer, so memory stays flat).
 func (n *NestedLoopJoin) spilledNext() ([]relation.Value, bool, error) {
 	for {
 		if n.cur == nil {
@@ -1045,19 +241,17 @@ func (n *NestedLoopJoin) spilledNext() ([]relation.Value, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			rd, err := n.rrun.Open()
-			if err != nil {
-				return nil, false, err
+			if n.rrd == nil {
+				n.rrd = n.rrun.Open()
 			}
-			n.cur, n.curMatched, n.rrd = lrow, false, rd
+			n.rrd.Rewind()
+			n.cur, n.curMatched = lrow, false
 		}
 		rrow, ok, err := n.rrd.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			n.rrd.Close()
-			n.rrd = nil
 			lrow := n.cur
 			n.cur = nil
 			switch n.mode {
@@ -1085,14 +279,10 @@ func (n *NestedLoopJoin) spilledNext() ([]relation.Value, bool, error) {
 		case InnerMode, LeftOuterMode:
 			return full, true, nil
 		case SemiMode:
-			n.rrd.Close()
-			n.rrd = nil
 			lrow := n.cur
 			n.cur = nil
 			return lrow, true, nil
 		case AntiMode:
-			n.rrd.Close()
-			n.rrd = nil
 			n.cur = nil
 		}
 	}
@@ -1160,7 +350,7 @@ func (n *NestedLoopJoin) Close() error {
 	n.pending = nil
 	n.cur = nil
 	n.held.release(n.ec)
-	n.dropRun(n.ec)
+	n.dropRun()
 	return n.left.Close()
 }
 
@@ -1300,6 +490,7 @@ type MergeJoin struct {
 	arena   rowArena
 	group   [][]relation.Value // current right equal-key group (charged)
 	gkey    relation.Value     // group key, valid while hasGroup()
+	file    *spill.File        // opened at the first spilled group
 	grun    *spill.Run         // group on disk after a budget trip
 	lcur    []relation.Value   // left row currently streaming grun matches
 	grd     *spill.Reader
@@ -1335,7 +526,9 @@ func (m *MergeJoin) Scheme() *relation.Scheme { return m.scheme }
 // until Next reaches the first right-side group.
 func (m *MergeJoin) Open(ec *ExecContext) error {
 	m.held.release(m.ec) // re-Open without Close: drop any stale charge
-	m.dropGroupRun(m.ec) // ... and any stale spilled group
+	m.dropGroupRun()     // ... and any stale spilled group
+	m.file.Close()
+	m.file = nil
 	m.ec = ec
 	m.group, m.pending, m.rnext, m.lcur = nil, nil, nil, nil
 	m.rdone = false
@@ -1374,7 +567,7 @@ func (m *MergeJoin) needAdvance(lv relation.Value) bool {
 func (m *MergeJoin) advanceGroup() error {
 	m.group = nil
 	m.held.release(m.ec) // only the group is charged
-	m.dropGroupRun(m.ec)
+	m.dropGroupRun()
 	for {
 		var row []relation.Value
 		if m.rnext != nil {
@@ -1418,10 +611,14 @@ func (m *MergeJoin) advanceGroup() error {
 // row whose charge tripped, and the rest of the equal-key run — to a
 // spill run.
 func (m *MergeJoin) spillGroup(tripRow []relation.Value) error {
-	w, err := spill.NewWriter(m.ec, "mergejoin")
-	if err != nil {
-		return err
+	if m.file == nil {
+		f, err := spill.Create(m.ec, "mergejoin")
+		if err != nil {
+			return err
+		}
+		m.file = f
 	}
+	w := m.file.NewWriter()
 	for _, row := range m.group {
 		if werr := w.Append(row); werr != nil {
 			w.Abort()
@@ -1478,16 +675,11 @@ func (m *MergeJoin) spillGroup(tripRow []relation.Value) error {
 	return nil
 }
 
-// dropGroupRun releases the spilled group and its reader, if any.
-func (m *MergeJoin) dropGroupRun(ec *ExecContext) {
-	if m.grd != nil {
-		m.grd.Close()
-		m.grd = nil
-	}
-	if m.grun != nil {
-		m.grun.Drop(ec)
-		m.grun = nil
-	}
+// dropGroupRun frees the spilled group, if any, for the next one to
+// reuse its space in the file.
+func (m *MergeJoin) dropGroupRun() {
+	m.grun.Drop()
+	m.grun, m.grd = nil, nil
 }
 
 // Next implements Iterator.
@@ -1507,7 +699,6 @@ func (m *MergeJoin) Next() ([]relation.Value, bool, error) {
 			if ok {
 				return concatRows(m.lcur, rrow), true, nil
 			}
-			m.grd.Close()
 			m.grd, m.lcur = nil, nil
 			continue
 		}
@@ -1531,11 +722,7 @@ func (m *MergeJoin) Next() ([]relation.Value, bool, error) {
 		}
 		if m.hasGroup() && m.gkey.Compare(lv) == 0 {
 			if m.grun != nil {
-				rd, oerr := m.grun.Open()
-				if oerr != nil {
-					return nil, false, oerr
-				}
-				m.lcur, m.grd = lrow, rd
+				m.lcur, m.grd = lrow, m.grun.Open()
 				continue
 			}
 			for _, rrow := range m.group {
@@ -1560,7 +747,9 @@ func (m *MergeJoin) SpillInfo() SpillStats { return m.spst }
 func (m *MergeJoin) Close() error {
 	m.group, m.pending, m.rnext, m.lcur = nil, nil, nil, nil
 	m.held.release(m.ec)
-	m.dropGroupRun(m.ec)
+	m.dropGroupRun()
+	m.file.Close()
+	m.file = nil
 	m.rdone = false
 	err := m.left.Close()
 	if rerr := m.right.Close(); err == nil {

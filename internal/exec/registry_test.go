@@ -97,12 +97,14 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return storage.NewFaultIterator(ch[0], storage.Fault{})
 		}},
 	}
+	// The hash join at its default batch size, where the 5-row inputs
+	// fit one batch; the batchhashjoin cases below refill every 2 rows.
 	for name, mode := range map[string]JoinMode{
 		"hashjoin": InnerMode, "hashjoin-outer": LeftOuterMode, "hashjoin-semi": SemiMode, "hashjoin-anti": AntiMode,
 	} {
 		mode := mode
 		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode))
+			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, 0))
 		}}
 	}
 	// The batch evaluators run through the same contract/fault/ownership

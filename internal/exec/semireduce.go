@@ -40,7 +40,8 @@ type SemiReduce struct {
 	rrows [][]relation.Value  // scan mode: materialized right input
 	kbuf  []byte
 
-	rrun *spill.Run // right input on disk after a budget trip
+	file *spill.File // holds rrun
+	rrun *spill.Run  // right input on disk after a budget trip
 	rrd  *spill.Reader
 	cur  []relation.Value // left row currently scanning rrun
 
@@ -86,7 +87,7 @@ func (s *SemiReduce) ReduceStats() (in, out int64) { return s.rowsIn, s.rowsOut 
 // filter (equi) or a row buffer (otherwise), then the left input opens.
 func (s *SemiReduce) Open(ec *ExecContext) error {
 	s.held.release(s.ec) // re-Open without Close: drop any stale charge
-	s.dropRun(s.ec)      // ... and any stale spill run
+	s.dropRun()          // ... and any stale spill run
 	s.ec = ec
 	s.keys, s.rrows, s.cur = nil, nil, nil
 	s.spst = SpillStats{}
@@ -129,7 +130,7 @@ func (s *SemiReduce) Open(ec *ExecContext) error {
 				if serr := s.spillRight(ec, row); serr != nil {
 					s.right.Close()
 					s.held.release(ec)
-					s.dropRun(ec)
+					s.dropRun()
 					return serr
 				}
 				break
@@ -146,7 +147,7 @@ func (s *SemiReduce) Open(ec *ExecContext) error {
 			if serr := s.spillRight(ec, row); serr != nil {
 				s.right.Close()
 				s.held.release(ec)
-				s.dropRun(ec)
+				s.dropRun()
 				return serr
 			}
 			break
@@ -156,41 +157,33 @@ func (s *SemiReduce) Open(ec *ExecContext) error {
 	if err := s.right.Close(); err != nil {
 		s.keys, s.rrows = nil, nil
 		s.held.release(ec)
-		s.dropRun(ec)
+		s.dropRun()
 		return err
 	}
 	if err := s.left.Open(ec); err != nil {
 		s.keys, s.rrows = nil, nil
 		s.held.release(ec)
-		s.dropRun(ec)
+		s.dropRun()
 		return err
 	}
 	return nil
 }
 
-// spillRight moves the right input to a single spill run: the rows (or
-// filter keys' source rows) buffered so far are already accounted in
-// rrows/keys — for the equi mode the buffered keys are discarded and
-// every remaining right row goes to disk, because the run must carry
-// full rows for the predicate scan. tripRow is the row whose charge
-// tripped the budget.
+// spillRight moves the right input to a single spill run: the rows
+// materialized so far (scan mode), the row whose charge tripped, and the
+// rest of the right stream. Equi mode buffered only distinct keys, which
+// stay behind as a fast pre-check of the run scan.
 func (s *SemiReduce) spillRight(ec *ExecContext, tripRow []relation.Value) error {
-	w, err := spill.NewWriter(ec, "semireduce")
+	f, err := spill.Create(ec, "semireduce")
 	if err != nil {
 		return err
 	}
+	s.file = f
+	w := f.NewWriter()
 	abort := func(werr error) error {
 		w.Abort()
 		return werr
 	}
-	// The in-memory prefix: materialized rows (scan mode) go to the run
-	// verbatim. Equi mode buffered only distinct keys, not rows, so the
-	// prefix is unrecoverable from the filter alone — but every buffered
-	// key came from a row, and the filter semantics only need each
-	// distinct key represented once. Synthesize a minimal row per key?
-	// No: the run scan evaluates the full predicate over real rows, so
-	// equi mode replays nothing and instead keeps the partial filter as
-	// a fast pre-check alongside the run.
 	for _, row := range s.rrows {
 		if werr := w.Append(row); werr != nil {
 			return abort(werr)
@@ -225,16 +218,11 @@ func (s *SemiReduce) spillRight(ec *ExecContext, tripRow []relation.Value) error
 	return nil
 }
 
-// dropRun releases the spill run and its reader, if any.
-func (s *SemiReduce) dropRun(ec *ExecContext) {
-	if s.rrd != nil {
-		s.rrd.Close()
-		s.rrd = nil
-	}
-	if s.rrun != nil {
-		s.rrun.Drop(ec)
-		s.rrun = nil
-	}
+// dropRun releases the spill run, its reader and its file, if any.
+func (s *SemiReduce) dropRun() {
+	s.rrun, s.rrd = nil, nil
+	s.file.Close()
+	s.file = nil
 }
 
 // Next implements Iterator.
@@ -299,25 +287,21 @@ func (s *SemiReduce) spilledNext() ([]relation.Value, bool, error) {
 					}
 				}
 			}
-			rd, err := s.rrun.Open()
-			if err != nil {
-				return nil, false, err
+			if s.rrd == nil {
+				s.rrd = s.rrun.Open()
 			}
-			s.cur, s.rrd = lrow, rd
+			s.rrd.Rewind()
+			s.cur = lrow
 		}
 		rrow, ok, err := s.rrd.Next()
 		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			s.rrd.Close()
-			s.rrd = nil
 			s.cur = nil
 			continue
 		}
 		if s.bound.Holds(concatRows(s.cur, rrow)) {
-			s.rrd.Close()
-			s.rrd = nil
 			lrow := s.cur
 			s.cur = nil
 			s.rowsOut++
@@ -340,6 +324,6 @@ func (s *SemiReduce) Close() error {
 	s.rrows = nil
 	s.cur = nil
 	s.held.release(s.ec)
-	s.dropRun(s.ec)
+	s.dropRun()
 	return s.left.Close()
 }

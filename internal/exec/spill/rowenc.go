@@ -1,11 +1,9 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"freejoin/internal/relation"
@@ -56,61 +54,67 @@ func appendRow(b []byte, row []relation.Value) []byte {
 	return b
 }
 
-// readRow decodes one row from br, returning (nil, nil) at a clean end
-// of stream and an error on a truncated or corrupt run.
-func readRow(br *bufio.Reader) ([]relation.Value, error) {
-	arity, err := binary.ReadUvarint(br)
-	if err != nil {
-		if err == io.EOF {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("spill: corrupt run: %w", err)
+// errTruncated reports a run that ends inside a row.
+var errTruncated = errors.New("spill: truncated run")
+
+// decodeRow appends the values of the row encoded at the start of b to
+// dst and returns the bytes consumed. n == 0 means b holds only a prefix
+// of the row; dst is then returned as it came in.
+func decodeRow(dst []relation.Value, b []byte) (out []relation.Value, n int, err error) {
+	arity, n := binary.Uvarint(b)
+	if n <= 0 {
+		return dst, 0, varintErr(n)
 	}
-	row := make([]relation.Value, arity)
-	for i := range row {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, truncated(err)
+	out = dst
+	for i := uint64(0); i < arity; i++ {
+		if n >= len(b) {
+			return dst, 0, nil
 		}
+		tag := b[n]
+		n++
 		switch tag {
 		case tagNull:
-			row[i] = relation.Null()
+			out = append(out, relation.Null())
 		case tagFalse:
-			row[i] = relation.Bool(false)
+			out = append(out, relation.Bool(false))
 		case tagTrue:
-			row[i] = relation.Bool(true)
+			out = append(out, relation.Bool(true))
 		case tagInt:
-			n, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, truncated(err)
+			v, k := binary.Varint(b[n:])
+			if k <= 0 {
+				return dst, 0, varintErr(k)
 			}
-			row[i] = relation.Int(n)
+			n += k
+			out = append(out, relation.Int(v))
 		case tagFloat:
-			var buf [8]byte
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, truncated(err)
+			if len(b)-n < 8 {
+				return dst, 0, nil
 			}
-			row[i] = relation.Float(math.Float64frombits(binary.BigEndian.Uint64(buf[:])))
+			out = append(out, relation.Float(math.Float64frombits(binary.BigEndian.Uint64(b[n:]))))
+			n += 8
 		case tagStr:
-			n, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, truncated(err)
+			l, k := binary.Uvarint(b[n:])
+			if k <= 0 {
+				return dst, 0, varintErr(k)
 			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(br, buf); err != nil {
-				return nil, truncated(err)
+			n += k
+			if uint64(len(b)-n) < l {
+				return dst, 0, nil
 			}
-			row[i] = relation.Str(string(buf))
+			out = append(out, relation.Str(string(b[n:n+int(l)])))
+			n += int(l)
 		default:
-			return nil, fmt.Errorf("spill: corrupt run: unknown value tag %q", tag)
+			return dst, 0, fmt.Errorf("spill: corrupt run: unknown value tag %q", tag)
 		}
 	}
-	return row, nil
+	return out, n, nil
 }
 
-func truncated(err error) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return fmt.Errorf("spill: truncated run")
+// varintErr maps a binary.(U)varint status to decodeRow's convention:
+// 0 (buffer too short) is an incomplete row, negative an overflow.
+func varintErr(n int) error {
+	if n < 0 {
+		return fmt.Errorf("spill: corrupt run: varint overflow")
 	}
-	return fmt.Errorf("spill: corrupt run: %w", err)
+	return nil
 }

@@ -1,10 +1,16 @@
-// Package spill implements governed spill-to-disk run files for the
-// external-memory execution paths: the external merge sort and the grace
-// hash join. A Writer streams rows into a temp file in a compact binary
-// encoding, charging the governor's spill-bytes budget as it goes;
-// Finish seals the file into a Run, which can be opened for sequential
-// re-reading any number of times and is deleted (and its byte charge
-// released) by Drop.
+// Package spill implements governed spill-to-disk storage for the
+// external-memory execution paths: the external merge sort, the grace
+// hash join, and the spilling nested-loop, merge and semijoin operators.
+//
+// A spilling operator opens one File at its first spill and closes it —
+// which unlinks it — when it is done. Inside the file, each Writer
+// streams rows in a compact binary encoding, buffering at most BlockSize
+// bytes before it flushes them as an extent of the file; Finish seals
+// the writer's extents into a Run, which can be re-read any number of
+// times with ReadAt and whose extents Drop returns to the file for later
+// flushes to reuse. The file charges the governor's spill budget as it
+// grows and releases the charge at Close, so its bytes on disk never
+// exceed what it has charged.
 //
 // The package sits below internal/exec (which consumes it) and above
 // internal/resource (whose ExecContext carries the SpillConfig and the
@@ -12,9 +18,9 @@
 package spill
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -25,30 +31,30 @@ import (
 	"freejoin/internal/resource"
 )
 
-// Enabled reports whether the context allows spilling to disk.
-func Enabled(ec *resource.ExecContext) bool { return ec.Spill() != nil }
+// BlockSize bounds a writer's buffer: a writer flushes once it holds
+// this many encoded bytes, and a reader reads a run this much at a time.
+const BlockSize = 4096
 
-// Writer streams rows into a new spill run file. Append charges the
-// governor's spill budget with each row's encoded size; the caller must
-// end the writer with exactly one of Finish (sealing a Run that now owns
-// the file and the charge) or Abort (deleting the file and releasing the
-// charge).
-type Writer struct {
-	ec    *resource.ExecContext
-	op    string
-	f     *os.File
-	bw    *bufio.Writer
-	buf   []byte
-	rows  int64
-	bytes int64
-	start time.Time
-	done  bool
+// extent is a byte range of the spill file.
+type extent struct{ off, n int64 }
+
+// File is one operator's spill file. Its length only grows by a spill
+// charge taken first, so the bytes on disk never exceed the charge;
+// extents freed by Drop or Abort are reused before the file grows.
+// A File is used by one goroutine.
+type File struct {
+	ec     *resource.ExecContext
+	op     string
+	f      *os.File
+	size   int64    // file length, all of it charged to the spill budget
+	free   []extent // dropped extents, reused by later flushes
+	closed bool
 }
 
-// NewWriter creates a run file in the context's spill directory on
+// Create opens a new spill file in the context's spill directory on
 // behalf of op (the operator name used in resource errors). The
 // directory is created if it does not exist yet.
-func NewWriter(ec *resource.ExecContext, op string) (*Writer, error) {
+func Create(ec *resource.ExecContext, op string) (*File, error) {
 	dir := ec.Spill().Directory()
 	f, err := os.CreateTemp(dir, Prefix+"*.run")
 	if errors.Is(err, os.ErrNotExist) {
@@ -59,68 +65,137 @@ func NewWriter(ec *resource.ExecContext, op string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spill: %w", err)
 	}
-	return &Writer{ec: ec, op: op, f: f, bw: bufio.NewWriter(f), start: time.Now()}, nil
+	return &File{ec: ec, op: op, f: f}, nil
 }
 
-// Append encodes and writes one row, charging its encoded size against
-// the spill budget. On error (including a spill-budget trip) the writer
-// still owns its charge: call Abort.
-func (w *Writer) Append(row []relation.Value) error {
-	w.buf = appendRow(w.buf[:0], row)
-	n := int64(len(w.buf))
-	if err := w.ec.ReserveSpill(w.op, n); err != nil {
-		return err
+// Name returns the file's path.
+func (f *File) Name() string { return f.f.Name() }
+
+// Close closes and unlinks the file and releases its spill charge. Every
+// run and reader over it is dead afterwards. Idempotent.
+func (f *File) Close() error {
+	if f == nil || f.closed {
+		return nil
 	}
-	w.bytes += n
+	f.closed = true
+	err := f.f.Close()
+	os.Remove(f.f.Name())
+	f.ec.ReleaseSpill(f.size)
+	f.size, f.free = 0, nil
+	return err
+}
+
+// write stores p in free extents first and then at the end of the file,
+// charging the spill budget before the file grows, and appends the
+// extents it used to exts. On error exts still lists every extent taken,
+// so the caller can free them.
+func (f *File) write(p []byte, exts []extent) ([]extent, error) {
+	for len(p) > 0 {
+		var e extent
+		if n := len(f.free); n > 0 {
+			e = f.free[n-1]
+			f.free = f.free[:n-1]
+			if e.n > int64(len(p)) {
+				f.free = append(f.free, extent{e.off + int64(len(p)), e.n - int64(len(p))})
+				e.n = int64(len(p))
+			}
+		} else {
+			if err := f.ec.ReserveSpill(f.op, int64(len(p))); err != nil {
+				return exts, err
+			}
+			e = extent{f.size, int64(len(p))}
+			f.size += e.n
+		}
+		if k := len(exts) - 1; k >= 0 && exts[k].off+exts[k].n == e.off {
+			exts[k].n += e.n
+		} else {
+			exts = append(exts, e)
+		}
+		if _, err := f.f.WriteAt(p[:e.n], e.off); err != nil {
+			return exts, fmt.Errorf("spill: %w", err)
+		}
+		p = p[e.n:]
+	}
+	return exts, nil
+}
+
+// release returns extents to the free list.
+func (f *File) release(exts []extent) {
+	if !f.closed {
+		f.free = append(f.free, exts...)
+	}
+}
+
+// NewWriter starts a new run in the file.
+func (f *File) NewWriter() *Writer {
+	return &Writer{file: f, start: time.Now()}
+}
+
+// Writer streams rows into a new run of a File. The caller must end the
+// writer with exactly one of Finish (sealing a Run that now owns the
+// writer's extents) or Abort (freeing them).
+type Writer struct {
+	file  *File
+	buf   []byte
+	exts  []extent
+	rows  int64
+	bytes int64
+	start time.Time
+	done  bool
+}
+
+// Append encodes one row, flushing the buffer once it holds BlockSize
+// bytes. On error (including a spill-budget trip) call Abort.
+func (w *Writer) Append(row []relation.Value) error {
+	n := len(w.buf)
+	w.buf = appendRow(w.buf, row)
+	w.bytes += int64(len(w.buf) - n)
 	w.rows++
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return fmt.Errorf("spill: %w", err)
+	if len(w.buf) >= BlockSize {
+		return w.flush()
 	}
 	return nil
 }
 
-// Rows returns the rows appended so far.
-func (w *Writer) Rows() int64 { return w.rows }
+func (w *Writer) flush() error {
+	var err error
+	w.exts, err = w.file.write(w.buf, w.exts)
+	w.buf = w.buf[:0]
+	return err
+}
 
-// Finish flushes and seals the run. The returned Run owns the file and
-// the spill-byte charge; on error the writer aborts itself first.
+// Finish flushes and seals the run; on error the writer aborts itself.
 func (w *Writer) Finish() (*Run, error) {
 	if w.done {
 		return nil, fmt.Errorf("spill: writer already finished")
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.Abort()
-		return nil, fmt.Errorf("spill: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.Abort()
-		return nil, fmt.Errorf("spill: %w", err)
+		return nil, err
 	}
 	w.done = true
 	obs.SpillRuns.Inc()
 	obs.SpillBytes.Add(w.bytes)
 	obs.SpillWriteLatency.ObserveDuration(time.Since(w.start))
-	return &Run{path: w.f.Name(), Rows: w.rows, Bytes: w.bytes}, nil
+	return &Run{file: w.file, exts: w.exts, Rows: w.rows, Bytes: w.bytes}, nil
 }
 
-// Abort discards an unfinished run: the file is removed and the
-// accumulated spill-byte charge released. Safe to call after a failed
-// Append or Finish; a no-op after a successful Finish.
+// Abort discards an unfinished run, returning its extents to the file.
+// Safe after a failed Append or Finish; a no-op after a successful Finish.
 func (w *Writer) Abort() {
 	if w.done {
 		return
 	}
 	w.done = true
-	w.f.Close()
-	os.Remove(w.f.Name())
-	w.ec.ReleaseSpill(w.bytes)
-	w.bytes = 0
+	w.file.release(w.exts)
+	w.exts, w.buf = nil, nil
 }
 
-// Run is a sealed spill file: Rows rows over Bytes encoded bytes, held
-// against the governor's spill budget until Drop.
+// Run is a sealed sequence of Rows rows over Bytes encoded bytes, stored
+// in extents of its File until Drop.
 type Run struct {
-	path    string
+	file    *File
+	exts    []extent
 	Rows    int64
 	Bytes   int64
 	dropped bool
@@ -128,72 +203,119 @@ type Run struct {
 
 // Open returns a sequential reader over the run. A run may be opened
 // many times (the nested-loop spill path re-scans per outer row).
-func (r *Run) Open() (*Reader, error) {
-	f, err := os.Open(r.path)
-	if err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
-	}
-	return &Reader{f: f, br: bufio.NewReader(f)}, nil
-}
+func (r *Run) Open() *Reader { return &Reader{run: r} }
 
-// Drop deletes the run file and releases its spill-byte charge.
-// Idempotent; any open Readers keep working on the unlinked file.
-func (r *Run) Drop(ec *resource.ExecContext) {
+// Drop returns the run's extents to its file for reuse; readers over it
+// must not be used afterwards. Idempotent and nil-safe.
+func (r *Run) Drop() {
 	if r == nil || r.dropped {
 		return
 	}
 	r.dropped = true
-	os.Remove(r.path)
-	ec.ReleaseSpill(r.Bytes)
+	r.file.release(r.exts)
 }
 
-// Reader iterates a run's rows in write order.
+// Reader iterates a run's rows in write order. Unread bytes sit in a
+// window refilled from the file a block at a time; a row larger than
+// the window grows it.
 type Reader struct {
-	f  *os.File
-	br *bufio.Reader
+	run *Run
+	ext int   // extent being read
+	off int64 // bytes of that extent already read
+	buf []byte
+	pos int // buf[pos:] is unread
 }
 
-// Next returns the next row, or false at end of run.
+// Rewind restarts the reader at the run's first row, keeping its buffer.
+func (r *Reader) Rewind() {
+	r.ext, r.off, r.buf, r.pos = 0, 0, r.buf[:0], 0
+}
+
+// AppendNext decodes the next row's values onto dst and returns the
+// extended slice; ok is false at the end of the run.
+func (r *Reader) AppendNext(dst []relation.Value) ([]relation.Value, bool, error) {
+	for {
+		out, n, err := decodeRow(dst, r.buf[r.pos:])
+		if err != nil {
+			return dst, false, err
+		}
+		if n > 0 {
+			r.pos += n
+			return out, true, nil
+		}
+		more, err := r.fill()
+		if err != nil {
+			return dst, false, err
+		}
+		if !more {
+			if r.pos < len(r.buf) {
+				return dst, false, errTruncated
+			}
+			return dst, false, nil
+		}
+	}
+}
+
+// Next returns the next row in a fresh slice, or false at end of run.
 func (r *Reader) Next() ([]relation.Value, bool, error) {
-	row, err := readRow(r.br)
-	if err != nil {
+	row, ok, err := r.AppendNext(nil)
+	if !ok {
 		return nil, false, err
 	}
 	if row == nil {
-		return nil, false, nil
+		row = []relation.Value{}
 	}
 	return row, true, nil
 }
 
-// Close releases the underlying file handle. Idempotent.
-func (r *Reader) Close() error {
-	if r.f == nil {
-		return nil
+// fill moves the unread bytes to the front of the window and reads the
+// next chunk of the run behind them, reporting false at the end of the
+// run.
+func (r *Reader) fill() (bool, error) {
+	exts := r.run.exts
+	for r.ext < len(exts) && r.off == exts[r.ext].n {
+		r.ext, r.off = r.ext+1, 0
 	}
-	err := r.f.Close()
-	r.f = nil
-	return err
+	if r.ext == len(exts) {
+		return false, nil
+	}
+	n := copy(r.buf, r.buf[r.pos:])
+	r.buf, r.pos = r.buf[:n], 0
+	if n == cap(r.buf) {
+		r.buf = append(make([]byte, 0, max(2*n, BlockSize)), r.buf...)
+	}
+	e := exts[r.ext]
+	chunk := min(int64(cap(r.buf)-n), e.n-r.off)
+	m, err := r.run.file.f.ReadAt(r.buf[n:n+int(chunk)], e.off+r.off)
+	if int64(m) < chunk {
+		if err == nil || errors.Is(err, io.EOF) {
+			return false, errTruncated
+		}
+		return false, fmt.Errorf("spill: %w", err)
+	}
+	r.buf = r.buf[:n+m]
+	r.off += chunk
+	return true, nil
 }
 
-// Prefix is the filename prefix of every spill run file this package
+// Prefix is the filename prefix of every spill file this package
 // creates (the CreateTemp pattern is Prefix + random + ".run").
 const Prefix = "ojspill-"
 
 // DefaultStaleAge is the age past which SweepStale considers an
-// orphaned run file dead. Live queries hold their runs for seconds to
-// minutes; an hour-old run can only belong to a process that died
+// orphaned spill file dead. Live queries hold their files for seconds to
+// minutes; an hour-old file can only belong to a process that died
 // mid-query.
 const DefaultStaleAge = time.Hour
 
-// SweepStale removes ojspill-* run files in dir whose modification time
-// is older than olderThan (DefaultStaleAge when olderThan <= 0),
-// returning how many were removed. Run files are normally deleted by
-// Drop/Abort, but a process killed mid-query orphans whatever it had on
-// disk; the server and shell sweep their spill directory on startup.
-// The age threshold keeps a sweep from deleting run files a concurrently
-// running process still owns (the default spill dir is the shared OS
-// temp dir). Missing directories are not an error — there is simply
-// nothing to sweep.
+// SweepStale removes ojspill-* files in dir whose modification time is
+// older than olderThan (DefaultStaleAge when olderThan <= 0), returning
+// how many were removed. Spill files are normally deleted by Close, but
+// a process killed mid-query orphans whatever it had on disk; the server
+// and shell sweep their spill directory on startup. The age threshold
+// keeps a sweep from deleting files a concurrently running process still
+// owns (the default spill dir is the shared OS temp dir). Missing
+// directories are not an error — there is simply nothing to sweep.
 func SweepStale(dir string, olderThan time.Duration) (int, error) {
 	if olderThan <= 0 {
 		olderThan = DefaultStaleAge

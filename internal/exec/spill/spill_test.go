@@ -48,20 +48,33 @@ func spillCtx(t *testing.T, gov *resource.Governor) *resource.ExecContext {
 	return ec
 }
 
-// Every value kind must round-trip exactly through a run file,
-// including NaN floats, empty and binary strings, and zero-arity rows.
-func TestRunRoundTrip(t *testing.T) {
-	rnd := rand.New(rand.NewSource(27))
-	ec := spillCtx(t, nil)
-	var want [][]relation.Value
-	w, err := NewWriter(ec, "test")
+// newFile creates a spill file that the test closes on cleanup.
+func newFile(t *testing.T, ec *resource.ExecContext) *File {
+	t.Helper()
+	f, err := Create(ec, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// Every value kind must round-trip exactly through a run, including NaN
+// floats, empty and binary strings, zero-arity rows, and rows that
+// straddle a block boundary or outgrow a whole block.
+func TestRunRoundTrip(t *testing.T) {
+	rnd := rand.New(rand.NewSource(27))
+	ec := spillCtx(t, nil)
+	f := newFile(t, ec)
+	var want [][]relation.Value
+	w := f.NewWriter()
 	for i := 0; i < 500; i++ {
 		row := make([]relation.Value, rnd.Intn(6))
 		for j := range row {
 			row[j] = randomValue(rnd)
+		}
+		if i%97 == 0 {
+			row = append(row, relation.Str(string(make([]byte, BlockSize+rnd.Intn(3*BlockSize)))))
 		}
 		if err := w.Append(row); err != nil {
 			t.Fatal(err)
@@ -75,14 +88,20 @@ func TestRunRoundTrip(t *testing.T) {
 	if run.Rows != int64(len(want)) {
 		t.Fatalf("run.Rows = %d, want %d", run.Rows, len(want))
 	}
-	// Two sequential scans must both see the full content.
+	// Two sequential scans — a fresh reader and a rewound one, each through
+	// both decoders — must see the full content.
+	rd := run.Open()
 	for scan := 0; scan < 2; scan++ {
-		rd, err := run.Open()
-		if err != nil {
-			t.Fatal(err)
-		}
+		var buf []relation.Value
 		for i, wrow := range want {
-			row, ok, err := rd.Next()
+			var row []relation.Value
+			var ok bool
+			if scan == 0 {
+				row, ok, err = rd.Next()
+			} else {
+				buf, ok, err = rd.AppendNext(buf[:0])
+				row = buf
+			}
 			if err != nil || !ok {
 				t.Fatalf("scan %d row %d: ok=%v err=%v", scan, i, ok, err)
 			}
@@ -99,47 +118,43 @@ func TestRunRoundTrip(t *testing.T) {
 		if _, ok, err := rd.Next(); ok || err != nil {
 			t.Fatalf("scan %d: expected clean EOF, ok=%v err=%v", scan, ok, err)
 		}
-		if err := rd.Close(); err != nil {
-			t.Fatal(err)
-		}
+		rd.Rewind()
 	}
-	run.Drop(ec)
+	run.Drop()
 }
 
-// The writer charges the governor's spill budget per encoded row; Drop
-// releases it. Exceeding the budget surfaces a typed SpillExceeded and
-// Abort rolls the partial charge back.
+// The file charges the spill budget as it grows, at flush time: a
+// buffered row costs nothing yet, a flush past the budget surfaces a
+// typed SpillExceeded with nothing charged, and Close releases the rest.
 func TestSpillBudget(t *testing.T) {
 	gov := resource.NewGovernor(0, 0)
 	gov.SetSpillLimit(64)
 	ec := spillCtx(t, gov)
+	f := newFile(t, ec)
 
-	w, err := NewWriter(ec, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
 	row := []relation.Value{relation.Str("0123456789012345678901234567890123456789")}
-	if err := w.Append(row); err != nil {
-		t.Fatal(err)
+	w := f.NewWriter()
+	for i := 0; i < 2; i++ {
+		if err := w.Append(row); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if gov.UsedSpillBytes() == 0 {
-		t.Fatal("Append did not charge the spill budget")
+	if got := gov.UsedSpillBytes(); got != 0 {
+		t.Fatalf("buffered rows charged %d spill bytes before any flush", got)
 	}
-	err = w.Append(row)
+	_, err := w.Finish()
 	var re *resource.ResourceError
 	if !errors.As(err, &re) || re.Kind != resource.SpillExceeded {
-		t.Fatalf("second Append = %v, want SpillExceeded", err)
+		t.Fatalf("Finish past the budget = %v, want SpillExceeded", err)
 	}
-	w.Abort()
+	w.Abort() // no-op: Finish aborted already
 	if got := gov.UsedSpillBytes(); got != 0 {
-		t.Fatalf("after Abort: %d spill bytes still held", got)
+		t.Fatalf("after the failed flush: %d spill bytes still held", got)
 	}
 
-	// Within budget: Finish transfers the charge to the Run, Drop frees it.
-	w, err = NewWriter(ec, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Within budget: the charge equals the run's bytes and outlives Drop —
+	// the extent stays in the file for reuse — until Close.
+	w = f.NewWriter()
 	if err := w.Append(row); err != nil {
 		t.Fatal(err)
 	}
@@ -150,15 +165,85 @@ func TestSpillBudget(t *testing.T) {
 	if got := gov.UsedSpillBytes(); got != run.Bytes {
 		t.Fatalf("after Finish: %d spill bytes held, want %d", got, run.Bytes)
 	}
-	run.Drop(ec)
-	run.Drop(ec) // idempotent
+	run.Drop()
+	run.Drop() // idempotent
+	if got := gov.UsedSpillBytes(); got != run.Bytes {
+		t.Fatalf("after Drop: %d spill bytes held, want %d until Close", got, run.Bytes)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f.Close() // idempotent
 	if got := gov.UsedSpillBytes(); got != 0 {
-		t.Fatalf("after Drop: %d spill bytes still held", got)
+		t.Fatalf("after Close: %d spill bytes still held", got)
 	}
 }
 
-// Run files live in the configured directory and are gone after Drop /
-// Abort — the temp-dir leak check the make target relies on.
+// TestSpillFileReusesExtents: dropped and aborted runs hand their extents
+// to later writers, so a file whose live data stays small does not grow
+// however many runs cycle through it, and its length on disk always
+// equals its spill charge.
+func TestSpillFileReusesExtents(t *testing.T) {
+	gov := resource.NewGovernor(0, 0)
+	ec := spillCtx(t, gov)
+	f := newFile(t, ec)
+	rnd := rand.New(rand.NewSource(3))
+	var live []*Run
+	var peak int64
+	for i := 0; i < 200; i++ {
+		w := f.NewWriter()
+		for j := rnd.Intn(300); j > 0; j-- {
+			if err := w.Append([]relation.Value{relation.Int(rnd.Int63()), relation.Str("payload")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if i%5 == 4 {
+			w.Abort()
+			continue
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, run)
+		if len(live) > 3 {
+			live[0].Drop()
+			live = live[1:]
+		}
+		info, err := os.Stat(f.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != gov.UsedSpillBytes() {
+			t.Fatalf("run %d: file holds %d bytes, spill charge is %d", i, info.Size(), gov.UsedSpillBytes())
+		}
+		peak = max(peak, info.Size())
+	}
+	// At most four runs of at most ~300 rows (~20 bytes each) are live at
+	// once; without reuse 160 runs would have grown the file ~40x that.
+	if limit := int64(5 * 300 * 20); peak > limit {
+		t.Errorf("file grew to %d bytes; reuse should keep it under %d", peak, limit)
+	}
+	for _, run := range live {
+		rd := run.Open()
+		for n := int64(0); ; n++ {
+			_, ok, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				if n != run.Rows {
+					t.Fatalf("reread %d rows, want %d", n, run.Rows)
+				}
+				break
+			}
+		}
+	}
+}
+
+// One file lives in the configured directory however many runs it holds,
+// survives Drop and Abort, and is gone after Close — the temp-dir leak
+// check the make targets rely on.
 func TestSpillFileLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	ec := resource.NewContext(nil, nil)
@@ -172,54 +257,42 @@ func TestSpillFileLifecycle(t *testing.T) {
 		return m
 	}
 
-	w, err := NewWriter(ec, "test")
+	f, err := Create(ec, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]relation.Value{relation.Int(1)}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		w := f.NewWriter()
+		if err := w.Append([]relation.Value{relation.Int(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+		run, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Abort() // no-op after Finish: must not free the sealed run
+		if row, ok, err := run.Open().Next(); !ok || err != nil || row[0].AsInt() != int64(i) {
+			t.Fatalf("run %d reads back %v (ok=%v err=%v)", i, row, ok, err)
+		}
+		run.Drop()
 	}
+	f.NewWriter().Abort()
 	if len(files()) != 1 {
-		t.Fatalf("expected 1 run file, got %v", files())
+		t.Fatalf("expected 1 spill file, got %v", files())
 	}
-	run, err := w.Finish()
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	w.Abort() // no-op after Finish: must not unlink the sealed run
-	if len(files()) != 1 {
-		t.Fatalf("Abort after Finish removed the sealed run: %v", files())
-	}
-	rd, err := run.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run.Drop(ec) // open reader keeps working on the unlinked file
 	if len(files()) != 0 {
-		t.Fatalf("expected no run files after Drop, got %v", files())
-	}
-	if _, ok, err := rd.Next(); !ok || err != nil {
-		t.Fatalf("read after Drop: ok=%v err=%v", ok, err)
-	}
-	rd.Close()
-
-	w, err = NewWriter(ec, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Abort()
-	if len(files()) != 0 {
-		t.Fatalf("expected no run files after Abort, got %v", files())
+		t.Fatalf("expected no spill files after Close, got %v", files())
 	}
 }
 
 // A truncated run surfaces a decode error instead of a silent short read.
 func TestTruncatedRun(t *testing.T) {
 	ec := spillCtx(t, nil)
-	w, err := NewWriter(ec, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFile(t, ec)
+	w := f.NewWriter()
 	if err := w.Append([]relation.Value{relation.Str("hello world")}); err != nil {
 		t.Fatal(err)
 	}
@@ -227,24 +300,12 @@ func TestTruncatedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := run.Open()
-	if err != nil {
+	if err := os.Truncate(f.Name(), run.Bytes-4); err != nil {
 		t.Fatal(err)
 	}
-	path := rd.f.Name()
-	rd.Close()
-	if err := os.Truncate(path, run.Bytes-4); err != nil {
-		t.Fatal(err)
-	}
-	rd, err = run.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rd.Close()
-	if _, ok, err := rd.Next(); err == nil {
+	if _, ok, err := run.Open().Next(); err == nil {
 		t.Fatalf("truncated run read: ok=%v, want error", ok)
 	}
-	run.Drop(ec)
 }
 
 // A spill directory that does not exist yet must be created on first
@@ -253,10 +314,11 @@ func TestWriterCreatesMissingDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "not", "yet", "created")
 	ec := resource.NewContext(nil, nil)
 	ec.EnableSpill(resource.SpillConfig{Dir: dir})
-	w, err := NewWriter(ec, "test")
+	f, err := Create(ec, "test")
 	if err != nil {
-		t.Fatalf("NewWriter into a missing dir: %v", err)
+		t.Fatalf("Create into a missing dir: %v", err)
 	}
+	w := f.NewWriter()
 	if err := w.Append([]relation.Value{relation.Int(1)}); err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +326,12 @@ func TestWriterCreatesMissingDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := run.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := rd.Next(); err != nil || !ok {
+	if _, ok, err := run.Open().Next(); err != nil || !ok {
 		t.Fatalf("Next: ok=%v err=%v", ok, err)
 	}
-	rd.Close()
-	run.Drop(ec)
+	f.Close()
 	if files, _ := filepath.Glob(filepath.Join(dir, "ojspill-*")); len(files) != 0 {
-		t.Fatalf("run files leaked: %v", files)
+		t.Fatalf("spill files leaked: %v", files)
 	}
 	_ = os.RemoveAll(dir)
 }

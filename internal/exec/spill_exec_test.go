@@ -3,8 +3,11 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"freejoin/internal/predicate"
@@ -136,57 +139,76 @@ func TestExternalSortSpill(t *testing.T) {
 	checkSpillDrained(t, gov, dir)
 }
 
+// hashJoinOf returns a constructor of fresh hash joins R.k = S.k.
+func hashJoinOf(t *testing.T, rt, st *storage.Table, mode JoinMode, size int) func() *BatchHashJoin {
+	return func() *BatchHashJoin {
+		t.Helper()
+		h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, mode, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+}
+
+// countEvents counts governor events containing substr.
+func countEvents(gov *Governor, substr string) int {
+	n := 0
+	for _, ev := range gov.Events() {
+		if strings.Contains(ev, substr) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestGraceHashJoinSpill: in every mode and at every batch size, a build
+// that trips a 600-byte budget partitions natively — one trip, one
+// "spilling to 8 partitions" event, no second build — and produces the
+// in-memory bag, null-key probe rows included (spillTables has them on
+// both sides: LeftOuter pads and Anti emits them from partition 0).
 func TestGraceHashJoinSpill(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			for _, size := range hashJoinSizes {
+				mk := hashJoinOf(t, rt, st, mode, size)
+				want, err := Collect(mk(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return h
-			}
-			want, err := Collect(mk(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
 
-			ec, gov, dir := spillCtx(t, 600)
-			h := mk()
-			got, err := CollectCtx(ec, h, nil)
-			if err != nil {
-				t.Fatalf("grace hash join failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("grace bag differs: want %d rows, got %d\nwant:\n%vgot:\n%v",
-					want.Len(), got.Len(), want, got)
-			}
-			sp := h.SpillInfo()
-			if !sp.Spilled() || sp.Partitions == 0 {
-				t.Errorf("grace join should report runs and partitions, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
-
-			found := false
-			for _, ev := range gov.Events() {
-				if ev != "" {
-					found = true
+				ec, gov, dir := spillCtx(t, 600)
+				h := mk()
+				got, err := CollectCtx(ec, h, nil)
+				if err != nil {
+					t.Fatalf("size %d: grace hash join failed: %v", size, err)
 				}
-			}
-			if !found {
-				t.Error("grace degradation should be noted as a governor event")
+				if !want.EqualBag(got) {
+					t.Errorf("size %d: grace bag differs: want %d rows, got %d\nwant:\n%vgot:\n%v",
+						size, want.Len(), got.Len(), want, got)
+				}
+				sp := h.SpillInfo()
+				if !sp.Spilled() || sp.Partitions == 0 {
+					t.Errorf("size %d: grace join should report runs and partitions, got %+v", size, sp)
+				}
+				checkSpillDrained(t, gov, dir)
+				if n := countEvents(gov, "grace hash join spilling to 8 partitions"); n != 1 {
+					t.Errorf("size %d: %d grace degradation events, want 1: %v", size, n, gov.Events())
+				}
+				if n := countEvents(gov, "delegating"); n != 0 {
+					t.Errorf("size %d: the grace join delegated: %v", size, gov.Events())
+				}
 			}
 		})
 	}
 }
 
 // TestGraceHashJoinSkew: every row shares one key, so no amount of
-// re-partitioning shrinks the partition. The join must bottom out in the
-// block-nested streaming fallback and still complete correctly.
+// re-partitioning shrinks the partition. Each level re-partitions down to
+// the recursion bound, where the pair goes to the nested-loop join over
+// its runs — and the join still completes correctly in every mode.
 func TestGraceHashJoinSkew(t *testing.T) {
 	r := relation.New(relation.SchemeOf("R", "k", "v"))
 	s := relation.New(relation.SchemeOf("S", "k", "w"))
@@ -194,33 +216,286 @@ func TestGraceHashJoinSkew(t *testing.T) {
 		r.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i))})
 		s.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i * 2))})
 	}
+	r.AppendRaw([]relation.Value{relation.Null(), relation.Int(-1)}) // padded / emitted at the bound too
 	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
-	for _, mode := range []JoinMode{InnerMode, SemiMode} {
+	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *HashJoin {
-				h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-					[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
+			for _, size := range hashJoinSizes {
+				mk := hashJoinOf(t, rt, st, mode, size)
+				want, err := Collect(mk(), nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return h
+				ec, gov, dir := spillCtx(t, 400)
+				got, err := CollectCtx(ec, mk(), nil)
+				if err != nil {
+					t.Fatalf("size %d: skewed grace join failed: %v", size, err)
+				}
+				if !want.EqualBag(got) {
+					t.Errorf("size %d: skewed grace bag differs: want %d rows, got %d", size, want.Len(), got.Len())
+				}
+				checkSpillDrained(t, gov, dir)
+				bound := ec.Spill().Recursion()
+				for depth := 1; depth < bound; depth++ {
+					if countEvents(gov, fmt.Sprintf("re-partitioning over-budget partition at depth %d", depth)) == 0 {
+						t.Errorf("size %d: no re-partition at depth %d: %v", size, depth, gov.Events())
+					}
+				}
+				if countEvents(gov, fmt.Sprintf("at depth %d, nested-loop join", bound)) == 0 {
+					t.Errorf("size %d: the skewed pair never reached the nested-loop join: %v", size, gov.Events())
+				}
 			}
-			want, err := Collect(mk(), nil)
+		})
+	}
+}
+
+// TestGraceHashJoinRepartition: uniform keys under a fanout of 4 and a
+// budget a quarter of the build cannot hold — the first-level pairs trip
+// again and re-partition one level deeper, where they fit; nothing needs
+// the nested-loop join.
+func TestGraceHashJoinRepartition(t *testing.T) {
+	r := relation.New(relation.SchemeOf("R", "k", "v"))
+	s := relation.New(relation.SchemeOf("S", "k", "w"))
+	for i := 0; i < 400; i++ {
+		r.AppendRaw([]relation.Value{relation.Int(int64(i)), relation.Int(int64(i))})
+		s.AppendRaw([]relation.Value{relation.Int(int64(399 - i)), relation.Int(int64(i))})
+	}
+	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
+	for _, size := range hashJoinSizes {
+		mk := hashJoinOf(t, rt, st, InnerMode, size)
+		want, err := Collect(mk(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, gov, dir := spillCtx(t, 60*80)
+		ec.EnableSpill(SpillConfig{Dir: dir, Partitions: 4})
+		h := mk()
+		got, err := CollectCtx(ec, h, nil)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if !want.EqualBag(got) {
+			t.Errorf("size %d: re-partitioned bag differs: want %d rows, got %d", size, want.Len(), got.Len())
+		}
+		if sp := h.SpillInfo(); sp.Partitions <= 4 {
+			t.Errorf("size %d: no re-partitioning counted: %+v", size, sp)
+		}
+		if countEvents(gov, "re-partitioning") == 0 || countEvents(gov, "nested-loop") != 0 {
+			t.Errorf("size %d: want re-partitions and no nested-loop pair: %v", size, gov.Events())
+		}
+		checkSpillDrained(t, gov, dir)
+	}
+}
+
+// TestGraceHashJoinSpillExceeded: the grace partitions are charged to
+// the spill budget; one too small for them aborts with a typed
+// SpillExceeded and still tears down every file and reservation.
+func TestGraceHashJoinSpillExceeded(t *testing.T) {
+	rt, st := spillTables(t, 300, 300)
+	for _, size := range hashJoinSizes {
+		ec, gov, dir := spillCtx(t, 600)
+		gov.SetSpillLimit(256)
+		h := hashJoinOf(t, rt, st, LeftOuterMode, size)()
+		_, err := CollectCtx(ec, h, nil)
+		var re *ResourceError
+		if !errors.As(err, &re) || re.Kind != SpillExceeded || re.Operator != "hashjoin" {
+			t.Fatalf("size %d: want a hashjoin SpillExceeded, got %v", size, err)
+		}
+		checkSpillDrained(t, gov, dir)
+	}
+}
+
+// TestGraceHashJoinReopenWithoutClose: a join re-opened mid-stream after
+// spilling — the iterator contract allows it — drops the stale spill
+// file and pairs and produces the full bag again.
+func TestGraceHashJoinReopenWithoutClose(t *testing.T) {
+	rt, st := spillTables(t, 300, 300)
+	for _, size := range hashJoinSizes {
+		mk := hashJoinOf(t, rt, st, AntiMode, size)
+		want, err := Collect(mk(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ec, gov, dir := spillCtx(t, 600)
+		h := mk()
+		if err := h.Open(ec); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := h.NextBatch(); err != nil {
+			t.Fatal(err)
+		}
+		if !h.SpillInfo().Spilled() {
+			t.Fatalf("size %d: the first cycle did not spill", size)
+		}
+		got, err := CollectCtx(ec, h, nil) // re-Opens without a Close
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !want.EqualBag(got) {
+			t.Errorf("size %d: re-opened bag differs: want %d rows, got %d", size, want.Len(), got.Len())
+		}
+		checkSpillDrained(t, gov, dir)
+	}
+}
+
+// diskWatch wraps a child and, at every row it yields, checks the spill
+// directory's disk bound: at most one ojspill-* file, never longer than
+// the governor's spill charge.
+type diskWatch struct {
+	Iterator
+	t     *testing.T
+	gov   *Governor
+	dir   string
+	files int // most files seen at once
+}
+
+func (w *diskWatch) Next() ([]relation.Value, bool, error) {
+	w.check()
+	return w.Iterator.Next()
+}
+
+func (w *diskWatch) check() int {
+	w.t.Helper()
+	files, err := filepath.Glob(filepath.Join(w.dir, "ojspill-*"))
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.files = max(w.files, len(files))
+	if len(files) > 1 {
+		w.t.Fatalf("%d spill files at once: %v", len(files), files)
+	}
+	for _, f := range files {
+		info, err := os.Stat(f)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if info.Size() > w.gov.UsedSpillBytes() {
+			w.t.Fatalf("spill file holds %d bytes, only %d charged", info.Size(), w.gov.UsedSpillBytes())
+		}
+	}
+	return len(files)
+}
+
+// TestGraceHashJoinSpillOneFile: the whole grace join — partitioning,
+// and the re-partitioning of pairs that trip again — lives in one spill
+// file that never outgrows its spill charge, checked at every input row
+// and after every output batch; nothing remains after Close.
+func TestGraceHashJoinSpillOneFile(t *testing.T) {
+	rt, st := spillTables(t, 300, 300)
+	for _, size := range hashJoinSizes {
+		ec, gov, dir := spillCtx(t, 400)
+		lw := &diskWatch{Iterator: NewScan(rt, nil), t: t, gov: gov, dir: dir}
+		rw := &diskWatch{Iterator: NewScan(st, nil), t: t, gov: gov, dir: dir}
+		h, err := NewBatchHashJoin(lw, rw, []relation.Attr{relation.A("R", "k")},
+			[]relation.Attr{relation.A("S", "k")}, nil, InnerMode, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Open(ec); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if lw.check() != 1 {
+				t.Fatalf("size %d: the spilled join holds no spill file", size)
+			}
+			_, ok, err := h.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ec, gov, dir := spillCtx(t, 400)
-			h := mk()
-			got, err := CollectCtx(ec, h, nil)
-			if err != nil {
-				t.Fatalf("skewed grace join failed: %v", err)
+			if !ok {
+				break
 			}
-			if !want.EqualBag(got) {
-				t.Errorf("skewed grace bag differs: want %d rows, got %d", want.Len(), got.Len())
+		}
+		if countEvents(gov, "re-partitioning") == 0 {
+			t.Errorf("size %d: no pair re-partitioned: %v", size, gov.Events())
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkSpillDrained(t, gov, dir)
+	}
+}
+
+// TestExternalSortSpillOneFile: every run of an external sort — the
+// spilled buffers and the merge passes' output — shares one spill file
+// that never outgrows its charge.
+func TestExternalSortSpillOneFile(t *testing.T) {
+	rt, _ := spillTables(t, 1000, 0)
+	ec, gov, dir := spillCtx(t, 512)
+	w := &diskWatch{Iterator: NewScan(rt, nil), t: t, gov: gov, dir: dir}
+	s, err := NewSort(w, []relation.Attr{relation.A("R", "k")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open(ec); err != nil {
+		t.Fatal(err)
+	}
+	if w.check() != 1 {
+		t.Fatal("the external sort holds no spill file")
+	}
+	if sp := s.SpillInfo(); sp.Runs < 3 {
+		t.Fatalf("want at least 3 runs, got %+v", sp)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSpillDrained(t, gov, dir)
+}
+
+// TestGraceHashJoinSpillFaults injects storage faults into a spilling
+// join at each stage — the build before the trip, the partitioning of the
+// build and probe streams after it, and a cancellation while the pairs
+// are joined — and requires the error, balanced children, a drained
+// governor and no spill file once the join is closed.
+func TestGraceHashJoinSpillFaults(t *testing.T) {
+	rt, st := spillTables(t, 300, 300)
+	for _, tc := range []struct {
+		name        string
+		left, right storage.Fault
+		cancelAt    int // cancel the context after this many output batches
+	}{
+		{"build", storage.Fault{}, storage.Fault{FailNext: true, FailAfter: 2}, -1},
+		{"partition-build", storage.Fault{}, storage.Fault{FailNext: true, FailAfter: 200}, -1},
+		{"partition-probe", storage.Fault{FailNext: true, FailAfter: 200}, storage.Fault{}, -1},
+		{"partition-close", storage.Fault{FailClose: true}, storage.Fault{}, -1},
+		{"probe", storage.Fault{}, storage.Fault{}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, size := range hashJoinSizes {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				dir := t.TempDir()
+				gov := NewGovernor(0, 600)
+				ec := NewExecContext(ctx, gov)
+				ec.EnableSpill(SpillConfig{Dir: dir})
+				lf := storage.NewFaultTable(rt, tc.left).Iterator()
+				rf := storage.NewFaultTable(st, tc.right).Iterator()
+				h, err := NewBatchHashJoin(lf, rf, []relation.Attr{relation.A("R", "k")},
+					[]relation.Attr{relation.A("S", "k")}, nil, LeftOuterMode, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = h.Open(ec)
+				for n := 0; err == nil; n++ {
+					if n == tc.cancelAt {
+						cancel()
+					}
+					var ok bool
+					if _, ok, err = h.NextBatch(); !ok && err == nil {
+						break
+					}
+				}
+				if err == nil {
+					t.Fatalf("size %d: the injected fault was swallowed", size)
+				}
+				var re *ResourceError
+				if !errors.Is(err, storage.ErrInjected) && !(errors.As(err, &re) && re.Kind == Cancelled) {
+					t.Errorf("size %d: unexpected error %v", size, err)
+				}
+				h.Close()
+				checkInvariants(t, h, []*storage.FaultIterator{lf, rf}, gov)
+				checkSpillDrained(t, gov, dir)
 			}
-			checkSpillDrained(t, gov, dir)
 		})
 	}
 }
@@ -431,14 +706,13 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 		},
 	}
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
-		mode := mode
-		builders["hashjoin-"+mode.String()] = func(t *testing.T) Iterator {
-			h, err := NewHashJoin(NewScan(rt, nil), NewScan(st, nil),
-				[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode)
-			if err != nil {
-				t.Fatal(err)
+		for _, size := range hashJoinSizes {
+			name := "hashjoin-" + mode.String()
+			if size != 1 {
+				name += fmt.Sprintf("-%d", size)
 			}
-			return h
+			mk := hashJoinOf(t, rt, st, mode, size)
+			builders[name] = func(*testing.T) Iterator { return mk() }
 		}
 	}
 	for name, build := range builders {

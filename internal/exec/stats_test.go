@@ -19,7 +19,7 @@ func TestInstrumentStats(t *testing.T) {
 
 	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
 	wrapS := Instrument(NewScan(st, &c), "scan S", &c)
-	hj, err := NewHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +168,16 @@ func BenchmarkProjectDedup(b *testing.B) {
 // TuplesRetrieved, and SpillStats — must describe that cycle alone, not
 // accumulate onto the first. Opens stays cumulative: it counts cycles.
 func TestInstrumentStatsResetOnReopen(t *testing.T) {
+	for _, size := range hashJoinSizes {
+		t.Run(fmt.Sprint(size), func(t *testing.T) { instrumentStatsResetOnReopen(t, size) })
+	}
+}
+
+func instrumentStatsResetOnReopen(t *testing.T, size int) {
 	rt, st := contractTables(t)
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
-	hj, err := NewHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode)
+	hj, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, size)
 	if err != nil {
 		t.Fatal(err)
 	}

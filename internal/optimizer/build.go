@@ -106,12 +106,10 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		if !ok {
 			return nil, nil, fmt.Errorf("optimizer: hash plan predicate mismatch: %v", p.Pred)
 		}
-		var it hashJoinIterator
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, size)
-		} else {
-			it, err = exec.NewHashJoin(left, right, lk, rk, nil, mode)
-		}
+		// One hash join in both evaluator modes: under batch_size off its
+		// row cursor serves the row-at-a-time parent.
+		size, _ := o.batchRows()
+		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, size)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -206,7 +204,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 // trip time. The index fallback is still wired as the path for
 // spill-disabled contexts; the trace records whichever path this
 // session would actually take.
-func (o *Optimizer) attachFallback(it hashJoinIterator, p *Plan, lk, rk []relation.Attr, mode exec.JoinMode, c *exec.Counters, tr *Trace) {
+func (o *Optimizer) attachFallback(it *exec.BatchHashJoin, p *Plan, lk, rk []relation.Attr, mode exec.JoinMode, c *exec.Counters, tr *Trace) {
 	if o.Spill && tr != nil && tr.Degradation == "" {
 		tr.Degradation = "grace-hash spill"
 	}
@@ -226,14 +224,6 @@ func (o *Optimizer) attachFallback(it hashJoinIterator, p *Plan, lk, rk []relati
 	it.SetFallback(func(left exec.Iterator) (exec.Iterator, error) {
 		return exec.NewIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, c)
 	})
-}
-
-// hashJoinIterator is the common surface of the row and batch hash
-// joins the lowering wires degradation paths onto.
-type hashJoinIterator interface {
-	exec.Iterator
-	SetFallback(mk func(left exec.Iterator) (exec.Iterator, error))
-	DegradedTo() exec.Iterator
 }
 
 // wrapNode instruments it as the physical realization of plan node p,

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"freejoin/internal/obs"
 	"freejoin/internal/parse"
 	"freejoin/internal/plancache"
+	"freejoin/internal/storage"
 	"freejoin/internal/workload"
 )
 
@@ -331,5 +333,89 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 	}
 	if o.Cache.Len() != 3 {
 		t.Fatalf("cache holds %d entries; want one per batch mode", o.Cache.Len())
+	}
+}
+
+// TestGraceSpillBuildRunsOnce runs the served spill_join templates —
+// chain3_outer and star4_mixed over the benchmark's tables at a fifth
+// of their size — under a budget one hash build of each plan cannot
+// hold. The tripped join must partition what it has in hand instead of
+// re-running its build child: the same bag and the same base tuples
+// retrieved as the unbudgeted run, exactly one governor trip and one
+// degradation (obs counter deltas), and EXPLAIN ANALYZE's governor notes
+// showing one trip and one grace spill, with no delegation.
+func TestGraceSpillBuildRunsOnce(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1))
+	cat := storage.NewCatalog()
+	for _, s := range []int64{1, 2, 3, 10, 20} {
+		name := fmt.Sprintf("T%d", s)
+		cat.AddRelation(name, keyedRelation(rnd, name, 1600/int(s), s, s))
+	}
+	for _, tc := range []struct{ name, query string }{
+		{"chain3_outer", "(T20 -[T20.a = T1.a] T1) ->[T1.b = T2.a] T2"},
+		{"star4_mixed", "((T1 -[T1.a = T10.a] T10) -[T1.b = T3.a] T3) ->[T1.a = T2.a] T2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := parse.Expr(tc.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := New(cat)
+			o.Strategy = "auto"
+			o.Spill = true
+			p, _, err := o.PlanQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wc, err := o.Execute(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			dir := t.TempDir()
+			gov := exec.NewGovernor(0, 100_000)
+			ec := exec.NewExecContext(context.Background(), gov)
+			ec.EnableSpill(exec.SpillConfig{Dir: dir})
+			trips0, deg0 := obs.GovernorTripsMemory.Value(), obs.GovernorDegradations.Value()
+			got, c, text, err := o.ExplainAnalyzeCtx(ec, p, &Trace{})
+			if err != nil {
+				t.Fatalf("spilled run failed: %v\n%s", err, text)
+			}
+			if !want.EqualBag(got) {
+				t.Errorf("spilled bag differs: %d rows, want %d", got.Len(), want.Len())
+			}
+			if c.TuplesRetrieved() != wc.TuplesRetrieved() {
+				t.Errorf("spilled run retrieved %d base tuples, unbudgeted %d: a build child ran twice",
+					c.TuplesRetrieved(), wc.TuplesRetrieved())
+			}
+			if d := obs.GovernorTripsMemory.Value() - trips0; d != 1 {
+				t.Errorf("memory trips moved by %d, want 1", d)
+			}
+			if d := obs.GovernorDegradations.Value() - deg0; d != 1 {
+				t.Errorf("degradations moved by %d, want 1", d)
+			}
+			var trips, graces int
+			for _, line := range strings.Split(text, "\n") {
+				switch {
+				case !strings.HasPrefix(line, "-- governor: "):
+				case strings.Contains(line, "memory budget exceeded"):
+					trips++
+				case strings.Contains(line, "grace hash join spilling to 8 partitions"):
+					graces++
+				case strings.Contains(line, "delegating"):
+					t.Errorf("delegation note: %s", line)
+				}
+			}
+			if trips != 1 || graces != 1 {
+				t.Errorf("governor notes: %d trips and %d grace spills, want 1 and 1:\n%s", trips, graces, text)
+			}
+			if gov.UsedRows() != 0 || gov.UsedBytes() != 0 || gov.UsedSpillBytes() != 0 {
+				t.Errorf("governor not drained: rows=%d bytes=%d spill=%d",
+					gov.UsedRows(), gov.UsedBytes(), gov.UsedSpillBytes())
+			}
+			if files, _ := filepath.Glob(filepath.Join(dir, "ojspill-*")); len(files) != 0 {
+				t.Errorf("spill files leaked: %v", files)
+			}
+		})
 	}
 }
