@@ -60,14 +60,15 @@ obs:
 	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/reorder
 
 # Spill-to-disk suite: external sort, grace hash join, the spilled
-# nested-loop/merge joins, the metamorphic and fault-injection spill
-# oracles, and the failed-Open/trip-during-Open governor regressions —
+# nested-loop/merge joins, the shared spool's spilled readers, the
+# metamorphic and fault-injection spill oracles, and the
+# failed-Open/trip-during-Open governor regressions —
 # under the race detector, -count=2 for state reuse across re-Open.
 # Runs with TMPDIR pointed at a scratch dir and fails if any ojspill-*
 # run file survives the suite.
 spill:
 	@dir=$$(mktemp -d) && \
-	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|ExternalSort|Grace' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
+	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|ExternalSort|Grace|Spool' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "spill: $$leaked run files leaked"; exit 1; fi
@@ -97,16 +98,19 @@ chaos:
 
 # Yannakakis acyclic fast-path suite: join-tree construction and the
 # outerjoin-aware reducer program, the semijoin-reduce operator (both
-# paths, spill, null keys, reduction counters), the 200-instance
+# paths, spill, null keys, reduction counters), the spool that
+# evaluates each shared reducer step once, the 200-instance
 # metamorphic oracle against the DP and fixed-order execution on
-# dangling-heavy data (with the intermediate-cardinality guarantee
-# checked on every instance), strategy dispatch/fallback/auto, plan-
-# cache keying, and the dangling workload generator — under the race
+# dangling-heavy data (with the intermediate-cardinality guarantee and
+# one evaluation per reducer step checked on every instance, at every
+# batch size and across a memory-grant sweep with spill on and off),
+# strategy dispatch/fallback/auto, plan-cache keying, and the dangling
+# workload generator — under the race
 # detector, -count=2 for state reuse across re-Open. The spill leak
 # check mirrors the spill suite's.
 yannakakis:
 	@dir=$$(mktemp -d) && \
-	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Yannakakis|JoinTree|ReducerProgram|SemiReduce|Strategy|Dangling' \
+	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Yannakakis|JoinTree|ReducerProgram|SemiReduce|Strategy|Dangling|Spool' \
 		./internal/graph ./internal/exec ./internal/optimizer ./internal/workload && \
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \

@@ -865,6 +865,42 @@ func materialize(it Iterator, ec *ExecContext, op string, h *hold) ([][]relation
 	return rows, nil
 }
 
+// spillRest is the spill path of an operator whose buffered input trips
+// the memory budget: it writes the rows buffered so far, calls release
+// (the operator drops them and their charge), and streams the rest of
+// the input from next into the same run of a new spill file, noting the
+// degradation for op. On error it holds nothing.
+func spillRest(ec *ExecContext, op, what string, rows [][]relation.Value, release func(), next func() ([]relation.Value, bool, error)) (*spill.File, *spill.Run, error) {
+	f, err := spill.Create(ec, op)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := f.NewWriter()
+	for i := 0; err == nil && i < len(rows); i++ {
+		err = w.Append(rows[i])
+	}
+	release()
+	for err == nil {
+		row, ok, nerr := next()
+		if err = nerr; err != nil || !ok {
+			break
+		}
+		err = w.Append(row)
+	}
+	var run *spill.Run
+	if err == nil {
+		run, err = w.Finish()
+	}
+	if err != nil {
+		w.Abort()
+		f.Close()
+		return nil, nil, err
+	}
+	obs.GovernorDegradations.Inc()
+	ec.Governor().Note(op + ": memory budget trip, spilling " + what + " to disk")
+	return f, run, nil
+}
+
 func concatRows(a, b []relation.Value) []relation.Value {
 	out := make([]relation.Value, 0, len(a)+len(b))
 	out = append(out, a...)

@@ -175,49 +175,16 @@ func (n *NestedLoopJoin) Open(ec *ExecContext) error {
 // spillRight moves the inner input to a single spill run: the rows
 // buffered so far, the row whose charge tripped, then the rest of the
 // right stream.
-func (n *NestedLoopJoin) spillRight(ec *ExecContext, tripRow []relation.Value) error {
-	f, err := spill.Create(ec, "nestedloop")
-	if err != nil {
-		return err
+func (n *NestedLoopJoin) spillRight(ec *ExecContext, tripRow []relation.Value) (err error) {
+	n.file, n.rrun, err = spillRest(ec, "nestedloop", "inner input", append(n.rrows, tripRow), func() {
+		n.rrows = nil
+		n.held.release(ec)
+	}, n.right.Next)
+	if err == nil {
+		n.spst.Runs++
+		n.spst.Bytes += n.rrun.Bytes
 	}
-	n.file = f
-	w := f.NewWriter()
-	for _, row := range n.rrows {
-		if werr := w.Append(row); werr != nil {
-			w.Abort()
-			return werr
-		}
-	}
-	if werr := w.Append(tripRow); werr != nil {
-		w.Abort()
-		return werr
-	}
-	n.rrows = nil
-	n.held.release(ec)
-	for {
-		row, ok, nerr := n.right.Next()
-		if nerr != nil {
-			w.Abort()
-			return nerr
-		}
-		if !ok {
-			break
-		}
-		if werr := w.Append(row); werr != nil {
-			w.Abort()
-			return werr
-		}
-	}
-	run, ferr := w.Finish()
-	if ferr != nil {
-		return ferr
-	}
-	n.rrun = run
-	n.spst.Runs++
-	n.spst.Bytes += run.Bytes
-	obs.GovernorDegradations.Inc()
-	ec.Governor().Note("nestedloop: memory budget trip, spilling inner input to disk")
-	return nil
+	return err
 }
 
 // dropRun releases the spill run, its reader and its file, if any. A

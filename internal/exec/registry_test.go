@@ -110,6 +110,11 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	cases["batchsemireduce"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
 		return must(NewBatchSemiReduce(ch[0], ch[1], key, bsz))
 	}}
+	cases["spool"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
+		// One reader over one child: its Close is the last, so every
+		// cycle fills the spool and drops its rows.
+		return NewSpool(ch[0], bsz).Reader()
+	}}
 	cases["batchindexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
 		return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c, bsz))
 	}}

@@ -45,9 +45,7 @@ type SemiReduce struct {
 	rrd  *spill.Reader
 	cur  []relation.Value // left row currently scanning rrun
 
-	spst    SpillStats
-	rowsIn  int64
-	rowsOut int64
+	spst SpillStats
 }
 
 // NewSemiReduce builds a semijoin filter left ⋉ right on p.
@@ -76,13 +74,6 @@ func NewSemiReduce(left, right Iterator, p predicate.Predicate) (*SemiReduce, er
 // Scheme implements Iterator: semijoins emit left rows unchanged.
 func (s *SemiReduce) Scheme() *relation.Scheme { return s.left.Scheme() }
 
-// Equi reports whether the operator runs the hash-filter fast path.
-func (s *SemiReduce) Equi() bool { return s.equi }
-
-// ReduceStats returns the rows that entered and survived the filter
-// since the last Open — the per-operator reduction ratio.
-func (s *SemiReduce) ReduceStats() (in, out int64) { return s.rowsIn, s.rowsOut }
-
 // Open implements Iterator: the right input is drained into the key
 // filter (equi) or a row buffer (otherwise), then the left input opens.
 func (s *SemiReduce) Open(ec *ExecContext) error {
@@ -91,7 +82,6 @@ func (s *SemiReduce) Open(ec *ExecContext) error {
 	s.ec = ec
 	s.keys, s.rrows, s.cur = nil, nil, nil
 	s.spst = SpillStats{}
-	s.rowsIn, s.rowsOut = 0, 0
 	if err := ec.Err("semireduce"); err != nil {
 		return err
 	}
@@ -173,49 +163,16 @@ func (s *SemiReduce) Open(ec *ExecContext) error {
 // materialized so far (scan mode), the row whose charge tripped, and the
 // rest of the right stream. Equi mode buffered only distinct keys, which
 // stay behind as a fast pre-check of the run scan.
-func (s *SemiReduce) spillRight(ec *ExecContext, tripRow []relation.Value) error {
-	f, err := spill.Create(ec, "semireduce")
-	if err != nil {
-		return err
+func (s *SemiReduce) spillRight(ec *ExecContext, tripRow []relation.Value) (err error) {
+	s.file, s.rrun, err = spillRest(ec, "semireduce", "filter input", append(s.rrows, tripRow), func() {
+		s.rrows = nil
+		s.held.release(ec)
+	}, s.right.Next)
+	if err == nil {
+		s.spst.Runs++
+		s.spst.Bytes += s.rrun.Bytes
 	}
-	s.file = f
-	w := f.NewWriter()
-	abort := func(werr error) error {
-		w.Abort()
-		return werr
-	}
-	for _, row := range s.rrows {
-		if werr := w.Append(row); werr != nil {
-			return abort(werr)
-		}
-	}
-	if werr := w.Append(tripRow); werr != nil {
-		return abort(werr)
-	}
-	s.rrows = nil
-	s.held.release(ec)
-	for {
-		row, ok, nerr := s.right.Next()
-		if nerr != nil {
-			return abort(nerr)
-		}
-		if !ok {
-			break
-		}
-		if werr := w.Append(row); werr != nil {
-			return abort(werr)
-		}
-	}
-	run, ferr := w.Finish()
-	if ferr != nil {
-		return ferr
-	}
-	s.rrun = run
-	s.spst.Runs++
-	s.spst.Bytes += run.Bytes
-	obs.GovernorDegradations.Inc()
-	ec.Governor().Note("semireduce: memory budget trip, spilling filter input to disk")
-	return nil
+	return err
 }
 
 // dropRun releases the spill run, its reader and its file, if any.
@@ -235,7 +192,6 @@ func (s *SemiReduce) Next() ([]relation.Value, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		s.rowsIn++
 		obs.SemiReduceInputRows.Inc()
 		match := false
 		if s.equi {
@@ -253,7 +209,6 @@ func (s *SemiReduce) Next() ([]relation.Value, bool, error) {
 			}
 		}
 		if match {
-			s.rowsOut++
 			obs.SemiReduceOutputRows.Inc()
 			return lrow, true, nil
 		}
@@ -274,14 +229,12 @@ func (s *SemiReduce) spilledNext() ([]relation.Value, bool, error) {
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			s.rowsIn++
 			obs.SemiReduceInputRows.Inc()
 			if s.equi && len(s.keys) > 0 {
 				key, null := joinKey(s.kbuf[:0], lrow, s.lkeys)
 				s.kbuf = key[:0]
 				if !null {
 					if _, hit := s.keys[string(key)]; hit {
-						s.rowsOut++
 						obs.SemiReduceOutputRows.Inc()
 						return lrow, true, nil
 					}
@@ -304,7 +257,6 @@ func (s *SemiReduce) spilledNext() ([]relation.Value, bool, error) {
 		if s.bound.Holds(concatRows(s.cur, rrow)) {
 			lrow := s.cur
 			s.cur = nil
-			s.rowsOut++
 			obs.SemiReduceOutputRows.Inc()
 			return lrow, true, nil
 		}

@@ -43,9 +43,10 @@ func TestSemiReducePathsMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantEqui := name == "equi"; s.Equi() != wantEqui {
-				t.Fatalf("Equi() = %v, want %v", s.Equi(), wantEqui)
+			if wantEqui := name == "equi"; s.equi != wantEqui {
+				t.Fatalf("hash-filter path = %v, want %v", s.equi, wantEqui)
 			}
+			in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
 			got, err := Collect(s, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -54,7 +55,8 @@ func TestSemiReducePathsMatchOracle(t *testing.T) {
 				t.Fatalf("semireduce bag differs from semijoin oracle: want %d rows, got %d",
 					ref.Len(), got.Len())
 			}
-			in, out := s.ReduceStats()
+			in := obs.SemiReduceInputRows.Value() - in0
+			out := obs.SemiReduceOutputRows.Value() - out0
 			if in != int64(rt.Relation().Len()) {
 				t.Errorf("rows in = %d, want %d", in, rt.Relation().Len())
 			}

@@ -2,6 +2,7 @@ package optimizer
 
 import (
 	"fmt"
+	"slices"
 
 	"freejoin/internal/exec"
 	"freejoin/internal/expr"
@@ -15,7 +16,8 @@ import (
 // returned tree is exactly the operators themselves (the zero-overhead
 // path measured by BenchmarkStatsOverhead).
 func (o *Optimizer) Build(p *Plan, c *exec.Counters) (exec.Iterator, error) {
-	it, _, err := o.build(p, c, false, nil)
+	l := lowering{o: o, c: c}
+	it, _, err := l.root(p)
 	return it, err
 }
 
@@ -24,19 +26,68 @@ func (o *Optimizer) Build(p *Plan, c *exec.Counters) (exec.Iterator, error) {
 // StatsNode tree. Estimates (rows, cost) are copied onto each node so
 // EXPLAIN ANALYZE can report estimation error next to actuals.
 func (o *Optimizer) BuildInstrumented(p *Plan, c *exec.Counters) (exec.Iterator, *exec.StatsNode, error) {
-	return o.build(p, c, true, nil)
+	return o.BuildInstrumentedTraced(p, c, nil)
 }
 
 // BuildInstrumentedTraced is BuildInstrumented recording lowering
 // decisions — which degradation path hash joins were wired with — into
 // tr (which may be nil).
 func (o *Optimizer) BuildInstrumentedTraced(p *Plan, c *exec.Counters, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
-	return o.build(p, c, true, tr)
+	l := lowering{o: o, c: c, ins: true, tr: tr}
+	return l.root(p)
 }
 
-// build is the shared lowering; when ins is set every operator is wrapped
-// and the second result is its stats node (nil otherwise).
-func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
+// lowering is one Build call. The shared plan nodes lowered so far, and
+// their spools and stats entries, live here rather than on the
+// Optimizer or the Plan, which concurrent sessions share.
+type lowering struct {
+	o      *Optimizer
+	c      *exec.Counters
+	ins    bool
+	tr     *Trace
+	shared []*Plan
+	spools []*exec.Spool
+	subs   []*exec.StatsNode
+}
+
+// root lowers p as an execution's root, which closes the spools' readers.
+func (l *lowering) root(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
+	it, node, err := l.build(p)
+	if err == nil && l.spools != nil {
+		it = exec.WithSpools(it, l.spools)
+	}
+	return it, node, err
+}
+
+// build lowers p. A non-leaf node with several consumers is lowered once
+// into a spool that each reference reads; a shared leaf is scanned per
+// reference, its table being in memory already.
+func (l *lowering) build(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
+	if p.Uses < 2 || p.IsLeaf() {
+		return l.lower(p)
+	}
+	k := slices.Index(l.shared, p)
+	if k < 0 {
+		it, node, err := l.lower(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		size, _ := l.o.batchRows()
+		k, l.shared, l.subs = len(l.shared), append(l.shared, p), append(l.subs, node)
+		l.spools = append(l.spools, exec.NewSpool(it, size))
+	}
+	r := l.spools[k].Reader()
+	if !l.ins {
+		return r, nil, nil
+	}
+	it, node := r.Instrument(fmt.Sprintf("spool #%d (shared, %d readers)", k+1, p.Uses), l.c, l.subs[k])
+	return it, node, nil
+}
+
+// lower lowers p's own operator; when l.ins is set every operator is
+// wrapped and the second result is its stats node (nil otherwise).
+func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
+	o, c, ins, tr := l.o, l.c, l.ins, l.tr
 	if p.IsLeaf() {
 		t, err := o.cat.Table(p.Table)
 		if err != nil {
@@ -56,12 +107,12 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		return wrapped, node, nil
 	}
 	if p.Op == expr.GOJ {
-		return o.buildGOJ(p, c, ins, tr)
+		return l.buildGOJ(p)
 	}
 	if p.Op == expr.Restrict {
-		return o.buildFilter(p, c, ins, tr)
+		return l.buildFilter(p)
 	}
-	left, lnode, err := o.build(p.Left, c, ins, tr)
+	left, lnode, err := l.build(p.Left)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,7 +149,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		wrapped, node := wrapNode(it, p, c, ins, kids...)
 		return wrapped, node, nil
 	case AlgoHash:
-		right, rnode, err := o.build(p.Right, c, ins, tr)
+		right, rnode, err := l.build(p.Right)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -117,7 +168,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 		return wrapped, node, nil
 	case AlgoNL:
-		right, rnode, err := o.build(p.Right, c, ins, tr)
+		right, rnode, err := l.build(p.Right)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -133,10 +184,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 		return wrapped, node, nil
 	case AlgoSemiReduce:
-		// A Yannakakis reducer step shares its source subplan with other
-		// occurrences in the plan DAG; each occurrence lowers to its own
-		// iterator subtree, so sharing stays read-only.
-		right, rnode, err := o.build(p.Right, c, ins, tr)
+		right, rnode, err := l.build(p.Right)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -154,7 +202,7 @@ func (o *Optimizer) build(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.
 		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 		return wrapped, node, nil
 	case AlgoMerge:
-		right, rnode, err := o.build(p.Right, c, ins, tr)
+		right, rnode, err := l.build(p.Right)
 		if err != nil {
 			return nil, nil, err
 		}

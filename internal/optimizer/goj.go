@@ -34,12 +34,13 @@ func (o *Optimizer) planGOJ(l, r *Plan, pred predicate.Predicate, s []relation.A
 }
 
 // buildGOJ lowers a GOJ plan node.
-func (o *Optimizer) buildGOJ(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
-	left, lnode, err := o.build(p.Left, c, ins, tr)
+func (l *lowering) buildGOJ(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
+	c, ins := l.c, l.ins
+	left, lnode, err := l.build(p.Left)
 	if err != nil {
 		return nil, nil, err
 	}
-	right, rnode, err := o.build(p.Right, c, ins, tr)
+	right, rnode, err := l.build(p.Right)
 	if err != nil {
 		return nil, nil, err
 	}

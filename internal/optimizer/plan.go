@@ -71,6 +71,11 @@ type Plan struct {
 	Scheme  *relation.Scheme
 	EstRows float64
 	Cost    float64
+
+	// Uses counts the plan nodes that reference this one. Only
+	// planYannakakis builds a DAG, where a node of Uses > 1 is lowered
+	// once and spooled to its consumers; tree plans leave it zero.
+	Uses int
 }
 
 // IsLeaf reports whether the plan is a base-table scan.

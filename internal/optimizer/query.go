@@ -409,13 +409,13 @@ func (o *Optimizer) filterPlan(child *Plan, pred predicate.Predicate) *Plan {
 }
 
 // buildFilter lowers a Restrict plan node.
-func (o *Optimizer) buildFilter(p *Plan, c *exec.Counters, ins bool, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
-	child, cnode, err := o.build(p.Left, c, ins, tr)
+func (l *lowering) buildFilter(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
+	child, cnode, err := l.build(p.Left)
 	if err != nil {
 		return nil, nil, err
 	}
 	var it exec.Iterator
-	if size, on := o.batchRows(); on {
+	if size, on := l.o.batchRows(); on {
 		it, err = exec.NewBatchFilter(child, p.Pred, size)
 	} else {
 		it, err = exec.NewFilter(child, p.Pred)
@@ -423,6 +423,6 @@ func (o *Optimizer) buildFilter(p *Plan, c *exec.Counters, ins bool, tr *Trace) 
 	if err != nil {
 		return nil, nil, err
 	}
-	wrapped, node := wrapNode(it, p, c, ins, cnode)
+	wrapped, node := wrapNode(it, p, l.c, l.ins, cnode)
 	return wrapped, node, nil
 }

@@ -43,7 +43,8 @@ func (o *Optimizer) planYannakakis(g *graph.Graph, filters map[string]predicate.
 	// current plan for its target, and later steps (and the join phase)
 	// pick up whichever reduction is most recent. The result is a DAG of
 	// immutable *Plan nodes — a reduced relation's plan appears both as
-	// the source of later reductions and in the join phase.
+	// the source of later reductions and in the join phase — and Uses
+	// marks the shared ones, which lowering evaluates once.
 	cur := make(map[string]*Plan, g.NumNodes())
 	for i := 0; i < g.NumNodes(); i++ {
 		p, err := o.leafPlan(g.Node(i), filters[g.Node(i)])
@@ -78,7 +79,19 @@ func (o *Optimizer) planYannakakis(g *graph.Graph, filters map[string]predicate.
 		}
 		sub[n] = acc
 	}
+	countUses(sub[jt.Root()])
 	return sub[jt.Root()], nil
+}
+
+// countUses fills Uses for the DAG below p, visiting each node once.
+func countUses(p *Plan) {
+	for _, c := range [2]*Plan{p.Left, p.Right} {
+		if c != nil {
+			if c.Uses++; c.Uses == 1 {
+				countUses(c)
+			}
+		}
+	}
 }
 
 // semiReducePlan builds one reducer step: target ⋉ source on pred. The

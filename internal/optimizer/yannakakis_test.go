@@ -1,15 +1,23 @@
 package optimizer
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"freejoin/internal/core"
 	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/graph"
 	"freejoin/internal/obs"
+	"freejoin/internal/parse"
+	"freejoin/internal/relation"
+	"freejoin/internal/storage"
 	"freejoin/internal/workload"
 )
 
@@ -34,10 +42,13 @@ func yannakakisFixture(t *testing.T, seed int64) (*Optimizer, *graph.Graph) {
 // must produce exactly the bag of the classic DP plan, of a fixed-order
 // execution, and of the reference algebra — and, per the Yannakakis
 // guarantee, after full reduction no join-phase operator may produce
-// more rows than the final result.
+// more rows than the final result. Every instance also runs in each
+// evaluator mode and under a sweep of memory grants with spill on and
+// off (checkYannakakisModes).
 func TestMetamorphicYannakakisOracle(t *testing.T) {
 	in0, out0 := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value()
 	reducedSomewhere := false
+	var sweep grantSweep
 	success := 0
 	for attempt := 0; success < metamorphicInstances; attempt++ {
 		if attempt >= metamorphicInstances*10 {
@@ -139,8 +150,13 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		if in, out := obs.SemiReduceInputRows.Value(), obs.SemiReduceOutputRows.Value(); out-out0 < in-in0 {
 			reducedSomewhere = true
 		}
+		checkYannakakisModes(t, seed, cat, g, ref, &sweep)
 		success++
 	}
+	if sweep.answered == 0 || sweep.tripped == 0 || sweep.spooled == 0 || sweep.spoolSpills == 0 {
+		t.Errorf("the grant sweep must answer, trip, spool and spill a spool at least once: %+v", sweep)
+	}
+	t.Logf("grant sweep: %+v", sweep)
 	if obs.SemiReduceInputRows.Value() == in0 {
 		t.Error("the suite never ran a reducer step; yannakakis plans did not execute")
 	}
@@ -148,6 +164,74 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		t.Error("no reducer step ever deleted a tuple; the dangling generator is not producing dangling tuples")
 	}
 	t.Logf("verified %d instances", success)
+}
+
+// grantSweep tallies checkYannakakisModes' outcomes across instances.
+type grantSweep struct {
+	answered, tripped int // budgeted runs that returned the bag / a typed trip
+	spooled           int // plans with a shared node
+	spoolSpills       int // budgeted runs in which a spool spilled
+}
+
+// checkYannakakisModes runs one oracle instance's forced-yannakakis plan
+// at batch sizes {off, 1, 7, 1024}. Unbudgeted, it returns ref and
+// evaluates each distinct reducer step once. Under each memory grant,
+// with spill on and off, it returns ref or a typed MemoryExceeded, and
+// either way the governor drains and no spill file survives.
+func checkYannakakisModes(t *testing.T, seed int64, cat *storage.Catalog, g *graph.Graph, ref *relation.Relation, sw *grantSweep) {
+	t.Helper()
+	dir := t.TempDir()
+	for _, size := range []int{BatchOff, 1, 7, 1024} {
+		o := New(cat)
+		o.Strategy = "yannakakis"
+		o.BatchSize = size
+		p, err := o.OptimizeGraph(g)
+		if err != nil {
+			t.Fatalf("seed %d size %d: %v", seed, size, err)
+		}
+		got, c, root, err := o.ExecuteAnalyzed(p)
+		if err != nil || !got.EqualBag(ref) {
+			t.Fatalf("seed %d size %d: yannakakis run differs from the algebra (err %v)\nplan:\n%s", seed, size, err, p.Explain())
+		}
+		checkStatsTree(t, p, root, c)
+		if strings.Contains(RenderStats(root), "spool #") {
+			sw.spooled++
+		}
+		for _, limit := range []int64{2048, 512, 96} {
+			for _, spill := range []bool{false, true} {
+				o.Spill = spill
+				gov := exec.NewGovernor(0, limit)
+				ec := exec.NewExecContext(context.Background(), gov)
+				if spill {
+					ec.EnableSpill(exec.SpillConfig{Dir: dir})
+				}
+				got, _, err := o.ExecuteCtx(ec, p)
+				var re *exec.ResourceError
+				switch {
+				case err == nil && got.EqualBag(ref):
+					sw.answered++
+				case errors.As(err, &re) && re.Kind == exec.MemoryExceeded:
+					sw.tripped++
+				default:
+					t.Fatalf("seed %d size %d grant %d spill %v: neither the bag nor a typed trip (err %v)\nplan:\n%s",
+						seed, size, limit, spill, err, p.Explain())
+				}
+				for _, ev := range gov.Events() {
+					if strings.HasPrefix(ev, "spool:") {
+						sw.spoolSpills++
+						break
+					}
+				}
+				if gov.UsedRows() != 0 || gov.UsedBytes() != 0 || gov.UsedSpillBytes() != 0 {
+					t.Fatalf("seed %d size %d grant %d spill %v: governor not drained: rows=%d bytes=%d spill=%d (err %v, events %q)\n%s",
+						seed, size, limit, spill, gov.UsedRows(), gov.UsedBytes(), gov.UsedSpillBytes(), err, gov.Events(), p.Explain())
+				}
+				if files, _ := filepath.Glob(filepath.Join(dir, "ojspill-*")); len(files) != 0 {
+					t.Fatalf("seed %d size %d grant %d: spill files leaked: %v", seed, size, limit, files)
+				}
+			}
+		}
+	}
 }
 
 // TestYannakakisFallsBackOnCycles: a cyclic (still nice) graph has no
@@ -340,4 +424,118 @@ func TestYannakakisRoundTrip(t *testing.T) {
 	if !want.EqualBag(got) {
 		t.Fatalf("algebra evaluation of the round-tripped plan differs from execution\n%s", p.Explain())
 	}
+}
+
+// semiReduceNodes returns the distinct reducer steps of a plan DAG.
+func semiReduceNodes(p *Plan, seen map[*Plan]bool) map[*Plan]bool {
+	if seen == nil {
+		seen = make(map[*Plan]bool)
+	}
+	if p == nil || p.IsLeaf() || seen[p] {
+		return seen
+	}
+	if p.Algo == AlgoSemiReduce {
+		seen[p] = true
+	}
+	semiReduceNodes(p.Left, seen)
+	semiReduceNodes(p.Right, seen)
+	return seen
+}
+
+// checkStatsTree asserts the EXPLAIN ANALYZE shape of a lowered DAG:
+// every reducer step ran exactly once and appears once, and the
+// operators' own tuple counts are never negative and add up to the
+// query's (a shared subtree hangs under the reader that drained it).
+func checkStatsTree(t *testing.T, p *Plan, root *exec.StatsNode, c *exec.Counters) {
+	t.Helper()
+	var semis int
+	var self int64
+	root.Walk(func(_ int, n *exec.StatsNode) {
+		if n.SelfTuples() < 0 {
+			t.Errorf("%q retrieved %d tuples of its own", n.Label, n.SelfTuples())
+		}
+		self += n.SelfTuples()
+		if strings.HasPrefix(n.Label, "semireduce ") {
+			semis++
+			if n.Stats.Opens != 1 {
+				t.Errorf("%q opened %d times, want once", n.Label, n.Stats.Opens)
+			}
+		}
+	})
+	if want := len(semiReduceNodes(p, nil)); semis != want {
+		t.Errorf("stats tree has %d semireduce operators, the plan %d distinct reducer steps", semis, want)
+	}
+	if self != c.TuplesRetrieved() {
+		t.Errorf("operators' own tuples sum to %d, the query retrieved %d\n%s",
+			self, c.TuplesRetrieved(), RenderStats(root))
+	}
+}
+
+// TestYannakakisEvaluatesEachReductionOnce: on the served benchmark's
+// dangling_tree5, the reducer DAG's shared steps are evaluated once and
+// spooled to their consumers. Forced yannakakis returns the DP's bag and
+// retrieves each of the five 3,000-row tables once per scan of a leaf
+// reference (18,000 tuples; re-running every shared subplan per
+// consumer retrieved 81,000), and every reducer step opens once.
+func TestYannakakisEvaluatesEachReductionOnce(t *testing.T) {
+	cat := benchmarkCatalog(t)
+	q, err := parse.Expr("(((D0 -[D0.a = D1.a] D1) -[D1.a = D2.a] D2) ->[D1.a = D3.a] D3) ->[D2.a = D4.a] D4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oDP := New(cat)
+	pDP, _, err := oDP.PlanQueryTrace(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := oDP.Execute(pDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(cat)
+	o.Strategy = "yannakakis"
+	p, tr, err := o.PlanQueryTrace(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Strategy != "yannakakis" {
+		t.Fatalf("strategy = %q, want yannakakis", tr.Strategy)
+	}
+	got, c, err := o.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualBag(want) {
+		t.Fatalf("yannakakis bag (%d rows) differs from the DP's (%d rows)", got.Len(), want.Len())
+	}
+	if n := c.TuplesRetrieved(); n != 18_000 {
+		t.Errorf("retrieved %d base tuples, want 18000", n)
+	}
+	got, c, root, err := o.ExecuteAnalyzed(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualBag(want) || c.TuplesRetrieved() != 18_000 {
+		t.Errorf("instrumented run: %d rows, %d tuples; want %d rows, 18000 tuples",
+			got.Len(), c.TuplesRetrieved(), want.Len())
+	}
+	checkStatsTree(t, p, root, c)
+	text := RenderStats(root)
+	for id := 1; ; id++ {
+		mark := fmt.Sprintf("spool #%d (shared, ", id)
+		n := strings.Count(text, mark)
+		if n == 0 {
+			if id == 1 {
+				t.Fatalf("no spool in the rendered tree:\n%s", text)
+			}
+			break
+		}
+		if n < 2 {
+			t.Errorf("spool #%d has %d readers in the rendered tree, want >= 2", id, n)
+		}
+	}
+	if spans := exec.SpanTree(root, time.Now()); len(spans) != strings.Count(text, "\n") {
+		t.Errorf("%d spans for %d rendered operators", len(spans), strings.Count(text, "\n"))
+	}
+	t.Logf("\n%s", text)
 }

@@ -34,6 +34,9 @@ func (r *Relation) Row(i int) Tuple { return Tuple{scheme: r.scheme, vals: r.row
 // RawRow returns the i-th row's value slice; callers must not modify it.
 func (r *Relation) RawRow(i int) []Value { return r.rows[i] }
 
+// RawRows returns every row without copying; callers must not modify them.
+func (r *Relation) RawRows() [][]Value { return r.rows }
+
 // Append adds a row; the arity must match the scheme.
 func (r *Relation) Append(vals ...Value) error {
 	if len(vals) != r.scheme.Len() {
