@@ -33,7 +33,7 @@ func TestBatchHashJoinBuildAllocs(t *testing.T) {
 	right.MustAppend(relation.Null(), relation.Int(1)) // a null key is charged, never stored
 	mk := func() *BatchHashJoin {
 		h, err := NewBatchHashJoin(NewRelationScan(left), NewRelationScan(right),
-			[]relation.Attr{relation.A("R", "a")}, []relation.Attr{relation.A("S", "a")}, nil, LeftOuterMode, 0)
+			[]relation.Attr{relation.A("R", "a")}, []relation.Attr{relation.A("S", "a")}, nil, LeftOuterMode, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func BenchmarkBatchHashJoin(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h, err := NewBatchHashJoin(NewRelationScan(left), NewRelationScan(right),
-					[]relation.Attr{relation.A("R", "a")}, []relation.Attr{relation.A("S", "a")}, nil, InnerMode, 0)
+					[]relation.Attr{relation.A("R", "a")}, []relation.Attr{relation.A("S", "a")}, nil, InnerMode, nil, 0)
 				if err != nil {
 					b.Fatal(err)
 				}

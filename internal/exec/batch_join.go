@@ -86,11 +86,12 @@ type buildLink struct {
 // NewBatchHashJoin builds a hash join on leftKeys = rightKeys (attribute
 // lists of equal length); residual may be nil. size is the batch size
 // (size <= 0 means DefaultBatchSize or the execution context override).
-func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr, residual predicate.Predicate, mode JoinMode, size int) (*BatchHashJoin, error) {
+// sch is the output scheme when the caller has it (nil derives it).
+func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr, residual predicate.Predicate, mode JoinMode, sch *relation.Scheme, size int) (*BatchHashJoin, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: hash join needs matching non-empty key lists")
 	}
-	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
+	sch, err := outputScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +117,7 @@ func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr,
 		h.rkeys = append(h.rkeys, p)
 	}
 	if residual != nil {
-		full, err := left.Scheme().Concat(right.Scheme())
+		full, err := bindScheme(left.Scheme(), right.Scheme(), sch, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -772,7 +773,7 @@ func (h *BatchHashJoin) startPair(pair gracePair) error {
 	if h.residualP != nil {
 		conj = append(conj, h.residualP)
 	}
-	nl, err := NewNestedLoopJoin(sub.left, sub.right, predicate.NewAnd(conj...), h.mode) // the closed run scans re-open
+	nl, err := NewNestedLoopJoin(sub.left, sub.right, predicate.NewAnd(conj...), h.mode, h.scheme) // the closed run scans re-open
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,7 @@ type BatchIndexJoin struct {
 // NewBatchIndexJoin mirrors NewIndexJoin with a configured batch size
 // (size <= 0 means DefaultBatchSize or the execution context override).
 func NewBatchIndexJoin(left Iterator, inner *storage.Table, idxCol string, outerKey relation.Attr,
-	residual predicate.Predicate, mode JoinMode, c *Counters, size int) (*BatchIndexJoin, error) {
+	residual predicate.Predicate, mode JoinMode, sch *relation.Scheme, c *Counters, size int) (*BatchIndexJoin, error) {
 	idx, ok := inner.HashIndexOn(idxCol)
 	if !ok {
 		return nil, fmt.Errorf("exec: table %s has no hash index on %s", inner.Name(), idxCol)
@@ -65,14 +65,14 @@ func NewBatchIndexJoin(left Iterator, inner *storage.Table, idxCol string, outer
 	if kp < 0 {
 		return nil, fmt.Errorf("exec: outer key %s not in left scheme %s", outerKey, left.Scheme())
 	}
-	sch, err := outputScheme(left.Scheme(), inner.Scheme(), mode)
+	sch, err := outputScheme(left.Scheme(), inner.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
 	j := &BatchIndexJoin{left: left, inner: inner, index: idx, outerKey: kp, scheme: sch,
 		mode: mode, counters: c, iwidth: inner.Scheme().Len(), size: size}
 	if residual != nil {
-		full, err := left.Scheme().Concat(inner.Scheme())
+		full, err := bindScheme(left.Scheme(), inner.Scheme(), sch, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -319,12 +319,12 @@ type BatchNestedLoopJoin struct {
 
 // NewBatchNestedLoopJoin mirrors NewNestedLoopJoin with a configured
 // batch size.
-func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode, size int) (*BatchNestedLoopJoin, error) {
-	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
+func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode, sch *relation.Scheme, size int) (*BatchNestedLoopJoin, error) {
+	sch, err := outputScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
-	full, err := left.Scheme().Concat(right.Scheme())
+	full, err := bindScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -465,7 +465,7 @@ func (n *BatchNestedLoopJoin) tripToRow(ec *ExecContext, err error) error {
 	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
 		return err
 	}
-	d, derr := NewNestedLoopJoin(n.left, n.right, n.pred, n.mode)
+	d, derr := NewNestedLoopJoin(n.left, n.right, n.pred, n.mode, n.scheme)
 	if derr != nil {
 		return err // keep the original trip
 	}

@@ -119,7 +119,7 @@ func TestBatchHashJoinTripSpills(t *testing.T) {
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
 	mk := func(right Iterator) *BatchHashJoin {
 		h, err := NewBatchHashJoin(NewScan(rt, nil), right,
-			[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 2)
+			[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestBatchNestedLoopStreamMode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			left := relation.FromRows("R", []string{"k"}, [][]any{{tc.leftKey}}...)
 			n, err := NewBatchNestedLoopJoin(
-				NewRelationScan(left), NewRelationScan(right), key, tc.mode, 8)
+				NewRelationScan(left), NewRelationScan(right), key, tc.mode, nil, 8)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +225,7 @@ func TestBatchNestedLoopStreamContract(t *testing.T) {
 	right := relation.FromRows("S", []string{"k"}, []any{1}, []any{2}, []any{2}, []any{3})
 	n, err := NewBatchNestedLoopJoin(
 		NewRelationScan(left), NewRelationScan(right),
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), LeftOuterMode, 4)
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), LeftOuterMode, nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestBatchReopenClosesStaleDelegate(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
 	n, err := NewBatchNestedLoopJoin(NewScan(rt, &c), NewScan(st, &c),
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, 2)
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
 	lf := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
 	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
 	n, err := NewBatchNestedLoopJoin(lf, rf,
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, 2)
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

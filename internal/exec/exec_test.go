@@ -172,7 +172,7 @@ func TestHashJoinAllModes(t *testing.T) {
 				rs, _ := scanOf(t, "S", rrel, nil)
 				hj, err := NewBatchHashJoin(ls, rs,
 					[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-					nil, mode, size)
+					nil, mode, nil, size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +204,7 @@ func TestHashJoinResidual(t *testing.T) {
 				rs, _ := scanOf(t, "S", rrel, nil)
 				hj, err := NewBatchHashJoin(ls, rs,
 					[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-					residual, mode, size)
+					residual, mode, nil, size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,20 +223,20 @@ func TestHashJoinErrors(t *testing.T) {
 	rrel := randRel(rand.New(rand.NewSource(2)), "S", 3)
 	ls, _ := scanOf(t, "R", lrel, nil)
 	rs, _ := scanOf(t, "S", rrel, nil)
-	if _, err := NewBatchHashJoin(ls, rs, nil, nil, nil, InnerMode, 0); err == nil {
+	if _, err := NewBatchHashJoin(ls, rs, nil, nil, nil, InnerMode, nil, 0); err == nil {
 		t.Error("empty key list must fail")
 	}
 	if _, err := NewBatchHashJoin(ls, rs,
-		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0); err == nil {
+		[]relation.Attr{relation.A("Z", "z")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, 0); err == nil {
 		t.Error("bad left key must fail")
 	}
 	if _, err := NewBatchHashJoin(ls, rs,
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode, 0); err == nil {
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("Z", "z")}, nil, InnerMode, nil, 0); err == nil {
 		t.Error("bad right key must fail")
 	}
 	if _, err := NewBatchHashJoin(ls, rs,
 		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-		predicate.Eq(relation.A("Z", "z"), relation.A("S", "k")), InnerMode, 0); err == nil {
+		predicate.Eq(relation.A("Z", "z"), relation.A("S", "k")), InnerMode, nil, 0); err == nil {
 		t.Error("residual over an unknown attribute must fail")
 	}
 }
@@ -250,7 +250,7 @@ func TestNestedLoopJoinAllModes(t *testing.T) {
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
 			rs, _ := scanOf(t, "S", rrel, nil)
-			nl, err := NewNestedLoopJoin(ls, rs, p, mode)
+			nl, err := NewNestedLoopJoin(ls, rs, p, mode, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestIndexJoinAllModes(t *testing.T) {
 		}
 		for _, mode := range allModes {
 			ls, _ := scanOf(t, "R", lrel, nil)
-			ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil)
+			ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -308,7 +308,7 @@ func TestIndexJoinCountsRetrievedTuples(t *testing.T) {
 	}
 	var c Counters
 	ls, _ := scanOf(t, "R", outer, &c)
-	ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, &c)
+	ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,13 +328,13 @@ func TestIndexJoinErrors(t *testing.T) {
 	lrel := randRel(rand.New(rand.NewSource(3)), "R", 3)
 	inner := storage.NewTable("S", randRel(rand.New(rand.NewSource(4)), "S", 3))
 	ls, _ := scanOf(t, "R", lrel, nil)
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil); err == nil {
+	if _, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, nil); err == nil {
 		t.Error("missing index must fail")
 	}
 	if _, err := inner.BuildHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil); err == nil {
+	if _, err := NewIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil, nil); err == nil {
 		t.Error("bad outer key must fail")
 	}
 }
@@ -402,7 +402,7 @@ func TestJoinSchemeOverlapRejected(t *testing.T) {
 	rel := randRel(rand.New(rand.NewSource(7)), "R", 3)
 	s1, _ := scanOf(t, "R", rel, nil)
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode); err == nil {
+	if _, err := NewNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode, nil); err == nil {
 		t.Error("overlapping schemes must fail")
 	}
 }

@@ -144,7 +144,7 @@ func TestExpiredDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	hj, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
+		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestMemoryBudgetTrips(t *testing.T) {
 		},
 		"hashjoin": func(t *testing.T) (Iterator, string) {
 			h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
-				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 1)
+				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestMemoryBudgetTrips(t *testing.T) {
 		},
 		"nestedloop": func(t *testing.T) (Iterator, string) {
 			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode)
+				predicate.Eq(rk, sk), InnerMode, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +252,7 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 			for _, size := range hashJoinSizes {
 				mkJoin := func() *BatchHashJoin {
 					h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
-						[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, size)
+						[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, size)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -265,7 +265,7 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 
 				h := mkJoin()
 				h.SetFallback(func(left Iterator) (Iterator, error) {
-					return NewIndexJoin(left, st, "k", rk, nil, mode, nil)
+					return NewIndexJoin(left, st, "k", rk, nil, mode, nil, nil)
 				})
 				gov := NewGovernor(1, 0) // the 4-row build side cannot fit
 				got, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil)
@@ -294,12 +294,12 @@ func TestHashJoinFallbackNotTakenWithoutTrip(t *testing.T) {
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
-		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 1)
+		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetFallback(func(left Iterator) (Iterator, error) {
-		return NewIndexJoin(left, st, "k", rk, nil, InnerMode, nil)
+		return NewIndexJoin(left, st, "k", rk, nil, InnerMode, nil, nil)
 	})
 	gov := NewGovernor(1000, 0)
 	if _, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil); err != nil {

@@ -37,10 +37,15 @@ func (m JoinMode) String() string {
 	}
 }
 
-// outputScheme computes a join's output scheme for a mode: semi/anti
-// output only left rows.
-func outputScheme(l, r *relation.Scheme, mode JoinMode) (*relation.Scheme, error) {
-	if mode == SemiMode || mode == AntiMode {
+// outputScheme returns a join's output scheme for a mode: sch when the
+// caller has it already (the optimizer passes its plan node's, which
+// must be the scheme these inputs produce), else derived from the
+// inputs. Semi/anti joins output only left rows.
+func outputScheme(l, r, sch *relation.Scheme, mode JoinMode) (*relation.Scheme, error) {
+	switch {
+	case sch != nil:
+		return sch, nil
+	case mode == SemiMode || mode == AntiMode:
 		return l, nil
 	}
 	sch, err := l.Concat(r)
@@ -48,6 +53,16 @@ func outputScheme(l, r *relation.Scheme, mode JoinMode) (*relation.Scheme, error
 		return nil, fmt.Errorf("exec: join schemes overlap: %w", err)
 	}
 	return sch, nil
+}
+
+// bindScheme returns the scheme a join predicate binds against, the
+// left input's columns then the right's: the output scheme itself,
+// unless the join outputs only left rows.
+func bindScheme(l, r, out *relation.Scheme, mode JoinMode) (*relation.Scheme, error) {
+	if mode == SemiMode || mode == AntiMode {
+		return l.Concat(r)
+	}
+	return out, nil
 }
 
 // joinKey appends row's join key at positions keys to buf; null reports
@@ -89,13 +104,14 @@ type NestedLoopJoin struct {
 	spst       SpillStats
 }
 
-// NewNestedLoopJoin builds a nested-loop join with predicate p.
-func NewNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode) (*NestedLoopJoin, error) {
-	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
+// NewNestedLoopJoin builds a nested-loop join with predicate p. sch is
+// the output scheme when the caller has it (nil derives it).
+func NewNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode, sch *relation.Scheme) (*NestedLoopJoin, error) {
+	sch, err := outputScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
-	full, err := left.Scheme().Concat(right.Scheme())
+	full, err := bindScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
@@ -341,9 +357,10 @@ type IndexJoin struct {
 }
 
 // NewIndexJoin probes inner's hash index on idxCol with the value of
-// outerKey in each left row. residual may be nil.
+// outerKey in each left row. residual may be nil; sch is the output
+// scheme when the caller has it (nil derives it).
 func NewIndexJoin(left Iterator, inner *storage.Table, idxCol string, outerKey relation.Attr,
-	residual predicate.Predicate, mode JoinMode, c *Counters) (*IndexJoin, error) {
+	residual predicate.Predicate, mode JoinMode, sch *relation.Scheme, c *Counters) (*IndexJoin, error) {
 	idx, ok := inner.HashIndexOn(idxCol)
 	if !ok {
 		return nil, fmt.Errorf("exec: table %s has no hash index on %s", inner.Name(), idxCol)
@@ -352,14 +369,14 @@ func NewIndexJoin(left Iterator, inner *storage.Table, idxCol string, outerKey r
 	if kp < 0 {
 		return nil, fmt.Errorf("exec: outer key %s not in left scheme %s", outerKey, left.Scheme())
 	}
-	sch, err := outputScheme(left.Scheme(), inner.Scheme(), mode)
+	sch, err := outputScheme(left.Scheme(), inner.Scheme(), sch, mode)
 	if err != nil {
 		return nil, err
 	}
 	j := &IndexJoin{left: left, inner: inner, index: idx, outerKey: kp, scheme: sch,
 		mode: mode, counters: c, iwidth: inner.Scheme().Len()}
 	if residual != nil {
-		full, err := left.Scheme().Concat(inner.Scheme())
+		full, err := bindScheme(left.Scheme(), inner.Scheme(), sch, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +495,7 @@ func NewMergeJoin(left, right Iterator, leftKey, rightKey relation.Attr, mode Jo
 	if lk < 0 || rk < 0 {
 		return nil, fmt.Errorf("exec: merge join keys missing from schemes")
 	}
-	sch, err := outputScheme(left.Scheme(), right.Scheme(), mode)
+	sch, err := outputScheme(left.Scheme(), right.Scheme(), nil, mode)
 	if err != nil {
 		return nil, err
 	}

@@ -56,10 +56,10 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return must(NewSort(ch[0], []relation.Attr{rk}))
 		}},
 		"nestedloop": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewNestedLoopJoin(ch[0], ch[1], key, InnerMode))
+			return must(NewNestedLoopJoin(ch[0], ch[1], key, InnerMode, nil))
 		}},
 		"indexjoin": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c))
+			return must(NewIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c))
 		}},
 		"mergejoin": {2, func(t *testing.T, ch []Iterator) Iterator {
 			// Merge join consumes sorted inputs; the sorts ride along so
@@ -95,7 +95,7 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	} {
 		mode := mode
 		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, 0))
+			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, 0))
 		}}
 	}
 	// The batch evaluators run through the same contract/fault/ownership
@@ -116,7 +116,7 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		return NewSpool(ch[0], bsz).Reader()
 	}}
 	cases["batchindexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, c, bsz))
+		return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c, bsz))
 	}}
 	for name, mode := range map[string]JoinMode{
 		"batchhashjoin": InnerMode, "batchhashjoin-outer": LeftOuterMode,
@@ -124,7 +124,7 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	} {
 		mode := mode
 		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, bsz))
+			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, bsz))
 		}}
 	}
 	for name, mode := range map[string]JoinMode{
@@ -133,7 +133,7 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	} {
 		mode := mode
 		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, bsz))
+			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, nil, bsz))
 		}}
 	}
 	return cases

@@ -17,7 +17,7 @@ import (
 
 func semiOracle(t *testing.T, rt, st *storage.Table, p predicate.Predicate) *relation.Relation {
 	t.Helper()
-	nl, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), p, SemiMode)
+	nl, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), p, SemiMode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func TestConcurrentCountersScrape(t *testing.T) {
 			p, err := NewBatchHashJoin(
 				Instrument(NewScan(rt, &c), "scan R", &c),
 				Instrument(NewScan(st, &c), "scan S", &c),
-				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, 0)
+				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, 0)
 			if err != nil {
 				errs <- err
 				return

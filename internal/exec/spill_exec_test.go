@@ -144,7 +144,7 @@ func hashJoinOf(t *testing.T, rt, st *storage.Table, mode JoinMode, size int) fu
 	return func() *BatchHashJoin {
 		t.Helper()
 		h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
-			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, mode, size)
+			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, mode, nil, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestGraceHashJoinSpillOneFile(t *testing.T) {
 		lw := &diskWatch{Iterator: NewScan(rt, nil), t: t, gov: gov, dir: dir}
 		rw := &diskWatch{Iterator: NewScan(st, nil), t: t, gov: gov, dir: dir}
 		h, err := NewBatchHashJoin(lw, rw, []relation.Attr{relation.A("R", "k")},
-			[]relation.Attr{relation.A("S", "k")}, nil, InnerMode, size)
+			[]relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -471,7 +471,7 @@ func TestGraceHashJoinSpillFaults(t *testing.T) {
 				lf := storage.NewFaultTable(rt, tc.left).Iterator()
 				rf := storage.NewFaultTable(st, tc.right).Iterator()
 				h, err := NewBatchHashJoin(lf, rf, []relation.Attr{relation.A("R", "k")},
-					[]relation.Attr{relation.A("S", "k")}, nil, LeftOuterMode, size)
+					[]relation.Attr{relation.A("S", "k")}, nil, LeftOuterMode, nil, size)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -506,7 +506,7 @@ func TestNestedLoopJoinSpill(t *testing.T) {
 	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
 		t.Run(mode.String(), func(t *testing.T) {
 			mk := func() *NestedLoopJoin {
-				n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), pred, mode)
+				n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), pred, mode, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -676,7 +676,7 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 		},
 		"nestedloop": func(t *testing.T) Iterator {
 			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode)
+				predicate.Eq(rk, sk), InnerMode, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

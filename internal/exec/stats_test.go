@@ -18,7 +18,7 @@ func TestInstrumentStats(t *testing.T) {
 
 	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
 	wrapS := Instrument(NewScan(st, &c), "scan S", &c)
-	hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
+	hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestInstrumentIndexJoinAttribution(t *testing.T) {
 	rk := relation.A("R", "k")
 
 	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-	ij, err := NewIndexJoin(wrapR, st, "k", rk, nil, InnerMode, &c)
+	ij, err := NewIndexJoin(wrapR, st, "k", rk, nil, InnerMode, nil, &c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestInstrumentedConcurrentRace(t *testing.T) {
 			defer wg.Done()
 			wrapR, nodeR := InstrumentIterator(NewScan(rt, &c), "scan R", &c)
 			wrapS, nodeS := InstrumentIterator(NewScan(st, &c), "scan S", &c)
-			hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, 0)
+			hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 0)
 			if err != nil {
 				errs <- err
 				return
@@ -146,7 +146,7 @@ func instrumentStatsResetOnReopen(t *testing.T, size int) {
 	rt, st := contractTables(t)
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
-	hj, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, size)
+	hj, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, size)
 	if err != nil {
 		t.Fatal(err)
 	}

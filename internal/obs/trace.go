@@ -35,10 +35,12 @@ type QueryRecord struct {
 	Query    string        `json:"query"`
 	Start    time.Time     `json:"start"`
 	Duration time.Duration `json:"duration_ns"`
-	// Strategy and FallbackReason mirror the optimizer trace; PlanTree is
-	// the chosen implementing tree in the expression syntax.
+	// Strategy, FallbackReason and Fingerprint mirror the optimizer
+	// trace; PlanTree is the chosen implementing tree in the expression
+	// syntax.
 	Strategy       string   `json:"strategy,omitempty"`
 	FallbackReason string   `json:"fallback_reason,omitempty"`
+	Fingerprint    string   `json:"fingerprint,omitempty"`
 	PlanTree       string   `json:"plan_tree,omitempty"`
 	Rows           int64    `json:"rows"`
 	Tuples         int64    `json:"tuples"`

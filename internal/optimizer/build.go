@@ -131,10 +131,11 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 			return nil, nil, fmt.Errorf("optimizer: index plan predicate mismatch: %v", p.Pred)
 		}
 		var it exec.Iterator
+		sch := joinScheme(p, left, t.Scheme())
 		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, c, size)
+			it, err = exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, sch, c, size)
 		} else {
-			it, err = exec.NewIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, c)
+			it, err = exec.NewIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, sch, c)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -160,7 +161,7 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		// One hash join in both evaluator modes: under batch_size off its
 		// row cursor serves the row-at-a-time parent.
 		size, _ := o.batchRows()
-		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, size)
+		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, joinScheme(p, left, right.Scheme()), size)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -173,10 +174,11 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 			return nil, nil, err
 		}
 		var it exec.Iterator
+		sch := joinScheme(p, left, right.Scheme())
 		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, size)
+			it, err = exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, sch, size)
 		} else {
-			it, err = exec.NewNestedLoopJoin(left, right, p.Pred, mode)
+			it, err = exec.NewNestedLoopJoin(left, right, p.Pred, mode, sch)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -270,8 +272,20 @@ func (o *Optimizer) attachFallback(it *exec.BatchHashJoin, p *Plan, lk, rk []rel
 		tr.Degradation = fmt.Sprintf("index join via %s.%s", p.Right.Table, rk[0].Name)
 	}
 	it.SetFallback(func(left exec.Iterator) (exec.Iterator, error) {
-		return exec.NewIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, c)
+		return exec.NewIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, joinScheme(p, left, t.Scheme()), c)
 	})
+}
+
+// joinScheme is the output scheme a join constructor gets for plan node
+// p over its lowered inputs: p's own scheme when the inputs are the very
+// schemes p was planned over, so lowering builds no scheme per join and
+// query. A table redefined since planning has a new scheme; the join
+// then derives its own from its inputs (nil).
+func joinScheme(p *Plan, left exec.Iterator, right *relation.Scheme) *relation.Scheme {
+	if left.Scheme() == p.Left.Scheme && right == p.Right.Scheme {
+		return p.Scheme
+	}
+	return nil
 }
 
 // wrapNode instruments it as the physical realization of plan node p,

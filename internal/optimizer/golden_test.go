@@ -93,9 +93,19 @@ func traceCounts(p *Plan, tr *Trace) string {
 		tr.Strategy, tr.Subsets, tr.Splits, tr.Candidates, tr.Pruned, p.EstRows, p.Cost)
 }
 
-func TestExplainGolden(t *testing.T) {
-	var b strings.Builder
+// goldenCase is one plan explain.golden pins: a query over its catalog,
+// planned under a strategy, under the golden file's header line.
+type goldenCase struct {
+	header   string
+	cat      *storage.Catalog
+	strategy string
+	q        *expr.Node
+}
 
+// goldenCases are the queries of explain.golden in file order.
+func goldenCases(t *testing.T) []goldenCase {
+	t.Helper()
+	var cases []goldenCase
 	const dangling = "(((D0 -[D0.a = D1.a] D1) -[D1.a = D2.a] D2) ->[D1.a = D3.a] D3) ->[D2.a = D4.a] D4"
 	cat := benchmarkCatalog(t)
 	for _, tc := range []struct{ name, strategy, query string }{
@@ -111,13 +121,7 @@ func TestExplainGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := New(cat)
-		o.Strategy = tc.strategy
-		p, tr, err := o.PlanQueryTrace(q)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", tc.name, tc.strategy, err)
-		}
-		fmt.Fprintf(&b, "== %s strategy=%q\n%s%s", tc.name, tc.strategy, p.Explain(), traceCounts(p, tr))
+		cases = append(cases, goldenCase{fmt.Sprintf("%s strategy=%q", tc.name, tc.strategy), cat, tc.strategy, q})
 	}
 
 	// Seeded workload graphs: tiny tables over a 4-value domain, so
@@ -144,11 +148,21 @@ func TestExplainGolden(t *testing.T) {
 		if i%3 == 0 {
 			c = indexedCatalogFor(t, db)
 		}
-		p, tr, err := New(c).PlanQueryTrace(best)
+		cases = append(cases, goldenCase{fmt.Sprintf("graph %d: %s", i, best.StringWithPreds()), c, "", best})
+	}
+	return cases
+}
+
+func TestExplainGolden(t *testing.T) {
+	var b strings.Builder
+	for _, gc := range goldenCases(t) {
+		o := New(gc.cat)
+		o.Strategy = gc.strategy
+		p, tr, err := o.PlanQueryTrace(gc.q)
 		if err != nil {
-			t.Fatalf("graph %d: %v", i, err)
+			t.Fatalf("%s: %v", gc.header, err)
 		}
-		fmt.Fprintf(&b, "== graph %d: %s\n%s%s", i, best.StringWithPreds(), p.Explain(), traceCounts(p, tr))
+		fmt.Fprintf(&b, "== %s\n%s%s", gc.header, p.Explain(), traceCounts(p, tr))
 	}
 
 	got := b.String()
@@ -170,5 +184,41 @@ func TestExplainGolden(t *testing.T) {
 			}
 		}
 		t.Fatalf("plans moved: golden has %d more lines", len(wl)-len(gl))
+	}
+}
+
+// Lowering hands each join its plan node's scheme instead of building
+// one per query: over the explain.golden queries, under both planner
+// strategies and both evaluator modes, every plan node lowers to an
+// iterator whose Scheme() is the node's Scheme — the same pointer.
+func TestLoweringReusesPlanSchemes(t *testing.T) {
+	for _, gc := range goldenCases(t) {
+		for _, strategy := range []string{"dp", "yannakakis"} {
+			for _, batch := range []int{0, BatchOff} {
+				o := New(gc.cat)
+				o.Strategy, o.BatchSize = strategy, batch
+				p, _, err := o.PlanQueryTrace(gc.q)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", gc.header, strategy, err)
+				}
+				var walk func(n *Plan)
+				walk = func(n *Plan) {
+					if n == nil {
+						return
+					}
+					it, err := o.Build(n, nil)
+					if err != nil {
+						t.Fatalf("%s/%s/batch=%d: lowering %s: %v", gc.header, strategy, batch, nodeLabel(n), err)
+					}
+					if it.Scheme() != n.Scheme {
+						t.Errorf("%s/%s/batch=%d: %s lowers to scheme %s, plan node has %s (equal: %v)",
+							gc.header, strategy, batch, nodeLabel(n), it.Scheme(), n.Scheme, it.Scheme().Equal(n.Scheme))
+					}
+					walk(n.Left)
+					walk(n.Right)
+				}
+				walk(p)
+			}
+		}
 	}
 }

@@ -70,7 +70,9 @@ type Optimizer struct {
 	// Cache, when set, is consulted before the reordering DP: queries
 	// whose canonical graph fingerprint is resident skip optimization
 	// entirely and share the cached plan (Theorem 1 makes the graph the
-	// correct key — every implementing tree has the same result). Nil
+	// correct key — every implementing tree has the same result).
+	// LookupStatement and PlanStatement key the same cache on query
+	// text too, so a repeated statement skips planning altogether. Nil
 	// disables caching. Several optimizers may share one cache; it is
 	// safe for concurrent use.
 	Cache *plancache.Cache

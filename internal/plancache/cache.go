@@ -36,27 +36,31 @@ func (o Outcome) String() string {
 // non-positive capacity.
 const DefaultCapacity = 128
 
-// Cache is a process-wide plan cache: an LRU over canonical query
-// fingerprints with singleflight coalescing and stats-epoch
-// invalidation. Values are opaque (the optimizer stores *Plan; keeping
-// the type out of this package avoids an import cycle) and must be
-// immutable once cached — every hit shares the same value.
+// Cache is a process-wide plan cache: one LRU with singleflight
+// coalescing and stats-epoch invalidation, entered two ways. DoAt keys
+// a plan by its query graph's canonical fingerprint; Get and Put key it
+// by query text (StatementKey), so a repeated statement skips parsing,
+// analysis and fingerprinting too. Both kinds of entry share the
+// capacity, the LRU order and the epoch scoping. Values are opaque (the
+// optimizer stores its plans; keeping the type out of this package
+// avoids an import cycle) and must be immutable once cached — every hit
+// shares the same value.
 //
-// Entries are keyed by the fingerprint's full canonical string, not its
-// 64-bit hash, so two queries can collide only by being the same query.
-// Each entry remembers the stats epoch it was optimized under; a lookup
-// whose epoch differs drops the entry and re-optimizes, so stale
-// cardinalities can never pin an old plan.
+// Entries are keyed by full strings (a fingerprint's canonical text, a
+// statement's text), not 64-bit hashes, so two queries can collide only
+// by being the same query. Each entry remembers the stats epoch it was
+// optimized under; a lookup whose epoch differs drops the entry and
+// re-optimizes, so stale cardinalities can never pin an old plan.
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element // canon -> element in lru
+	entries map[string]*list.Element // key -> element in lru
 	lru     *list.List               // front = most recently used; values are *entry
 	flights map[string]*flight       // canon+epoch -> in-progress optimization
 }
 
 type entry struct {
-	canon string
+	key   string
 	epoch uint64
 	value any
 }
@@ -143,25 +147,14 @@ func (c *Cache) Do(fp Fingerprint, epoch uint64, compute func() (any, error)) (a
 func (c *Cache) DoAt(fp Fingerprint, epochAt func() uint64, compute func() (any, error)) (any, Outcome, error) {
 	start := time.Now()
 	epoch := epochAt()
-	fkey := flightKey(fp.Canon, epoch)
 
 	c.mu.Lock()
-	if el, ok := c.entries[fp.Canon]; ok {
-		e := el.Value.(*entry)
-		if e.epoch == epoch {
-			c.lru.MoveToFront(el)
-			c.mu.Unlock()
-			obs.PlanCacheHits.Inc()
-			obs.PlanCacheHitLatency.ObserveDuration(time.Since(start))
-			return e.value, Hit, nil
-		}
-		// The world changed since this plan was optimized: drop it and
-		// fall through to a fresh optimization.
-		c.lru.Remove(el)
-		delete(c.entries, fp.Canon)
-		obs.PlanCacheInvalidations.Inc()
-		obs.PlanCacheEntries.Dec()
+	if v, ok := c.lookupLocked(fp.Canon, epoch); ok {
+		c.mu.Unlock()
+		CountHit(time.Since(start))
+		return v, Hit, nil
 	}
+	fkey := flightKey(fp.Canon, epoch)
 	if fl, ok := c.flights[fkey]; ok {
 		c.mu.Unlock()
 		<-fl.done
@@ -180,14 +173,7 @@ func (c *Cache) DoAt(fp Fingerprint, epochAt func() uint64, compute func() (any,
 		delete(c.flights, fkey)
 	}
 	if err == nil {
-		if now := epochAt(); now == epoch {
-			c.insertLocked(fp.Canon, epoch, value)
-		} else {
-			// The catalog moved while compute ran; the result may reflect a
-			// mix of old and new statistics. Hand it to the caller but keep
-			// it out of the cache.
-			obs.PlanCacheStaleSkips.Inc()
-		}
+		c.putLocked(fp.Canon, epoch, epochAt, value)
 	}
 	c.mu.Unlock()
 	close(fl.done)
@@ -195,21 +181,78 @@ func (c *Cache) DoAt(fp Fingerprint, epochAt func() uint64, compute func() (any,
 	return value, Miss, err
 }
 
+// Get returns the value cached under key for the given stats epoch,
+// moving it to the front of the LRU; an entry from another epoch is
+// dropped. Get counts no hit: the server looks a statement up before
+// admission, and a query turned away there was not served from the
+// cache. The caller counts the hit it serves with CountHit.
+func (c *Cache) Get(key string, epoch uint64) (any, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookupLocked(key, epoch)
+}
+
+// Put caches value under key for the stats epoch it was computed at,
+// unless epochAt has moved on since (the revalidation DoAt makes before
+// it inserts).
+func (c *Cache) Put(key string, epoch uint64, epochAt func() uint64, value any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.putLocked(key, epoch, epochAt, value)
+}
+
+// CountHit counts one plan served from the cache, found in lookup time.
+func CountHit(lookup time.Duration) {
+	obs.PlanCacheHits.Inc()
+	obs.PlanCacheHitLatency.ObserveDuration(lookup)
+}
+
+// lookupLocked returns the value cached under key if it was cached for
+// epoch, moving it to the front. An entry from another epoch is dropped:
+// the world changed since it was optimized. Callers hold c.mu.
+func (c *Cache) lookupLocked(key string, epoch uint64) (any, bool) {
+	el, ok := c.entries[key]
+	if !ok {
+		return nil, false
+	}
+	if e := el.Value.(*entry); e.epoch == epoch {
+		c.lru.MoveToFront(el)
+		return e.value, true
+	}
+	c.lru.Remove(el)
+	delete(c.entries, key)
+	obs.PlanCacheInvalidations.Inc()
+	obs.PlanCacheEntries.Dec()
+	return nil, false
+}
+
+// putLocked inserts a value computed at epoch if the catalog is still
+// at epoch. If it moved while the value was computed, the value may
+// reflect a mix of old and new statistics: the caller has it, but it is
+// kept out of the cache. Callers hold c.mu.
+func (c *Cache) putLocked(key string, epoch uint64, epochAt func() uint64, value any) {
+	if epochAt() != epoch {
+		obs.PlanCacheStaleSkips.Inc()
+		return
+	}
+	c.insertLocked(key, epoch, value)
+}
+
 // insertLocked adds or replaces an entry and enforces the LRU bound.
 // Callers hold c.mu.
-func (c *Cache) insertLocked(canon string, epoch uint64, value any) {
-	if el, ok := c.entries[canon]; ok {
-		// A racing Do under another epoch populated first; newest wins.
-		el.Value = &entry{canon: canon, epoch: epoch, value: value}
+func (c *Cache) insertLocked(key string, epoch uint64, value any) {
+	if el, ok := c.entries[key]; ok {
+		// A racing lookup under another epoch populated first; newest wins.
+		el.Value = &entry{key: key, epoch: epoch, value: value}
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[canon] = c.lru.PushFront(&entry{canon: canon, epoch: epoch, value: value})
+	c.entries[key] = c.lru.PushFront(&entry{key: key, epoch: epoch, value: value})
 	obs.PlanCacheEntries.Inc()
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
-		delete(c.entries, back.Value.(*entry).canon)
+		delete(c.entries, back.Value.(*entry).key)
 		obs.PlanCacheEvictions.Inc()
 		obs.PlanCacheEntries.Dec()
 	}

@@ -277,3 +277,67 @@ func TestDoAtConcurrentEpochBumps(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Statement entries share the graph entries' LRU and epoch scoping: Get
+// serves a value only under the epoch it was put at, Put skips a value
+// whose epoch moved on, and neither counts a hit.
+func TestStatementGetPut(t *testing.T) {
+	c := New(2)
+	hits0, stale0, inval0 := obs.PlanCacheHits.Value(), obs.PlanCacheStaleSkips.Value(), obs.PlanCacheInvalidations.Value()
+	key := StatementKey("R -[R.a = S.a] S")
+	epochAt := func(e uint64) func() uint64 { return func() uint64 { return e } }
+
+	if _, ok := c.Get(key, 1); ok {
+		t.Fatal("Get on an empty cache found a value")
+	}
+	c.Put(key, 1, epochAt(2), "stale")
+	if _, ok := c.Get(key, 1); ok || c.Len() != 0 {
+		t.Fatalf("a value put after its epoch moved was cached (Len = %d)", c.Len())
+	}
+	c.Put(key, 1, epochAt(1), "plan")
+	if v, ok := c.Get(key, 1); !ok || v != "plan" {
+		t.Fatalf("Get = (%v, %v); want (plan, true)", v, ok)
+	}
+	if _, ok := c.Get(key, 2); ok || c.Len() != 0 {
+		t.Fatalf("Get under a newer epoch served or kept the entry (Len = %d)", c.Len())
+	}
+	if got := obs.PlanCacheHits.Value() - hits0; got != 0 {
+		t.Fatalf("Get counted %d hits; want 0", got)
+	}
+	if got := obs.PlanCacheStaleSkips.Value() - stale0; got != 1 {
+		t.Fatalf("stale-skip delta = %d; want 1", got)
+	}
+	if got := obs.PlanCacheInvalidations.Value() - inval0; got != 1 {
+		t.Fatalf("invalidations delta = %d; want 1", got)
+	}
+
+	// One LRU: a statement and two graphs in a cache of two evict the
+	// least recently used.
+	c.Put(key, 1, epochAt(1), "plan")
+	c.Do(fp("g1"), 1, func() (any, error) { return "g1", nil })
+	c.Do(fp("g2"), 1, func() (any, error) { return "g2", nil })
+	if _, ok := c.Get(key, 1); ok || c.Len() != 2 {
+		t.Fatalf("statement survived two newer graph entries in a cache of 2 (Len = %d)", c.Len())
+	}
+}
+
+// A statement key never equals a fingerprint's canonical text, and the
+// configuration and the text cannot trade places.
+func TestStatementKeyDistinct(t *testing.T) {
+	keys := map[string]string{}
+	for name, k := range map[string]string{
+		"plain":        StatementKey("R -[R.a = S.a] S"),
+		"config":       StatementKey("R -[R.a = S.a] S", "config: spill"),
+		"two configs":  StatementKey("R -[R.a = S.a] S", "config: spill", "config: batch=off"),
+		"config text":  StatementKey("config: spill\n\x00R -[R.a = S.a] S"),
+		"other config": StatementKey("R -[R.a = S.a] S", "config: batch=off"),
+	} {
+		if prev, dup := keys[k]; dup {
+			t.Fatalf("statement keys %q and %q collide", prev, name)
+		}
+		keys[k] = name
+		if len(k) >= len("nodes:") && k[:len("nodes:")] == "nodes:" {
+			t.Fatalf("statement key %q looks like a fingerprint", k)
+		}
+	}
+}

@@ -1,6 +1,6 @@
-// Package plancache implements the prepared-query plan cache: canonical
-// fingerprints of query graphs, and an LRU + singleflight cache keyed by
-// them with stats-epoch invalidation.
+// Package plancache implements the plan cache: canonical fingerprints
+// of query graphs, statement keys of query texts, and one LRU +
+// singleflight cache keyed by both with stats-epoch invalidation.
 //
 // The paper's Theorem 1 is what makes the design sound: every
 // implementing tree of a nice query graph with strong predicates
@@ -10,6 +10,12 @@
 // The fingerprint is therefore computed over a canonical rendering of
 // the graph that is invariant under relation order, edge order, join-
 // edge orientation, and conjunct order within a predicate.
+//
+// A statement key sits in front of the fingerprint: a query text
+// already planned under the same configuration and stats epoch maps
+// straight to its plan, so a repeated statement skips the parser, the
+// analysis and the fingerprint. It is a shortcut, not a second notion
+// of plan identity — the plan it holds is the one the graph key chose.
 package plancache
 
 import (
@@ -87,6 +93,32 @@ func Of(g *graph.Graph, extras ...string) Fingerprint {
 	h := hashutil.New64()
 	h.WriteString(canon)
 	return Fingerprint{Hash: h.Sum64(), Canon: canon}
+}
+
+// statementPrefix starts every statement key. A fingerprint's canonical
+// text starts with "nodes:", so the two kinds of key never meet in the
+// one LRU.
+const statementPrefix = "stmt:\n"
+
+// StatementKey keys a query text planned under a planner configuration
+// (the "config:" lines a fingerprint carries as extras): the prefix, the
+// configuration one line each, a NUL, then the text. No configuration
+// line holds a NUL, so no text can pose as a configuration.
+func StatementKey(text string, config ...string) string {
+	n := len(statementPrefix) + 1 + len(text)
+	for _, c := range config {
+		n += len(c) + 1
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(statementPrefix)
+	for _, c := range config {
+		b.WriteString(c)
+		b.WriteByte('\n')
+	}
+	b.WriteByte(0)
+	b.WriteString(text)
+	return b.String()
 }
 
 // CanonPred renders a predicate with its top-level conjuncts sorted, so

@@ -14,7 +14,6 @@ import (
 
 	"freejoin/internal/chaos"
 	"freejoin/internal/obs"
-	"freejoin/internal/parse"
 	"freejoin/internal/workload"
 )
 
@@ -73,11 +72,7 @@ func TestChaosSoak(t *testing.T) {
 	refSess := NewSession(core)
 	refs := make([]string, len(queries))
 	for i, q := range queries {
-		node, err := parse.Expr(q)
-		if err != nil {
-			t.Fatalf("mix query %q: %v", q, err)
-		}
-		resp, _ := refSess.runQuery(context.Background(), "ref", node, false)
+		resp, _ := refSess.runQuery(context.Background(), "ref", q)
 		if !resp.OK {
 			t.Fatalf("reference run of %q failed: %s", q, resp.Error)
 		}

@@ -15,9 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"freejoin/internal/expr"
 	"freejoin/internal/obs"
-	"freejoin/internal/parse"
 	"freejoin/internal/workload"
 )
 
@@ -54,17 +52,8 @@ func TestServerSoakProfileAttribution(t *testing.T) {
 	for _, name := range names {
 		core.Catalog().AddRelation(name, workload.RandomRelation(rnd, name, 80))
 	}
-	nodes := make([]*expr.Node, len(queries))
-	for i, q := range queries {
-		node, err := parse.Expr(q)
-		if err != nil {
-			t.Fatalf("mix query %q: %v", q, err)
-		}
-		nodes[i] = node
-	}
-
 	// Load: each runner loops its own session until stop. In-process
-	// sessions keep the CPU in parse/optimize/execute, where the pprof
+	// sessions keep the CPU in the query lifecycle, where the pprof
 	// labels live.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -79,7 +68,7 @@ func TestServerSoakProfileAttribution(t *testing.T) {
 					return
 				default:
 				}
-				sess.runQuery(context.Background(), "profile soak", nodes[i%len(nodes)], false)
+				sess.runQuery(context.Background(), "profile soak", queries[i%len(queries)])
 			}
 		}(r)
 	}

@@ -119,7 +119,9 @@ type Session struct {
 	// batch. Part of the plan-cache fingerprint.
 	batchSize int
 
-	prepared map[string]*preparedStmt
+	// prepared names statement texts: "execute NAME" runs its text
+	// through the same statement path as "query".
+	prepared map[string]string
 }
 
 // maxKeptBuffer caps the render and encode buffers kept for reuse: a
@@ -139,11 +141,6 @@ func putRespBuf(p *[]byte) {
 	}
 }
 
-type preparedStmt struct {
-	src string
-	q   *expr.Node
-}
-
 // NewSession builds a session with the core's default limits.
 func NewSession(core *Core) *Session {
 	return &Session{
@@ -154,7 +151,7 @@ func NewSession(core *Core) *Session {
 		useCache:  core.plans != nil,
 		strategy:  core.cfg.Strategy,
 		batchSize: core.cfg.BatchSize,
-		prepared:  make(map[string]*preparedStmt),
+		prepared:  make(map[string]string),
 	}
 }
 
@@ -195,22 +192,18 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 	case "tables":
 		return s.cmdTables()
 	case "query":
-		q, err := parse.Expr(rest)
-		if err != nil {
-			return errResp(CodeParse, err)
-		}
-		resp, _ := s.runQuery(ctx, "query "+rest, q, false)
+		resp, _ := s.runQuery(ctx, "query "+rest, rest)
 		return resp
 	case "explain":
 		return s.cmdExplain(rest)
 	case "prepare":
 		return s.cmdPrepare(rest)
 	case "execute":
-		ps, ok := s.prepared[rest]
+		src, ok := s.prepared[rest]
 		if !ok || rest == "" {
 			return errResp(CodeUsage, fmt.Errorf("no prepared query %q (use prepare NAME EXPR)", rest))
 		}
-		resp, _ := s.runQuery(ctx, "execute "+rest+": "+ps.src, ps.q, false)
+		resp, _ := s.runQuery(ctx, "execute "+rest+": "+src, src)
 		return resp
 	case "set":
 		return s.cmdSet(rest)
@@ -287,12 +280,14 @@ func (s *Session) cmdPrepare(rest string) Response {
 	if err != nil {
 		return errResp(CodeParse, err)
 	}
+	// Planning validates the query, and its plan warms the statement
+	// entry that "execute NAME" looks up.
 	o := s.newOptimizer()
-	_, tr, err := o.PlanQueryTrace(q)
+	_, tr, err := o.PlanStatement(o.LookupStatement(src), q)
 	if err != nil {
 		return errResp(CodePlan, err)
 	}
-	s.prepared[name] = &preparedStmt{src: src, q: q}
+	s.prepared[name] = src
 	return Response{OK: true, Output: "prepared " + name, Cache: tr.CacheOutcome}
 }
 
@@ -443,11 +438,23 @@ func batchSizeString(n int) string {
 	}
 }
 
-// runQuery is the query lifecycle: trace, admit (queueing under the
-// session deadline), plan, execute under the granted governor, release.
-// The returned relation backs in-process correctness checks; protocol
-// clients read the rendered Output.
-func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, withPlan bool) (resp Response, outRel *relation.Relation) {
+// runQuery is the query lifecycle of the statement text src: look the
+// text up in the plan cache (parsing it only on a miss, so a malformed
+// query is answered without waiting for admission), trace, admit
+// (queueing under the session deadline), plan — or take the cached
+// plan —, execute under the granted governor, release. The returned
+// relation backs in-process correctness checks; protocol clients read
+// the rendered Output.
+func (s *Session) runQuery(ctx context.Context, label, src string) (resp Response, outRel *relation.Relation) {
+	o := s.newOptimizer()
+	stmt := o.LookupStatement(src)
+	var q *expr.Node
+	if !stmt.Hit() {
+		var err error
+		if q, err = parse.Expr(src); err != nil {
+			return errResp(CodeParse, err), nil
+		}
+	}
 	qt := s.core.tracer.Start(label)
 	// Panic isolation, registered before the grant's deferred Release so
 	// it runs last (LIFO): by the time the panic is converted to a typed
@@ -492,9 +499,8 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	defer grant.Release()
 
 	firePanicPoint("plan", label)
-	o := s.newOptimizer()
 	t0 := time.Now()
-	p, tr, err := o.PlanQueryTrace(q)
+	p, tr, err := o.PlanStatement(stmt, q)
 	if err != nil {
 		qt.Finish(err)
 		return errResp(CodePlan, err), nil
@@ -529,6 +535,7 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	execDone()
 	qt.Rec.Strategy = tr.Strategy
 	qt.Rec.FallbackReason = tr.FallbackReason
+	qt.Rec.Fingerprint = tr.Fingerprint
 	qt.Rec.PlanTree = p.Tree()
 	qt.Rec.Rows = c.RowsProduced()
 	qt.Rec.Tuples = c.TuplesRetrieved()
@@ -542,9 +549,6 @@ func (s *Session) runQuery(ctx context.Context, label string, q *expr.Node, with
 	resp = Response{OK: true, Output: string(*buf), Rows: int64(out.Len()),
 		Tuples: c.TuplesRetrieved(), Cache: tr.CacheOutcome}
 	putRespBuf(buf)
-	if withPlan {
-		resp.Plan = p.Tree()
-	}
 	return resp, out
 }
 

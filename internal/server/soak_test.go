@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"freejoin/internal/obs"
-	"freejoin/internal/parse"
 	"freejoin/internal/relation"
 	"freejoin/internal/workload"
 )
@@ -57,11 +56,7 @@ func TestServerConcurrentSoak(t *testing.T) {
 	refSess := NewSession(core)
 	refs := make([]*relation.Relation, len(queries))
 	for i, q := range queries {
-		node, err := parse.Expr(q)
-		if err != nil {
-			t.Fatalf("mix query %q: %v", q, err)
-		}
-		resp, rel := refSess.runQuery(context.Background(), "ref", node, false)
+		resp, rel := refSess.runQuery(context.Background(), "ref", q)
 		if !resp.OK {
 			t.Fatalf("reference run of %q failed: %s", q, resp.Error)
 		}
@@ -235,14 +230,7 @@ func tcpRequest(c *testClient, kind workload.MixKind, qi int, query string, ref 
 // sessionRequest issues one in-process query and compares full bags on
 // success.
 func sessionRequest(s *Session, kind workload.MixKind, query string, ref *relation.Relation, mu *sync.Mutex, bagErrs *[]string) workload.Outcome {
-	node, err := parse.Expr(query)
-	if err != nil {
-		mu.Lock()
-		*bagErrs = append(*bagErrs, fmt.Sprintf("parse %q: %v", query, err))
-		mu.Unlock()
-		return workload.OutcomeFailed
-	}
-	resp, rel := s.runQuery(context.Background(), string(kind)+" "+query, node, false)
+	resp, rel := s.runQuery(context.Background(), string(kind)+" "+query, query)
 	switch {
 	case resp.OK:
 		if !rel.EqualBag(ref) {
