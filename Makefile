@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench benchmark-ab experiments deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt vet clean
+.PHONY: all check build test race cover bench benchmark-ab experiments deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt fmt-check vet clean
 
 all: check
 
-check: build vet test race fuzz-smoke deadcode
+check: build fmt-check vet test race fuzz-smoke deadcode
 
 build:
 	$(GO) build ./...
@@ -59,8 +59,8 @@ obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/exec -run 'Span|Scrape|Counter|Histogram|Gauge|Registry|Trace|Ring|Slow|Server|Health|Metrics'
 	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/reorder
 
-# Spill-to-disk suite: external sort, grace hash join, the spilled
-# nested-loop/merge joins, the shared spool's spilled readers, the
+# Spill-to-disk suite: grace hash join, the spilled nested-loop join
+# and semijoin reduction, the shared spool's spilled readers, the
 # metamorphic and fault-injection spill oracles, and the
 # failed-Open/trip-during-Open governor regressions —
 # under the race detector, -count=2 for state reuse across re-Open.
@@ -68,7 +68,7 @@ obs:
 # run file survives the suite.
 spill:
 	@dir=$$(mktemp -d) && \
-	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|ExternalSort|Grace|Spool' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
+	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|Grace|Spool' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "spill: $$leaked run files leaked"; exit 1; fi
@@ -162,6 +162,10 @@ fuzz-smoke:
 
 fmt:
 	gofmt -w .
+
+# Fails when any file differs from gofmt's output (run make fmt to fix).
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmt-check: files above need gofmt"; exit 1; }
 
 vet:
 	$(GO) vet ./...

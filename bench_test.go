@@ -8,7 +8,6 @@
 package freejoin
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"freejoin/internal/algebra"
 	"freejoin/internal/core"
 	"freejoin/internal/entity"
-	"freejoin/internal/exec"
 	"freejoin/internal/expr"
 	"freejoin/internal/graph"
 	"freejoin/internal/lang"
@@ -560,46 +558,6 @@ func BenchmarkLangTranslate(b *testing.B) {
 		if !tr.Analysis.Free {
 			b.Fatal("block must be free")
 		}
-	}
-}
-
-// BenchmarkExternalSort measures the external merge sort against the
-// in-memory path on the same input: a byte budget forces every run to
-// disk and back through the k-way merge.
-func BenchmarkExternalSort(b *testing.B) {
-	const n = 20000
-	rnd := rand.New(rand.NewSource(31))
-	rt := storage.NewTable("R", workload.UniformRelation(rnd, "R", n, int64(n)))
-	by := []relation.Attr{relation.A("R", "a")}
-	for _, bc := range []struct {
-		name  string
-		bytes int64
-	}{
-		{"in-memory", 0},
-		{"spill-64KB", 64 << 10},
-		{"spill-8KB", 8 << 10},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			dir := b.TempDir()
-			for i := 0; i < b.N; i++ {
-				s, err := exec.NewSort(exec.NewScan(rt, nil), by)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var ec *exec.ExecContext
-				if bc.bytes > 0 {
-					ec = exec.NewExecContext(context.Background(), exec.NewGovernor(0, bc.bytes))
-					ec.EnableSpill(exec.SpillConfig{Dir: dir})
-				}
-				out, err := exec.CollectCtx(ec, s, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if out.Len() != n {
-					b.Fatalf("lost rows: %d", out.Len())
-				}
-			}
-		})
 	}
 }
 

@@ -21,7 +21,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"freejoin/internal/exec/spill"
@@ -496,340 +495,6 @@ func (f *Filter) Next() ([]relation.Value, bool, error) {
 
 // Close implements Iterator.
 func (f *Filter) Close() error { return f.child.Close() }
-
-// Sort orders its input by the given columns (ascending, nulls first),
-// enabling merge joins and deterministic output. In memory it is a plain
-// materializing sort; when the governor trips the memory budget and the
-// context enables spilling, it becomes an external merge sort — sorted
-// runs are written to the sort's spill file as the budget fills, reduced
-// to at most mergeFanIn runs by intermediate merge passes, and streamed
-// through a final k-way merge on Next.
-type Sort struct {
-	child Iterator
-	by    []int
-	ec    *ExecContext
-	held  hold
-	rows  [][]relation.Value
-	arena rowArena
-	pos   int
-
-	file  *spill.File // opened at the first spilled run
-	runs  []*spill.Run
-	merge *runMerge
-	spst  SpillStats
-}
-
-// mergeFanIn bounds the number of runs a single merge reads at once;
-// more runs than this are first reduced by intermediate merge passes.
-const mergeFanIn = 16
-
-// NewSort orders by the listed attributes of the child's scheme.
-func NewSort(child Iterator, by []relation.Attr) (*Sort, error) {
-	pos := make([]int, len(by))
-	for i, a := range by {
-		p := child.Scheme().IndexOf(a)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: sort: attribute %s not in scheme %s", a, child.Scheme())
-		}
-		pos[i] = p
-	}
-	return &Sort{child: child, by: pos}, nil
-}
-
-// Scheme implements Iterator.
-func (s *Sort) Scheme() *relation.Scheme { return s.child.Scheme() }
-
-// Open implements Iterator.
-func (s *Sort) Open(ec *ExecContext) error {
-	s.held.release(s.ec) // re-Open without Close: drop any stale charge
-	s.reset()            // ... and any stale spill state
-	s.ec = ec
-	s.spst = SpillStats{}
-	if err := ec.Err("sort"); err != nil {
-		return err
-	}
-	s.rows = s.rows[:0]
-	s.pos = 0
-	if err := s.child.Open(ec); err != nil {
-		s.child.Close()
-		return err
-	}
-	for {
-		row, ok, err := s.child.Next()
-		if err != nil {
-			return s.abort(ec, err)
-		}
-		if !ok {
-			break
-		}
-		if cerr := s.held.charge(ec, "sort", row); cerr != nil {
-			// Budget full: flush the buffer as a sorted run and retry. A
-			// retry failure means a single row exceeds the budget on its
-			// own — nothing left to spill.
-			if !spillable(ec, cerr) || len(s.rows) == 0 {
-				return s.abort(ec, cerr)
-			}
-			if serr := s.spillRun(ec); serr != nil {
-				return s.abort(ec, serr)
-			}
-			if cerr = s.held.charge(ec, "sort", row); cerr != nil {
-				return s.abort(ec, cerr)
-			}
-		}
-		s.rows = append(s.rows, s.arena.copyRow(row))
-	}
-	if err := s.child.Close(); err != nil {
-		return s.fail(ec, err)
-	}
-	if len(s.runs) == 0 {
-		s.sortRows() // everything fit: plain in-memory sort
-		return nil
-	}
-	// External path: spill the tail so the merge is uniform over runs,
-	// reduce to the merge fan-in, and stream the final pass on Next.
-	if len(s.rows) > 0 {
-		if err := s.spillRun(ec); err != nil {
-			return s.fail(ec, err)
-		}
-	}
-	if err := s.reduceRuns(ec); err != nil {
-		return s.fail(ec, err)
-	}
-	m, err := newRunMerge(s.runs, s.by)
-	if err != nil {
-		return s.fail(ec, err)
-	}
-	s.merge = m
-	s.spst.MergePasses++ // the final streaming pass
-	return nil
-}
-
-// abort is the mid-drain error path: the child is closed and every
-// buffer, run and charge is released before err is returned.
-func (s *Sort) abort(ec *ExecContext, err error) error {
-	s.child.Close()
-	return s.fail(ec, err)
-}
-
-// fail releases everything Open accumulated and returns err.
-func (s *Sort) fail(ec *ExecContext, err error) error {
-	s.rows, s.pos = nil, 0
-	s.held.release(ec)
-	s.reset()
-	return err
-}
-
-// reset drops spill state: the merge, the runs and the file holding them.
-func (s *Sort) reset() {
-	s.merge, s.runs = nil, nil
-	s.file.Close()
-	s.file = nil
-}
-
-// sortRows orders the in-memory buffer by the sort columns.
-func (s *Sort) sortRows() {
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return lessRows(s.rows[i], s.rows[j], s.by)
-	})
-}
-
-// spillRun sorts the buffer, writes it to a new run, and releases the
-// buffer's governor charge (the rows now live on disk, charged against
-// the spill budget instead).
-func (s *Sort) spillRun(ec *ExecContext) error {
-	s.sortRows()
-	if s.file == nil {
-		f, err := spill.Create(ec, "sort")
-		if err != nil {
-			return err
-		}
-		s.file = f
-	}
-	w := s.file.NewWriter()
-	for _, row := range s.rows {
-		if err := w.Append(row); err != nil {
-			w.Abort()
-			return err
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return err
-	}
-	s.runs = append(s.runs, run)
-	s.spst.Runs++
-	s.spst.Bytes += run.Bytes
-	s.rows = s.rows[:0]
-	s.held.release(ec)
-	return nil
-}
-
-// reduceRuns merges groups of mergeFanIn runs into single longer runs
-// until at most mergeFanIn remain, counting one merge pass per sweep.
-func (s *Sort) reduceRuns(ec *ExecContext) error {
-	for len(s.runs) > mergeFanIn {
-		var next []*spill.Run
-		rest := s.runs
-		for len(rest) > 0 {
-			n := len(rest)
-			if n > mergeFanIn {
-				n = mergeFanIn
-			}
-			group := rest[:n]
-			merged, err := s.mergeToRun(ec, group)
-			if err != nil {
-				// Keep the live set consistent for cleanup by the caller.
-				s.runs = append(next, rest...)
-				return err
-			}
-			for _, r := range group {
-				r.Drop()
-			}
-			rest = rest[n:]
-			next = append(next, merged)
-		}
-		s.runs = next
-		s.spst.MergePasses++
-	}
-	return nil
-}
-
-// mergeToRun merges a group of sorted runs into one new run.
-func (s *Sort) mergeToRun(ec *ExecContext, group []*spill.Run) (*spill.Run, error) {
-	m, err := newRunMerge(group, s.by)
-	if err != nil {
-		return nil, err
-	}
-	w := s.file.NewWriter()
-	for {
-		if err := ec.Err("sort"); err != nil {
-			w.Abort()
-			return nil, err
-		}
-		row, ok, err := m.Next()
-		if err != nil {
-			w.Abort()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if err := w.Append(row); err != nil {
-			w.Abort()
-			return nil, err
-		}
-	}
-	run, err := w.Finish()
-	if err != nil {
-		return nil, err
-	}
-	s.spst.Runs++
-	s.spst.Bytes += run.Bytes
-	return run, nil
-}
-
-// Next implements Iterator.
-func (s *Sort) Next() ([]relation.Value, bool, error) {
-	if s.merge != nil {
-		if err := s.ec.Err("sort"); err != nil {
-			return nil, false, err
-		}
-		return s.merge.Next()
-	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
-}
-
-// Close implements Iterator: the materialized input is released (a Sort
-// that merely finished streaming would otherwise pin every input row for
-// the lifetime of the plan), and the spill file is deleted and its
-// spill-byte charge returned.
-func (s *Sort) Close() error {
-	s.rows = nil
-	s.held.release(s.ec)
-	s.reset()
-	return nil
-}
-
-// BufferedRows implements Buffered. In the external phase the in-memory
-// buffer is empty; the merge holds at most mergeFanIn head rows, which
-// are not counted (nor charged).
-func (s *Sort) BufferedRows() int { return len(s.rows) }
-
-// SpillInfo implements Spiller.
-func (s *Sort) SpillInfo() SpillStats { return s.spst }
-
-// lessRows compares rows on the given columns (Value.Compare order,
-// nulls first); the strict inequality keeps merges stable.
-func lessRows(a, b []relation.Value, by []int) bool {
-	for _, c := range by {
-		if cmp := a[c].Compare(b[c]); cmp != 0 {
-			return cmp < 0
-		}
-	}
-	return false
-}
-
-// runMerge is the k-way merge over sorted runs behind the external
-// sort's Next: every run contributes its head row, and each Next emits
-// the least head. With at most mergeFanIn runs, a linear scan of the
-// heads beats heap bookkeeping.
-type runMerge struct {
-	by    []int
-	rds   []*spill.Reader
-	heads [][]relation.Value // nil entry = run exhausted
-}
-
-// newRunMerge opens every run and primes the heads.
-func newRunMerge(runs []*spill.Run, by []int) (*runMerge, error) {
-	m := &runMerge{by: by}
-	for _, run := range runs {
-		rd := run.Open()
-		m.rds = append(m.rds, rd)
-		head, ok, err := rd.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			head = nil
-		}
-		m.heads = append(m.heads, head)
-	}
-	return m, nil
-}
-
-// Next emits the least remaining row across all runs. Ties go to the
-// earliest run — runs are spilled in input order and sorted stably, so
-// the merge output is stable too.
-func (m *runMerge) Next() ([]relation.Value, bool, error) {
-	best := -1
-	for i, h := range m.heads {
-		if h == nil {
-			continue
-		}
-		if best < 0 || lessRows(h, m.heads[best], m.by) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil, false, nil
-	}
-	row := m.heads[best]
-	next, ok, err := m.rds[best].Next()
-	if err != nil {
-		return nil, false, err
-	}
-	if ok {
-		m.heads[best] = next
-	} else {
-		m.heads[best] = nil
-	}
-	return row, true, nil
-}
 
 // materialize drains an iterator into memory (used by blocking joins),
 // charging each buffered row to the governor on behalf of op when h is

@@ -128,34 +128,6 @@ func TestFilter(t *testing.T) {
 	}
 }
 
-func TestSort(t *testing.T) {
-	rel := relation.FromRows("R", []string{"k", "v"}, []any{3, 1}, []any{1, 2}, []any{nil, 3}, []any{2, 4})
-	s, _ := scanOf(t, "R", rel, nil)
-	so, err := NewSort(s, []relation.Attr{relation.A("R", "k")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(so, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 4 {
-		t.Fatal("sort must preserve rows")
-	}
-	for i := 1; i < out.Len(); i++ {
-		if out.Row(i-1).At(0).Compare(out.Row(i).At(0)) > 0 {
-			t.Fatal("not sorted")
-		}
-	}
-	if !out.Row(0).At(0).IsNull() {
-		t.Error("nulls sort first")
-	}
-	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewSort(s2, []relation.Attr{relation.A("Z", "z")}); err == nil {
-		t.Error("unknown sort attribute must fail")
-	}
-}
-
 // hashJoinSizes are the batch sizes every hash-join test runs at: one
 // row per batch, a size that splits the inputs unevenly, and the default.
 var hashJoinSizes = []int{1, 7, DefaultBatchSize}
@@ -336,52 +308,6 @@ func TestIndexJoinErrors(t *testing.T) {
 	}
 	if _, err := NewIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil, nil); err == nil {
 		t.Error("bad outer key must fail")
-	}
-}
-
-func TestMergeJoin(t *testing.T) {
-	rnd := rand.New(rand.NewSource(21))
-	key := predicate.Eq(relation.A("R", "k"), relation.A("S", "k"))
-	for trial := 0; trial < 40; trial++ {
-		lrel := randRel(rnd, "R", rnd.Intn(10))
-		rrel := randRel(rnd, "S", rnd.Intn(10))
-		for _, mode := range []JoinMode{InnerMode, LeftOuterMode} {
-			ls, _ := scanOf(t, "R", lrel, nil)
-			rs, _ := scanOf(t, "S", rrel, nil)
-			lsort, err := NewSort(ls, []relation.Attr{relation.A("R", "k")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rsort, err := NewSort(rs, []relation.Attr{relation.A("S", "k")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			mj, err := NewMergeJoin(lsort, rsort, relation.A("R", "k"), relation.A("S", "k"), mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Collect(mj, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := refFor(t, mode, lrel, rrel, key)
-			if !got.EqualBag(want) {
-				t.Fatalf("trial %d mode %s: merge join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, got, want)
-			}
-		}
-	}
-}
-
-func TestMergeJoinErrors(t *testing.T) {
-	lrel := randRel(rand.New(rand.NewSource(5)), "R", 3)
-	rrel := randRel(rand.New(rand.NewSource(6)), "S", 3)
-	ls, _ := scanOf(t, "R", lrel, nil)
-	rs, _ := scanOf(t, "S", rrel, nil)
-	if _, err := NewMergeJoin(ls, rs, relation.A("R", "k"), relation.A("S", "k"), AntiMode); err == nil {
-		t.Error("anti mode unsupported")
-	}
-	if _, err := NewMergeJoin(ls, rs, relation.A("Z", "z"), relation.A("S", "k"), InnerMode); err == nil {
-		t.Error("bad key must fail")
 	}
 }
 

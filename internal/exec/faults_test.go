@@ -166,13 +166,6 @@ func TestMemoryBudgetTrips(t *testing.T) {
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) (Iterator, string){
-		"sort": func(t *testing.T) (Iterator, string) {
-			s, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s, "sort"
-		},
 		"hashjoin": func(t *testing.T) (Iterator, string) {
 			h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
 				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 1)
@@ -188,13 +181,6 @@ func TestMemoryBudgetTrips(t *testing.T) {
 				t.Fatal(err)
 			}
 			return n, "nestedloop"
-		},
-		"mergejoin": func(t *testing.T) (Iterator, string) {
-			m, err := NewMergeJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m, "mergejoin"
 		},
 		"goj": func(t *testing.T) (Iterator, string) {
 			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),

@@ -52,21 +52,11 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return must(NewFilter(ch[0],
 				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1)))))
 		}},
-		"sort": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewSort(ch[0], []relation.Attr{rk}))
-		}},
 		"nestedloop": {2, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewNestedLoopJoin(ch[0], ch[1], key, InnerMode, nil))
 		}},
 		"indexjoin": {1, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c))
-		}},
-		"mergejoin": {2, func(t *testing.T, ch []Iterator) Iterator {
-			// Merge join consumes sorted inputs; the sorts ride along so
-			// the faults also traverse a materializing middleman.
-			return must(NewMergeJoin(
-				must(NewSort(ch[0], []relation.Attr{rk})),
-				must(NewSort(ch[1], []relation.Attr{sk})), rk, sk, InnerMode))
 		}},
 		"hashgoj": {2, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewHashGOJ(ch[0], ch[1],

@@ -1,6 +1,6 @@
 // Package spill implements governed spill-to-disk storage for the
-// external-memory execution paths: the external merge sort, the grace
-// hash join, and the spilling nested-loop, merge and semijoin operators.
+// external-memory execution paths: the grace hash join, the spilling
+// nested-loop and semijoin operators, and the shared spool.
 //
 // A spilling operator opens one File at its first spill and closes it —
 // which unlinks it — when it is done. Inside the file, each Writer

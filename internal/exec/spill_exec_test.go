@@ -88,57 +88,6 @@ func spillInfo(t *testing.T, it Iterator) SpillStats {
 	return sp.SpillInfo()
 }
 
-func TestExternalSortSpill(t *testing.T) {
-	rt, _ := spillTables(t, 1000, 0)
-	by := []relation.Attr{relation.A("R", "k")}
-	mk := func() *Sort {
-		s, err := NewSort(NewScan(rt, nil), by)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	want, err := Collect(mk(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Sanity: without spill this budget trips.
-	gov0 := NewGovernor(0, 512)
-	if _, err := CollectCtx(NewExecContext(context.Background(), gov0), mk(), nil); err == nil {
-		t.Fatal("512-byte budget without spill should trip")
-	}
-
-	ec, gov, dir := spillCtx(t, 512)
-	s := mk()
-	got, err := CollectCtx(ec, s, nil)
-	if err != nil {
-		t.Fatalf("spilling sort failed: %v", err)
-	}
-	if !want.EqualBag(got) {
-		t.Errorf("spilled sort bag differs: want %d rows, got %d", want.Len(), got.Len())
-	}
-	// Output must still be sorted on the key (nulls ordered consistently).
-	var prev relation.Value
-	for i := 0; i < got.Len(); i++ {
-		v := got.RawRow(i)[0]
-		if i > 0 && prev.Compare(v) > 0 {
-			t.Fatalf("row %d out of order: %v after %v", i, v, prev)
-		}
-		prev = v
-	}
-	sp := s.SpillInfo()
-	if !sp.Spilled() || sp.Runs < 2 {
-		t.Errorf("external sort should report multiple spilled runs, got %+v", sp)
-	}
-	// 1000 rows at ≤ ~6 rows per 512-byte run is far more than the merge
-	// fan-in, so intermediate passes must have happened.
-	if sp.MergePasses < 2 {
-		t.Errorf("expected intermediate merge passes, got %+v", sp)
-	}
-	checkSpillDrained(t, gov, dir)
-}
-
 // hashJoinOf returns a constructor of fresh hash joins R.k = S.k.
 func hashJoinOf(t *testing.T, rt, st *storage.Table, mode JoinMode, size int) func() *BatchHashJoin {
 	return func() *BatchHashJoin {
@@ -416,32 +365,6 @@ func TestGraceHashJoinSpillOneFile(t *testing.T) {
 	}
 }
 
-// TestExternalSortSpillOneFile: every run of an external sort — the
-// spilled buffers and the merge passes' output — shares one spill file
-// that never outgrows its charge.
-func TestExternalSortSpillOneFile(t *testing.T) {
-	rt, _ := spillTables(t, 1000, 0)
-	ec, gov, dir := spillCtx(t, 512)
-	w := &diskWatch{Iterator: NewScan(rt, nil), t: t, gov: gov, dir: dir}
-	s, err := NewSort(w, []relation.Attr{relation.A("R", "k")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Open(ec); err != nil {
-		t.Fatal(err)
-	}
-	if w.check() != 1 {
-		t.Fatal("the external sort holds no spill file")
-	}
-	if sp := s.SpillInfo(); sp.Runs < 3 {
-		t.Fatalf("want at least 3 runs, got %+v", sp)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	checkSpillDrained(t, gov, dir)
-}
-
 // TestGraceHashJoinSpillFaults injects storage faults into a spilling
 // join at each stage — the build before the trip, the partitioning of the
 // build and probe streams after it, and a cancellation while the pairs
@@ -533,81 +456,24 @@ func TestNestedLoopJoinSpill(t *testing.T) {
 	}
 }
 
-func TestMergeJoinSpill(t *testing.T) {
-	// Heavy duplicate keys so right-side groups overflow the budget.
-	r := relation.New(relation.SchemeOf("R", "k", "v"))
-	s := relation.New(relation.SchemeOf("S", "k", "w"))
-	rnd := rand.New(rand.NewSource(5))
-	for i := 0; i < 150; i++ {
-		k := relation.Int(int64(rnd.Intn(3)))
-		if rnd.Intn(11) == 0 {
-			k = relation.Null()
-		}
-		r.AppendRaw([]relation.Value{k, relation.Int(int64(i))})
-		s.AppendRaw([]relation.Value{k, relation.Int(int64(i * 3))})
-	}
-	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
-	rk := relation.A("R", "k")
-	sk := relation.A("S", "k")
-	for _, mode := range []JoinMode{InnerMode, LeftOuterMode} {
-		t.Run(mode.String(), func(t *testing.T) {
-			// Merge join needs sorted inputs; sort them via governed
-			// external sorts so the whole pipeline runs under the budget.
-			mkGov := func() (Iterator, *Sort, *MergeJoin) {
-				ls, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := NewSort(NewScan(st, nil), []relation.Attr{sk})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m, err := NewMergeJoin(ls, rs, rk, sk, mode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return m, ls, m
-			}
-			it, _, _ := mkGov()
-			want, err := Collect(it, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ec, gov, dir := spillCtx(t, 600)
-			it2, ls, m := mkGov()
-			got, err := CollectCtx(ec, it2, nil)
-			if err != nil {
-				t.Fatalf("spilled merge join failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("spilled merge bag differs: want %d rows, got %d", want.Len(), got.Len())
-			}
-			if sp := ls.SpillInfo(); !sp.Spilled() {
-				t.Errorf("feeding sort should have spilled, got %+v", sp)
-			}
-			if sp := m.SpillInfo(); !sp.Spilled() {
-				t.Errorf("merge join should have spilled a duplicate-key group, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
-		})
-	}
-}
-
 // TestSpillBudgetExceeded: the spill-bytes budget is itself governed;
 // when it is too small the run must abort with a typed SpillExceeded
-// error and still clean up every file and reservation.
+// error and still clean up every file and reservation. The nested-loop
+// join's inner input trips the memory budget and streams into a single
+// run (spillRest), which overruns the spill budget part way.
 func TestSpillBudgetExceeded(t *testing.T) {
-	rt, _ := spillTables(t, 1000, 0)
-	s, err := NewSort(NewScan(rt, nil), []relation.Attr{relation.A("R", "k")})
+	rt, st := spillTables(t, 10, 1000)
+	n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec, gov, dir := spillCtx(t, 512)
-	gov.SetSpillLimit(2048) // a fraction of what 1000 rows need
-	_, cerr := CollectCtx(ec, s, nil)
+	gov.SetSpillLimit(2048) // a fraction of what 1000 inner rows need
+	_, cerr := CollectCtx(ec, n, nil)
 	var re *ResourceError
-	if !errors.As(cerr, &re) || re.Kind != SpillExceeded {
-		t.Fatalf("want SpillExceeded, got %v", cerr)
+	if !errors.As(cerr, &re) || re.Kind != SpillExceeded || re.Operator != "nestedloop" {
+		t.Fatalf("want SpillExceeded in nestedloop, got %v", cerr)
 	}
 	checkSpillDrained(t, gov, dir)
 }
@@ -616,7 +482,7 @@ func TestSpillBudgetExceeded(t *testing.T) {
 // partial-build leak: when any child fault makes an operator's Open
 // fail, every governor charge taken during that Open must already be
 // released when Open returns — before Close runs — across the whole
-// 18-operator inventory and every child position.
+// operator inventory and every child position.
 func TestFailedOpenDrainsGovernor(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
@@ -660,20 +526,13 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 
 // TestTripDuringOpenCloseSafe: every buffering operator whose Open (or
 // first Next) trips a 1-row budget must survive Close — twice — with
-// buffers released and the governor drained. Guards the Sort mid-build
-// trip regression.
+// buffers released and the governor drained: the mid-build trip
+// regression.
 func TestTripDuringOpenCloseSafe(t *testing.T) {
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) Iterator{
-		"sort": func(t *testing.T) Iterator {
-			s, err := NewSort(NewScan(rt, nil), []relation.Attr{rk})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
 		"nestedloop": func(t *testing.T) Iterator {
 			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
 				predicate.Eq(rk, sk), InnerMode, nil)
@@ -681,13 +540,6 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			return n
-		},
-		"mergejoin": func(t *testing.T) Iterator {
-			m, err := NewMergeJoin(NewScan(rt, nil), NewScan(st, nil), rk, sk, InnerMode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
 		},
 		"goj": func(t *testing.T) Iterator {
 			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),

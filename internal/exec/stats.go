@@ -27,7 +27,7 @@ type Stats struct {
 	// subtree while it ran (scans, index scans and index-join lookups).
 	TuplesRetrieved int64
 	// PeakBuffered is the largest number of rows the operator held
-	// materialized at once (sorts, hash tables, join buffers); zero for
+	// materialized at once (hash tables, join buffers); zero for
 	// streaming operators.
 	PeakBuffered int64
 	// WallTime is the total time spent inside Open and Next, children
@@ -39,20 +39,18 @@ type Stats struct {
 }
 
 // SpillStats counts one operator's spill-to-disk activity: run files
-// written, grace-hash partitions created, bytes encoded to disk, and
-// external-sort merge passes (the final streaming pass included).
+// written, grace-hash partitions created and bytes encoded to disk.
 type SpillStats struct {
-	Runs        int64
-	Partitions  int64
-	Bytes       int64
-	MergePasses int64
+	Runs       int64
+	Partitions int64
+	Bytes      int64
 }
 
 // Spilled reports whether any spill activity happened.
 func (s SpillStats) Spilled() bool { return s.Runs > 0 || s.Partitions > 0 }
 
 // Spiller is implemented by operators with an external-memory path
-// (external sort, grace hash join, spilling nested-loop join);
+// (grace hash join, spilling nested-loop join, semijoin reduction);
 // SpillInfo reports the activity of the current/latest Open cycle so
 // instrumentation can surface it in EXPLAIN ANALYZE.
 type Spiller interface {
@@ -66,8 +64,8 @@ type Spiller interface {
 type StatsNode struct {
 	Label string
 	// EstRows and EstCost are the optimizer's estimates for this node;
-	// EstRows < 0 means no estimate is attached (auxiliary operators such
-	// as the sorts a merge join inserts).
+	// EstRows < 0 means no estimate is attached (a shared spool's
+	// reader, the one node without a plan node of its own).
 	EstRows float64
 	EstCost float64
 
@@ -115,10 +113,11 @@ func (n *StatsNode) walk(depth int, f func(depth int, n *StatsNode)) {
 	}
 }
 
-// Buffered is implemented by operators that materialize rows (sorts, hash
-// and merge joins); BufferedRows reports how many rows are currently held
-// so the instrumentation can track peak memory pressure, and the iterator
-// contract can assert buffers are released on Close.
+// Buffered is implemented by operators that materialize rows (hash and
+// nested-loop joins, semijoin reduction); BufferedRows reports how many
+// rows are currently held so the instrumentation can track peak memory
+// pressure, and the iterator contract can assert buffers are released
+// on Close.
 type Buffered interface {
 	BufferedRows() int
 }

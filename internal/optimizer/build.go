@@ -203,39 +203,6 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		}
 		wrapped, node := wrapNode(it, p, c, ins, lnode, rnode)
 		return wrapped, node, nil
-	case AlgoMerge:
-		right, rnode, err := l.build(p.Right)
-		if err != nil {
-			return nil, nil, err
-		}
-		lk, rk, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme)
-		if !ok || len(lk) != 1 {
-			return nil, nil, fmt.Errorf("optimizer: merge plan predicate mismatch: %v", p.Pred)
-		}
-		ls, err := exec.NewSort(left, lk)
-		if err != nil {
-			return nil, nil, err
-		}
-		rs, err := exec.NewSort(right, rk)
-		if err != nil {
-			return nil, nil, err
-		}
-		var sortedL, sortedR exec.Iterator = ls, rs
-		var sortNodes []*exec.StatsNode
-		if ins {
-			// The sorts a merge join inserts have no plan node of their own;
-			// they still get stats entries (they buffer the whole input).
-			wl := exec.Instrument(ls, "sort on "+lk[0].String(), c, lnode)
-			wr := exec.Instrument(rs, "sort on "+rk[0].String(), c, rnode)
-			sortedL, sortedR = wl, wr
-			sortNodes = []*exec.StatsNode{wl.Node(), wr.Node()}
-		}
-		it, err := exec.NewMergeJoin(sortedL, sortedR, lk[0], rk[0], mode)
-		if err != nil {
-			return nil, nil, err
-		}
-		wrapped, node := wrapNode(it, p, c, ins, sortNodes...)
-		return wrapped, node, nil
 	default:
 		return nil, nil, fmt.Errorf("optimizer: cannot build algorithm %s", p.Algo)
 	}

@@ -182,9 +182,6 @@ func RenderStats(root *exec.StatsNode) string {
 			if sp.Partitions > 0 {
 				fmt.Fprintf(&b, " spill-partitions=%d", sp.Partitions)
 			}
-			if sp.MergePasses > 0 {
-				fmt.Fprintf(&b, " merge-passes=%d", sp.MergePasses)
-			}
 		}
 		fmt.Fprintf(&b, " time=%s", n.Stats.WallTime.Round(time.Microsecond))
 		if n.EstRows >= 0 {

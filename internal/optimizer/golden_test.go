@@ -187,6 +187,56 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
+// TestEveryAlgorithmWins is the cost model's reachability ratchet: every
+// join algorithm joinCandidates can cost must be the one chosen for some
+// node of an explain.golden plan. A candidate that never wins is code
+// the optimizer cannot reach (a dominated one, say, whose cost is
+// another's plus a non-negative term); delete it instead of carrying it.
+// The candidate set is probed over the whole shape space, so a new
+// algorithm joins the check without editing it.
+func TestEveryAlgorithmWins(t *testing.T) {
+	costed := map[Algo]bool{}
+	for _, op := range []expr.Op{expr.Join, expr.LeftOuter} {
+		for keys := 0; keys <= 2; keys++ {
+			for _, ndv := range []float64{0, 10} {
+				for _, n := range []float64{1, 100, 10000} {
+					l, r := operand{rows: n, cost: n}, operand{rows: 2 * n, cost: 2 * n}
+					_, cands, k := joinCandidates(op, l, r, joinShape{sel: 0.01, keys: keys, idxNDV: ndv})
+					for _, c := range cands[:k] {
+						costed[c.algo] = true
+					}
+				}
+			}
+		}
+	}
+
+	chosen := map[Algo]bool{}
+	var walk func(p *Plan)
+	walk = func(p *Plan) {
+		if p == nil || p.IsLeaf() {
+			return
+		}
+		chosen[p.Algo] = true
+		walk(p.Left)
+		walk(p.Right)
+	}
+	for _, gc := range goldenCases(t) {
+		o := New(gc.cat)
+		o.Strategy = gc.strategy
+		p, _, err := o.PlanQueryTrace(gc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.header, err)
+		}
+		walk(p)
+	}
+	for a := range costed {
+		if !chosen[a] {
+			t.Errorf("join algorithm %s is costed but chosen by no explain.golden plan", a)
+		}
+	}
+	t.Logf("costed %v, chosen %v", costed, chosen)
+}
+
 // Lowering hands each join its plan node's scheme instead of building
 // one per query: over the explain.golden queries, under both planner
 // strategies and both evaluator modes, every plan node lowers to an

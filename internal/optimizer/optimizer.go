@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"freejoin/internal/core"
@@ -22,8 +21,6 @@ const (
 	costProbePerRow  = 1.0
 	costLookup       = 1.0 // per index probe
 	costNLPerPair    = 1.0
-	costSortPerRow   = 0.5 // multiplied by log2(rows)
-	costMergePerRow  = 1.0
 	costOutputPerRow = 0.2
 	defaultNDV       = 10.0
 	defaultSel       = 1.0 / 3.0
@@ -35,10 +32,10 @@ type Optimizer struct {
 
 	// Spill declares that plans from this optimizer run on execution
 	// contexts with spill-to-disk enabled, so blocking operators degrade
-	// to external algorithms (grace hash join, external sort) instead of
-	// index fallbacks or aborts on a memory-budget trip. The flag is
-	// planner-side configuration: it selects the degradation path
-	// recorded in the trace and keys the plan cache (a plan whose
+	// to external algorithms (grace hash join, spilled inner runs)
+	// instead of index fallbacks or aborts on a memory-budget trip. The
+	// flag is planner-side configuration: it selects the degradation
+	// path recorded in the trace and keys the plan cache (a plan whose
 	// fallback wiring assumed spilling must not be served to a
 	// non-spilling session, and vice versa). The execution context's
 	// EnableSpill carries the actual directory and fan-out.
@@ -226,8 +223,8 @@ type candidate struct {
 
 // joinCandidates is the join cost model: the estimated output rows of
 // l op r and the applicable algorithms in their fixed order — hash,
-// sort-merge, index, nested loops — each with its cumulative cost.
-func joinCandidates(op expr.Op, l, r operand, js joinShape) (rows float64, cands [4]candidate, n int) {
+// index, nested loops — each with its cumulative cost.
+func joinCandidates(op expr.Op, l, r operand, js joinShape) (rows float64, cands [3]candidate, n int) {
 	rows = joinRows(op, l.rows, r.rows, js.sel)
 	add := func(algo Algo, cost float64) {
 		cands[n] = candidate{algo, l.cost + r.cost + cost + rows*costOutputPerRow}
@@ -235,14 +232,6 @@ func joinCandidates(op expr.Op, l, r operand, js joinShape) (rows float64, cands
 	}
 	if js.keys > 0 {
 		add(AlgoHash, l.rows*costProbePerRow+r.rows*costBuildPerRow)
-		// Sort-merge: pay an n·log n sort on each input plus the merge.
-		// Without interesting-order tracking this rarely beats hash, but
-		// the candidate keeps the cost model honest and the executor path
-		// exercised (single-key equijoins only).
-		if js.keys == 1 {
-			sortCost := sortCostOf(l.rows) + sortCostOf(r.rows)
-			add(AlgoMerge, sortCost+(l.rows+r.rows)*costMergePerRow)
-		}
 		// Index join: its cost does NOT scan the right table — the
 		// Example 1 effect.
 		if js.idxNDV > 0 {
@@ -370,14 +359,6 @@ func (o *Optimizer) attrNDV(a relation.Attr) float64 {
 		return defaultNDV
 	}
 	return ndvOf(t, a.Name)
-}
-
-// sortCostOf models an in-memory sort of n rows.
-func sortCostOf(n float64) float64 {
-	if n < 2 {
-		return 0
-	}
-	return n * costSortPerRow * math.Log2(n)
 }
 
 func ndvOf(t *storage.Table, col string) float64 {

@@ -244,56 +244,8 @@ func TestOptimizeGraphErrors(t *testing.T) {
 	}
 }
 
-// TestMergePlanBuildsAndRuns forces the sort-merge candidate and checks
-// it computes the same result as the reference algebra.
-func TestMergePlanBuildsAndRuns(t *testing.T) {
-	rnd := rand.New(rand.NewSource(61))
-	db := expr.DB{
-		"A": workload.RandomRelation(rnd, "A", 20),
-		"B": workload.RandomRelation(rnd, "B", 20),
-	}
-	o := New(catalogFor(db))
-	for _, op := range []expr.Op{expr.Join, expr.LeftOuter} {
-		q := &expr.Node{Op: op, Left: expr.NewLeaf("A"), Right: expr.NewLeaf("B"), Pred: eqp("A", "B")}
-		l, err := o.leafPlan("A", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := o.leafPlan("B", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var merge *Plan
-		for _, cand := range o.joinAlternatives(t, op, q.Pred, l, r) {
-			if cand.Algo == AlgoMerge {
-				merge = cand
-			}
-		}
-		if merge == nil {
-			t.Fatal("no merge candidate generated")
-		}
-		got, _, err := o.Execute(merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := q.Eval(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualBag(want) {
-			t.Fatalf("merge plan wrong for %s", op)
-		}
-	}
-	if sortCostOf(1) != 0 {
-		t.Error("sortCostOf(1) must be 0")
-	}
-	if sortCostOf(8) <= 0 {
-		t.Error("sortCostOf must grow")
-	}
-}
-
 func TestAlgoString(t *testing.T) {
-	for a, want := range map[Algo]string{AlgoScan: "scan", AlgoHash: "hash", AlgoIndex: "index", AlgoNL: "nestedloop", AlgoMerge: "sortmerge"} {
+	for a, want := range map[Algo]string{AlgoScan: "scan", AlgoHash: "hash", AlgoIndex: "index", AlgoNL: "nestedloop"} {
 		if a.String() != want {
 			t.Errorf("algo %d renders %q", a, a.String())
 		}

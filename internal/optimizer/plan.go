@@ -25,7 +25,6 @@ const (
 	AlgoHash
 	AlgoIndex
 	AlgoNL
-	AlgoMerge
 	AlgoIndexScan  // leaf fetched through a hash index on a constant key
 	AlgoSemiReduce // semijoin filter step of the Yannakakis full reducer
 )
@@ -41,8 +40,6 @@ func (a Algo) String() string {
 		return "index"
 	case AlgoNL:
 		return "nestedloop"
-	case AlgoMerge:
-		return "sortmerge"
 	case AlgoIndexScan:
 		return "indexscan"
 	case AlgoSemiReduce:

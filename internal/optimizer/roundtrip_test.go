@@ -69,7 +69,7 @@ func TestFixedPlanRoundTrip(t *testing.T) {
 }
 
 // TestJoinCandidatesAllBuildable: every candidate fixedJoinPlans emits —
-// hash, sort-merge, index, nested loops — must lower through Build and
+// hash, index, nested loops — must lower through Build and
 // produce the same bag; no candidate may be generated that the build
 // layer later rejects.
 func TestJoinCandidatesAllBuildable(t *testing.T) {

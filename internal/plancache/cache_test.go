@@ -1,12 +1,14 @@
 package plancache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"freejoin/internal/obs"
 )
@@ -126,6 +128,15 @@ func TestCacheSingleflight(t *testing.T) {
 		}(i)
 	}
 	started.Wait()
+	// started only says each goroutine is about to call Do. Open the gate
+	// once all n are parked inside DoAt (one in compute, the rest on the
+	// flight); a goroutine arriving after the flight landed would find the
+	// cached entry and count as a Hit.
+	for deadline := time.Now().Add(10 * time.Second); parkedInDoAt() < n; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d lookups reached the flight", parkedInDoAt(), n)
+		}
+	}
 	close(gate)
 	wg.Wait()
 
@@ -147,6 +158,20 @@ func TestCacheSingleflight(t *testing.T) {
 	if misses != 1 || coalesced != n-1 {
 		t.Fatalf("outcomes: %d misses, %d coalesced; want 1, %d", misses, coalesced, n-1)
 	}
+}
+
+// parkedInDoAt counts the goroutines blocked on a channel receive with
+// Cache.DoAt on their stack.
+func parkedInDoAt() int {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("plancache.(*Cache).DoAt(")) {
+			n++
+		}
+	}
+	return n
 }
 
 // Flights are scoped per epoch: a lookup under a different epoch must

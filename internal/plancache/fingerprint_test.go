@@ -66,8 +66,8 @@ func TestFingerprintSensitivity(t *testing.T) {
 	otherPred := build(func(g *graph.Graph) { g.AddOuterEdge("R", "S", eq("R", "b", "S", "b")) })
 
 	for name, other := range map[string]Fingerprint{
-		"flipped outerjoin":  flipped,
-		"join vs outerjoin":  joined,
+		"flipped outerjoin":   flipped,
+		"join vs outerjoin":   joined,
 		"different predicate": otherPred,
 	} {
 		if base == other {

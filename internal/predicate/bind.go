@@ -140,7 +140,7 @@ func compileTerm(t Term, scheme *relation.Scheme) (func(row []relation.Value) re
 // EquiParts inspects a predicate and, when it is a pure conjunction of
 // attribute equalities that split across the two schemes, returns the
 // paired key columns: left[i] in lsch equates with right[i] in rsch. Hash
-// and merge joins use this to choose a fast path; ok is false for any
+// and index joins use this to choose a fast path; ok is false for any
 // other predicate shape (they fall back to nested loops).
 func EquiParts(p Predicate, lsch, rsch *relation.Scheme) (left, right []relation.Attr, ok bool) {
 	for _, c := range Conjuncts(p) {

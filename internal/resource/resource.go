@@ -57,7 +57,7 @@ func (k Kind) String() string {
 
 // ResourceError is the typed error a governed execution returns when a
 // limit trips. Operator is the operator type that tripped ("hashjoin",
-// "sort", ...); Node, when instrumentation is attached, is the plan-node
+// "nestedloop", ...); Node, when instrumentation is attached, is the plan-node
 // label of the tripping operator (filled in by the innermost
 // exec.Instrumented wrapper the error crosses).
 type ResourceError struct {
