@@ -59,8 +59,8 @@ obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/exec -run 'Span|Scrape|Counter|Histogram|Gauge|Registry|Trace|Ring|Slow|Server|Health|Metrics'
 	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/reorder
 
-# Spill-to-disk suite: grace hash join, the spilled nested-loop join
-# and semijoin reduction, the shared spool's spilled readers, the
+# Spill-to-disk suite: grace hash join, the spilled nested-loop join,
+# the semijoin filter's trip onto it, the shared spool's spilled readers, the
 # metamorphic and fault-injection spill oracles, and the
 # failed-Open/trip-during-Open governor regressions —
 # under the race detector, -count=2 for state reuse across re-Open.
@@ -68,7 +68,7 @@ obs:
 # run file survives the suite.
 spill:
 	@dir=$$(mktemp -d) && \
-	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|Grace|Spool' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
+	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Spill|FailedOpen|TripDuring|Grace|Spool|SemiReduceTrip' ./internal/exec ./internal/exec/spill ./internal/optimizer && \
 	leaked=$$(find $$dir -name 'ojspill-*' | wc -l) && \
 	rm -rf $$dir && \
 	if [ $$leaked -ne 0 ]; then echo "spill: $$leaked run files leaked"; exit 1; fi
@@ -117,12 +117,12 @@ yannakakis:
 	if [ $$leaked -ne 0 ]; then echo "yannakakis: $$leaked run files leaked"; exit 1; fi
 
 # Batch-execution suite: the batch layer's unit tests (null bitmap,
-# adapter round-trip, trip delegation, stream mode), the registry-wide
-# row-ownership detector (poisoned producers + scribbling callers), and
-# the 200-instance metamorphic oracles in both row and batch modes with
-# the per-instance cross-mode bag comparison — under the race detector,
-# -count=2 for state reuse across re-Open, with the spill-leak check
-# (delegated batch operators spill through the row path).
+# adapter round-trip, nested-loop spill lifecycle, stream mode), the
+# registry-wide row-ownership detector (poisoned producers + scribbling
+# callers), and the 200-instance metamorphic oracles at one row per
+# batch and at the default size, each checked against the reference
+# algebra — under the race detector, -count=2 for state reuse across
+# re-Open, with the spill-leak check (the nested-loop tests spill).
 batch:
 	@dir=$$(mktemp -d) && \
 	TMPDIR=$$dir $(GO) test -race -count=2 -run 'Batch|Ownership|Metamorphic' \

@@ -20,7 +20,6 @@ import (
 	"strconv"
 
 	"freejoin/internal/chaos"
-	"freejoin/internal/optimizer"
 	"freejoin/internal/parse"
 	"freejoin/internal/server"
 )
@@ -40,7 +39,7 @@ func main() {
 		spill       = flag.Bool("spill", false, "default spill-to-disk mode for new sessions")
 		spillDir    = flag.String("spill-dir", "", "spill run-file directory (empty = OS temp dir)")
 		strategy    = flag.String("strategy", "", "default planner strategy: dp, yannakakis or auto (empty = dp)")
-		batchSize   = flag.String("batch-size", "", "rows per execution batch: N, off, or default (empty = default)")
+		batchSize   = flag.String("batch-size", "", "rows per execution batch: N or default (empty = default)")
 		restore     = flag.String("restore", "", "catalog snapshot (.fjdb) to restore at startup")
 
 		idleTimeout  = flag.Duration("idle-timeout", 0, "disconnect idle sessions (0 = default 5m, negative = off)")
@@ -85,14 +84,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ojserver: unknown -strategy %q (want dp, yannakakis or auto)\n", cfg.Strategy)
 		os.Exit(2)
 	}
-	switch *batchSize {
-	case "", "default", "on":
-	case "off":
-		cfg.BatchSize = optimizer.BatchOff
-	default:
+	if *batchSize != "" && *batchSize != "default" {
 		n, err := strconv.Atoi(*batchSize)
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "ojserver: bad -batch-size %q (want N, off or default)\n", *batchSize)
+			fmt.Fprintf(os.Stderr, "ojserver: bad -batch-size %q (want N or default)\n", *batchSize)
 			os.Exit(2)
 		}
 		cfg.BatchSize = n

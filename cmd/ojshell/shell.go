@@ -38,11 +38,10 @@ type Shell struct {
 	spill    bool
 	spillDir string
 
-	// batchSize selects the vectorized execution mode: 0 runs batched
-	// with exec.DefaultBatchSize, optimizer.BatchOff forces the
-	// row-at-a-time evaluators, and a positive value sets the rows per
-	// batch. It feeds optimizer.Optimizer.BatchSize and so is part of
-	// the plan-cache fingerprint.
+	// batchSize is the rows per execution batch: 0 runs with
+	// exec.DefaultBatchSize, a positive value sets it. It feeds
+	// optimizer.Optimizer.BatchSize and so is part of the plan-cache
+	// fingerprint.
 	batchSize int
 
 	// strategy selects how freely-reorderable queries are planned:
@@ -213,7 +212,7 @@ func (s *Shell) help() {
   set spill on|off                            spill to disk on memory budget trips
   set spill_dir DIR|off                       directory for spill run files
   set strategy dp|yannakakis|auto             planner for reorderable queries
-  set batch_size N|off|default                rows per execution batch (off = row-at-a-time)
+  set batch_size N|default                    rows per execution batch
   set metrics_addr ADDR|off                   HTTP /metrics, /debug/queries, /healthz
   set pprof on|off                            mount /debug/pprof on the next metrics_addr
   set slow_query DUR|off                      log queries slower than DUR
@@ -454,15 +453,12 @@ func (s *Shell) cmdSet(rest string) error {
 			return fmt.Errorf("usage: set strategy dp|yannakakis|auto")
 		}
 	case "batch_size":
-		switch {
-		case strings.EqualFold(val, "off"):
-			s.batchSize = optimizer.BatchOff
-		case strings.EqualFold(val, "default") || strings.EqualFold(val, "on"):
+		if strings.EqualFold(val, "default") {
 			s.batchSize = 0
-		default:
+		} else {
 			n, err := strconv.Atoi(val)
 			if err != nil || n <= 0 {
-				return fmt.Errorf("usage: set batch_size N|off|default")
+				return fmt.Errorf("usage: set batch_size N|default")
 			}
 			s.batchSize = n
 		}
@@ -574,18 +570,13 @@ func orOff(s string, off bool) string {
 	return s
 }
 
-// batchSizeString renders the batch-size setting: "off" for the
-// row-at-a-time mode, the default size when unset, or the explicit
-// rows-per-batch count.
+// batchSizeString renders the batch-size setting: the default size
+// when unset, else the explicit rows-per-batch count.
 func batchSizeString(n int) string {
-	switch {
-	case n == optimizer.BatchOff:
-		return "off"
-	case n == 0:
+	if n == 0 {
 		return fmt.Sprintf("%d (default)", exec.DefaultBatchSize)
-	default:
-		return strconv.Itoa(n)
 	}
+	return strconv.Itoa(n)
 }
 
 // execContext builds the execution context for the session's limits; the

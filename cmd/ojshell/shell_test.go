@@ -373,15 +373,14 @@ quit
 	}
 }
 
-// "set batch_size" toggles the vectorized evaluators: off forces the
-// row-at-a-time plan, an explicit size and default both batch, queries
-// answer identically either way, and bogus values get the usage error.
+// "set batch_size" sets the rows per execution batch: the default and
+// an explicit size answer identically, and bogus values get the usage
+// error.
 func TestShellSetBatchSize(t *testing.T) {
 	out := runScript(t, `
 table R(a) = (1), (2)
 table S(a) = (2), (3)
 set
-set batch_size off
 query R ->[R.a = S.a] S
 set batch_size 256
 set
@@ -393,18 +392,17 @@ quit
 `)
 	for _, want := range []string{
 		"batch_size: 1024 (default)",
-		"batch_size off",
 		"batch_size 256",
 		"batch_size: 256",
 		"batch_size 1024 (default)",
-		"error: usage: set batch_size N|off|default",
+		"error: usage: set batch_size N|default",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("batch_size output missing %q:\n%s", want, out)
 		}
 	}
-	// Both modes ran the same outerjoin: two result blocks, both 2 rows.
+	// Both sizes ran the same outerjoin: two result blocks, both 2 rows.
 	if got := strings.Count(out, "(2 rows)"); got != 2 {
-		t.Errorf("expected both modes to answer with 2 rows twice, got %d:\n%s", got, out)
+		t.Errorf("expected both sizes to answer with 2 rows twice, got %d:\n%s", got, out)
 	}
 }

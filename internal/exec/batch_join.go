@@ -24,9 +24,9 @@ import (
 // the build stream, then the probe stream, are hash-partitioned into one
 // spill file, and each partition pair is joined by a sub-join over the
 // two runs — which re-partitions one level deeper if it trips too, and
-// past SpillConfig.Recursion() hands the pair to a NestedLoopJoin that
-// scans the build run in place. With spilling off, the optimizer's index
-// fallback (SetFallback) serves the join; with neither, the typed
+// past SpillConfig.Recursion() hands the pair to a BatchNestedLoopJoin
+// that scans the build run in place. With spilling off, the optimizer's
+// index fallback (SetFallback) serves the join; with neither, the typed
 // resource error surfaces.
 type BatchHashJoin struct {
 	left, right Iterator
@@ -133,8 +133,9 @@ func NewBatchHashJoin(left, right Iterator, leftKeys, rightKeys []relation.Attr,
 // SetFallback registers the spill-off degradation path: when the build
 // trips the memory budget and the context does not allow spilling, mk is
 // invoked with the (not yet opened) left input and the resulting
-// iterator — typically an IndexJoin over the same key — serves the join
-// instead. It must produce the same bag over the same output scheme.
+// iterator — typically a BatchIndexJoin over the same key — serves the
+// join instead. It must produce the same bag over the same output
+// scheme.
 func (h *BatchHashJoin) SetFallback(mk func(left Iterator) (Iterator, error)) { h.mkFallback = mk }
 
 // Scheme implements Iterator.
@@ -744,8 +745,8 @@ func (h *BatchHashJoin) graceBatch() (*Batch, bool, error) {
 // two runs one partitioning level deeper, which spills again on its own
 // trip. A sub-join at the recursion bound gives its trip back instead
 // (key skew no re-partitioning can split), and the pair goes to a
-// NestedLoopJoin on the key equalities and the residual, which scans the
-// build run in place once per probe row in O(1) memory.
+// BatchNestedLoopJoin on the key equalities and the residual, which
+// scans the build run in place once per probe batch in flat memory.
 func (h *BatchHashJoin) startPair(pair gracePair) error {
 	g, ec := h.grace, h.ec
 	size := resolveBatchSize(h.size)
@@ -773,15 +774,16 @@ func (h *BatchHashJoin) startPair(pair gracePair) error {
 	if h.residualP != nil {
 		conj = append(conj, h.residualP)
 	}
-	nl, err := NewNestedLoopJoin(sub.left, sub.right, predicate.NewAnd(conj...), h.mode, h.scheme) // the closed run scans re-open
+	nl, err := NewBatchNestedLoopJoin(sub.left, sub.right, predicate.NewAnd(conj...), h.mode, h.scheme, h.size) // the closed run scans re-open
 	if err != nil {
 		return err
 	}
 	if err := nl.Open(ec); err != nil {
+		nl.Close()
 		return err
 	}
 	ec.Governor().Note(fmt.Sprintf("hashjoin: partition over budget at depth %d, nested-loop join over its runs", g.depth+1))
-	g.cur, g.sub = pair, Batching(nl, size)
+	g.cur, g.sub = pair, nl
 	return nil
 }
 
@@ -813,7 +815,8 @@ func (h *BatchHashJoin) closeGrace() error {
 
 // runScan reads a spill run back a batch at a time, decoding each row
 // straight into the batch slab: the inputs of a grace partition pair's
-// join.
+// join, and a spilled nested-loop join's right input. Opening it again
+// rewinds it.
 type runScan struct {
 	run    *spill.Run
 	scheme *relation.Scheme
@@ -826,7 +829,11 @@ type runScan struct {
 func (s *runScan) Scheme() *relation.Scheme { return s.scheme }
 
 func (s *runScan) Open(ec *ExecContext) error {
-	s.rd = s.run.Open()
+	if s.rd == nil {
+		s.rd = s.run.Open()
+	} else {
+		s.rd.Rewind()
+	}
 	s.out = ensureBatch(s.out, s.scheme, s.size)
 	s.cur.reset()
 	return nil
@@ -864,16 +871,20 @@ func (s *runScan) Close() error {
 	return nil
 }
 
-// BatchSemiReduce is the vectorized equi-mode SemiReduce: the right
-// input's distinct join keys land in a key-bytes arena behind an
-// open-addressed set, and each left batch is compacted in place down to
-// the rows whose key is present — the semijoin never copies surviving
-// rows. Only pure equi predicates qualify (NewBatchSemiReduce rejects
-// anything else; the optimizer lowers those to the row operator).
+// BatchSemiReduce is the semijoin filter left ⋉ right for a pure equi
+// predicate — the physical semijoin step of the Yannakakis full-reducer
+// program. The right input's distinct join keys land in a key-bytes
+// arena behind an open-addressed set, and each left batch is compacted
+// in place down to the rows whose key is present: the output scheme is
+// the left scheme, and surviving rows are never copied. Any other
+// predicate is served by a BatchNestedLoopJoin in SemiMode
+// (NewBatchSemiReduce rejects it).
 //
 // Governor accounting is amortized per batch over the newly retained
-// distinct keys. A memory trip delegates to the row SemiReduce over the
-// same children, which brings the spill-to-disk path.
+// distinct keys. A memory trip with spilling on continues on a
+// BatchNestedLoopJoin in SemiMode over the same children, which
+// re-reads the right input and spills it; with spilling off the typed
+// resource error surfaces.
 type BatchSemiReduce struct {
 	left, right Iterator
 	pred        predicate.Predicate
@@ -894,10 +905,9 @@ type BatchSemiReduce struct {
 
 	bleft BatchIterator
 	kbuf  []byte
-	out   *Batch // delegate mode only: re-batching buffer
 	cur   batchCursor
 
-	delegate *SemiReduce
+	nl *BatchNestedLoopJoin // serves the semijoin after a memory trip
 }
 
 // NewBatchSemiReduce builds the vectorized semijoin filter; p must be a
@@ -924,11 +934,11 @@ func (s *BatchSemiReduce) Scheme() *relation.Scheme { return s.left.Scheme() }
 func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 	s.resetKeys(s.ec) // re-Open without Close: drop stale set + charge
 	s.ec = ec
-	if s.delegate != nil {
-		// Close a prior execution's delegate (idempotent) so its state
-		// cannot leak across a re-Open without Close.
-		s.delegate.Close()
-		s.delegate = nil
+	if s.nl != nil {
+		// A prior execution tripped: close its join (idempotent) so its
+		// spill run cannot leak across a re-Open without Close.
+		s.nl.Close()
+		s.nl = nil
 	}
 	s.cur.reset()
 	if err := ec.Err("semireduce"); err != nil {
@@ -957,7 +967,10 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		if cerr := s.held.chargeN(ec, "semireduce", newRows, newBytes); cerr != nil {
 			bright.Close()
 			s.resetKeys(ec)
-			return s.tripToRow(ec, cerr)
+			if !spillable(ec, cerr) {
+				return cerr
+			}
+			return s.spill(ec)
 		}
 	}
 	if err := bright.Close(); err != nil {
@@ -971,24 +984,20 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 	return nil
 }
 
-// tripToRow delegates a MemoryExceeded trip to the row SemiReduce over
-// the same children (its spill path handles the budget); other errors
-// propagate unchanged.
-func (s *BatchSemiReduce) tripToRow(ec *ExecContext, err error) error {
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
+// spill continues a tripped filter on a nested-loop semijoin over the
+// same children: it re-opens them, and spills the right input to a run
+// when its own build trips.
+func (s *BatchSemiReduce) spill(ec *ExecContext) error {
+	nl, err := NewBatchNestedLoopJoin(s.left, s.right, s.pred, SemiMode, nil, s.size)
+	if err != nil {
 		return err
 	}
-	d, derr := NewSemiReduce(s.left, s.right, s.pred)
-	if derr != nil {
-		return err // keep the original trip
+	ec.Governor().Note("semireduce: memory budget trip, continuing on a nested-loop semijoin")
+	if err := nl.Open(ec); err != nil {
+		nl.Close()
+		return err
 	}
-	ec.Governor().Note("semireduce: batch build memory trip, delegating to row semireduce")
-	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
-		return oerr
-	}
-	s.delegate = d
+	s.nl = nl
 	return nil
 }
 
@@ -1082,8 +1091,8 @@ func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
 
 // NextBatch implements BatchIterator: left batches compacted in place.
 func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
-	if s.delegate != nil {
-		return s.delegateBatch()
+	if s.nl != nil {
+		return s.nl.NextBatch()
 	}
 	if err := s.ec.Err("semireduce"); err != nil {
 		return nil, false, err
@@ -1128,35 +1137,8 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// delegateBatch serves the row delegate's stream re-batched.
-func (s *BatchSemiReduce) delegateBatch() (*Batch, bool, error) {
-	if s.out == nil {
-		s.out = NewBatch(s.Scheme(), resolveBatchSize(s.size))
-	}
-	out := s.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := s.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly).
+// Next implements Iterator through the batch cursor.
 func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
-	if s.delegate != nil {
-		return s.delegate.Next()
-	}
 	return s.cur.next(s.NextBatch)
 }
 
@@ -1170,30 +1152,30 @@ func (s *BatchSemiReduce) resetKeys(ec *ExecContext) {
 	s.held.release(ec)
 }
 
-// BufferedRows implements Buffered: the distinct keys held (or the
-// delegate's buffer).
+// BufferedRows implements Buffered: the distinct keys held, or after a
+// trip the nested-loop join's buffer.
 func (s *BatchSemiReduce) BufferedRows() int {
-	if s.delegate != nil {
-		return s.delegate.BufferedRows()
+	if s.nl != nil {
+		return s.nl.BufferedRows()
 	}
 	return s.nkeys
 }
 
-// SpillInfo implements Spiller: only the row delegate can spill.
+// SpillInfo implements Spiller: only the nested-loop join a trip hands
+// over to spills.
 func (s *BatchSemiReduce) SpillInfo() SpillStats {
-	if s.delegate != nil {
-		return s.delegate.SpillInfo()
+	if s.nl != nil {
+		return s.nl.SpillInfo()
 	}
 	return SpillStats{}
 }
 
 // Close implements Iterator: the key set (and its charge) is released.
-// After a delegation the row operator owns both children.
+// After a trip the nested-loop join owns both children.
 func (s *BatchSemiReduce) Close() error {
 	s.cur.reset()
-	s.out = releaseBatch(s.out)
-	if s.delegate != nil {
-		return s.delegate.Close()
+	if s.nl != nil {
+		return s.nl.Close()
 	}
 	s.resetKeys(s.ec)
 	s.keyBytes, s.koff, s.hashes, s.heads, s.chain = nil, nil, nil, nil, nil

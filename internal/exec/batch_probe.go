@@ -1,17 +1,18 @@
 package exec
 
 import (
-	"errors"
 	"fmt"
 
+	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 	"freejoin/internal/storage"
 )
 
-// BatchIndexJoin is the vectorized IndexJoin: left batches drive hash
-// probes into the inner table's index, and matches are emitted as
+// BatchIndexJoin is the index join: left batches drive hash probes into
+// the inner table's index — the access path of Example 1's cheap plan —
+// and matches are emitted as
 // concatenated (or null-padded) rows into a reused output batch.
 // Retrieved-tuple accounting is amortized to one counter update per
 // batch. The index and inner relation are static, so a probe whose
@@ -53,8 +54,10 @@ type BatchIndexJoin struct {
 	cur batchCursor
 }
 
-// NewBatchIndexJoin mirrors NewIndexJoin with a configured batch size
-// (size <= 0 means DefaultBatchSize or the execution context override).
+// NewBatchIndexJoin probes inner's hash index on idxCol with the value
+// of outerKey in each left row. residual may be nil; sch is the output
+// scheme when the caller has it (nil derives it); size <= 0 means
+// DefaultBatchSize.
 func NewBatchIndexJoin(left Iterator, inner *storage.Table, idxCol string, outerKey relation.Attr,
 	residual predicate.Predicate, mode JoinMode, sch *relation.Scheme, c *Counters, size int) (*BatchIndexJoin, error) {
 	idx, ok := inner.HashIndexOn(idxCol)
@@ -175,7 +178,7 @@ func (j *BatchIndexJoin) nextBatch() (*Batch, bool, error) {
 
 // probeRow probes left row i of the current batch against the index,
 // emitting into out. Each fetched inner row counts as one retrieved
-// tuple, as in the row operator.
+// tuple.
 func (j *BatchIndexJoin) probeRow(out *Batch, i int) {
 	lrow := j.lb.Row(i)
 	var positions []int
@@ -251,18 +254,23 @@ func (j *BatchIndexJoin) Close() error {
 	return j.left.Close()
 }
 
-// BatchNestedLoopJoin is the vectorized NestedLoopJoin: the right input
-// is materialized once at Open into a flat value slab (one copy per
-// batch, not per row), and each left row scans the slab, emitting into
-// a reused output batch. Governor accounting is amortized per build
-// batch.
+// BatchNestedLoopJoin joins on an arbitrary predicate. The right input
+// is materialized once at Open into flat value slabs (one copy per
+// batch, not per row), and each left row scans them, emitting into a
+// reused output batch. Governor accounting is amortized per build batch.
 //
-// A memory-budget trip during the materialization delegates to the row
-// NestedLoopJoin over the same children, which brings the spill-run
-// path for the inner input.
+// A memory-budget trip during the materialization with spilling on
+// moves the right input to one run of the operator's spill file — the
+// slabs built so far and the rest of the right stream — and each left
+// batch then scans the run once (a block nested loop), in memory that
+// stays flat. A right input that already is a run (a grace hash join's
+// over-budget partition) is scanned in place. With spilling off the
+// typed resource error surfaces.
+//
+// In SemiMode the join is the semijoin reducer for non-equi predicates
+// and feeds the reduction counters (obs.SemiReduceInputRows/OutputRows).
 type BatchNestedLoopJoin struct {
 	left, right Iterator
-	pred        predicate.Predicate
 	scheme      *relation.Scheme
 	bound       predicate.Bound
 	mode        JoinMode
@@ -285,6 +293,7 @@ type BatchNestedLoopJoin struct {
 
 	bleft BatchIterator
 	lb    *Batch
+	next  *Batch // a left batch the Open-time peek read past, probed after lb
 	lpos  int
 	ldone bool
 	crow  []relation.Value // scratch concat row for the predicate
@@ -300,10 +309,12 @@ type BatchNestedLoopJoin struct {
 	// Single-driving-row streaming mode: when the left input turns out
 	// to be exactly one row, the rescan loop is degenerate and the right
 	// input streams through once instead of being materialized (and
-	// charged). slrow is a copy of the driving row (the peek-ahead pull
-	// that proves the left is exhausted invalidates the original).
+	// charged). first holds a copy of a one-row first left batch (the
+	// peek-ahead pull that proves the left is exhausted invalidates the
+	// original): the driving row, or the first left batch when more
+	// follow.
 	stream    bool
-	slrow     []relation.Value
+	first     *Batch
 	sdone     bool
 	smatched  bool
 	bright    BatchIterator
@@ -311,14 +322,27 @@ type BatchNestedLoopJoin struct {
 	srb       *Batch // right batch suspended mid-emission
 	srpos     int
 
+	// The right input after a build trip with spilling on: a scan of its
+	// run (in file, unless the input was a run already), restarted for
+	// every left batch. lb's rows are matched against the run batch rb
+	// from left row lpos, run row rpos; matched records each left row's
+	// outcome until the scan ends and tail emits it.
+	file     *spill.File
+	rscan    *runScan
+	rb       *Batch
+	rpos     int
+	matched  []bool
+	nmatched int
+	tail     bool
+	spst     SpillStats
+
 	out *Batch
 	cur batchCursor
-
-	delegate Iterator // row NestedLoopJoin after a build memory trip
 }
 
-// NewBatchNestedLoopJoin mirrors NewNestedLoopJoin with a configured
-// batch size.
+// NewBatchNestedLoopJoin builds a nested-loop join with predicate p. sch
+// is the output scheme when the caller has it (nil derives it); size <=
+// 0 means DefaultBatchSize.
 func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode JoinMode, sch *relation.Scheme, size int) (*BatchNestedLoopJoin, error) {
 	sch, err := outputScheme(left.Scheme(), right.Scheme(), sch, mode)
 	if err != nil {
@@ -332,7 +356,7 @@ func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode Jo
 	if err != nil {
 		return nil, fmt.Errorf("exec: nested-loop predicate: %w", err)
 	}
-	n := &BatchNestedLoopJoin{left: left, right: right, pred: p, scheme: sch, bound: b,
+	n := &BatchNestedLoopJoin{left: left, right: right, scheme: sch, bound: b,
 		mode: mode, rwidth: right.Scheme().Len(), size: size}
 	if la, ra, ok := predicate.EquiParts(p, left.Scheme(), right.Scheme()); ok {
 		n.equi = true
@@ -344,10 +368,6 @@ func NewBatchNestedLoopJoin(left, right Iterator, p predicate.Predicate, mode Jo
 	return n, nil
 }
 
-// DegradedTo returns the row join serving the query after a build
-// memory trip, or nil when the batch path ran.
-func (n *BatchNestedLoopJoin) DegradedTo() Iterator { return n.delegate }
-
 // Scheme implements Iterator.
 func (n *BatchNestedLoopJoin) Scheme() *relation.Scheme { return n.scheme }
 
@@ -356,24 +376,18 @@ func (n *BatchNestedLoopJoin) Scheme() *relation.Scheme { return n.scheme }
 // time.
 func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	n.resetBuild(n.ec) // re-Open without Close: drop stale slab + charge
+	n.dropRun()        // ... and any stale spill run
 	if n.rightOpen {
 		n.rightOpen = false
 		n.right.Close()
 	}
 	n.ec = ec
-	if n.delegate != nil {
-		// A prior execution delegated: the row join owns the children and
-		// any spill run. Close it (idempotent if the plan was closed
-		// normally) before rebuilding over the same children, or a
-		// re-Open-without-Close would leak its run.
-		n.delegate.Close()
-		n.delegate = nil
-	}
 	n.cur.reset()
-	n.lb, n.lpos, n.ldone = nil, 0, false
+	n.lb, n.next, n.lpos, n.ldone = nil, nil, 0, false
 	n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = nil, 0, 0, false
 	n.stream, n.sdone, n.smatched = false, false, false
 	n.srb, n.srpos = nil, 0
+	n.spst = SpillStats{}
 	if err := ec.Err("nestedloop"); err != nil {
 		return err
 	}
@@ -384,7 +398,7 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	if err := n.left.Open(ec); err != nil {
 		return err
 	}
-	lb, ok, err := n.bleft.NextBatch()
+	lb, ok, err := n.pullLeft()
 	if err != nil {
 		return err
 	}
@@ -394,9 +408,11 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 		n.ldone = true
 		return n.buildRight(ec)
 	}
+	n.lb = lb
 	if lb.Len() == 1 {
-		n.slrow = append(n.slrow[:0], lb.Row(0)...)
-		lb2, more, err := n.bleft.NextBatch()
+		n.first = ensureBatch(n.first, lb.Scheme(), 1)
+		n.first.AppendRow(lb.Row(0))
+		lb2, more, err := n.pullLeft()
 		if err != nil {
 			return err
 		}
@@ -410,38 +426,75 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 			n.rightOpen = true
 			return nil
 		}
-		// More left input after all: replay the buffered row through the
-		// normal probe path, then continue from the current batch.
-		n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = n.slrow, 0, 0, false
-		n.lb, n.lpos = lb2, 0
-		return n.buildRight(ec)
+		// More left input after all: probe the copied row first, then
+		// continue from the current batch.
+		n.lb, n.next = n.first, lb2
 	}
-	n.lb, n.lpos = lb, 0
 	return n.buildRight(ec)
 }
 
-// buildRight materializes the right input into chunks, delegating to
-// the row join on a memory trip.
+// pullLeft reads the next left batch, counting its rows into the
+// reduction counters in SemiMode.
+func (n *BatchNestedLoopJoin) pullLeft() (*Batch, bool, error) {
+	b, ok, err := n.bleft.NextBatch()
+	if ok && n.mode == SemiMode {
+		obs.SemiReduceInputRows.Add(int64(b.Len()))
+	}
+	return b, ok, err
+}
+
+// nextLeft moves lb to the next left batch — the one the peek read
+// past, else the child's next — and reports false at the end of input.
+func (n *BatchNestedLoopJoin) nextLeft() (bool, error) {
+	if n.next != nil {
+		n.lb, n.lpos, n.next = n.next, 0, nil
+		return true, nil
+	}
+	if n.ldone {
+		return false, nil
+	}
+	b, ok, err := n.pullLeft()
+	if err != nil {
+		return false, err
+	}
+	if !ok {
+		n.ldone = true
+		return false, nil
+	}
+	n.lb, n.lpos = b, 0
+	return true, nil
+}
+
+// buildRight materializes the right input into chunks; a memory trip
+// with spilling on moves it to a run instead.
 func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 	if err := n.right.Open(ec); err != nil {
 		n.right.Close()
-		return n.tripToRow(ec, err)
+		return err
 	}
 	for {
 		b, ok, err := n.bright.NextBatch()
 		if err != nil {
 			n.right.Close()
 			n.resetBuild(ec)
-			return n.tripToRow(ec, err)
+			return err
 		}
 		if !ok {
 			break
 		}
 		// Amortized accounting: one reservation per build batch.
-		if cerr := n.held.chargeN(ec, "nestedloop", int64(b.Len()), b.Bytes()); cerr != nil {
-			n.right.Close()
+		if err := n.held.chargeN(ec, "nestedloop", int64(b.Len()), b.Bytes()); err != nil {
+			if spillable(ec, err) {
+				err = n.spill(ec, b)
+			}
+			if cerr := n.right.Close(); err == nil {
+				err = cerr
+			}
 			n.resetBuild(ec)
-			return n.tripToRow(ec, cerr)
+			if err != nil {
+				n.dropRun()
+			}
+			return err
 		}
 		vals := getSlab(len(b.vals))
 		copy(vals, b.vals)
@@ -455,32 +508,56 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 	return nil
 }
 
-// tripToRow delegates a MemoryExceeded build failure to the row
-// NestedLoopJoin over the same children (the right child has been
-// closed; the delegate re-opens it, a full reset under the iterator
-// contract, and brings the spill-run path). Non-memory errors propagate
-// unchanged.
-func (n *BatchNestedLoopJoin) tripToRow(ec *ExecContext, err error) error {
-	var re *ResourceError
-	if !errors.As(err, &re) || re.Kind != MemoryExceeded {
-		return err
+// spill moves a tripped build to one run: the chunks, the batch b whose
+// charge tripped and the rest of the right stream. A right input that
+// is a run already is scanned where it is. The probe then starts its
+// scan of lb, if any.
+func (n *BatchNestedLoopJoin) spill(ec *ExecContext, b *Batch) error {
+	var run *spill.Run
+	if rs, ok := n.right.(*runScan); ok {
+		run = rs.run
+	} else {
+		held := make([][]relation.Value, 0, len(n.chunks)+1)
+		for _, ch := range n.chunks {
+			held = append(held, ch.vals)
+		}
+		f, r, err := spillRest(ec, "nestedloop", "inner input", append(held, b.vals),
+			func() { n.resetBuild(ec) }, n.bright)
+		if err != nil {
+			return err
+		}
+		n.file, run = f, r
+		n.spst = SpillStats{Runs: 1, Bytes: r.Bytes}
 	}
-	d, derr := NewNestedLoopJoin(n.left, n.right, n.pred, n.mode, n.scheme)
-	if derr != nil {
-		return err // keep the original trip
+	n.rscan = &runScan{run: run, scheme: n.right.Scheme(), size: resolveBatchSize(n.size)}
+	if n.lb != nil {
+		n.startScan()
 	}
-	// The peek opened the left child; the delegate's Open re-opens it,
-	// so balance the lifecycle here or the extra open leaks.
-	if cerr := n.left.Close(); cerr != nil {
-		return cerr
-	}
-	ec.Governor().Note("nestedloop: batch build memory trip, delegating to row nested loop")
-	obs.GovernorDegradations.Inc()
-	if oerr := d.Open(ec); oerr != nil {
-		return oerr
-	}
-	n.delegate = d
 	return nil
+}
+
+// startScan begins lb's scan of the spilled run.
+func (n *BatchNestedLoopJoin) startScan() {
+	k := n.lb.Len()
+	if cap(n.matched) < k {
+		n.matched = make([]bool, k)
+	}
+	n.matched = n.matched[:k]
+	clear(n.matched)
+	n.nmatched, n.tail, n.rb, n.lpos = 0, false, nil, 0
+	n.rscan.Open(n.ec) // rewinds; a runScan's Open cannot fail
+}
+
+// dropRun releases the spill run's scan and the file holding it, if
+// any. A run scanned in place belongs to its producer and stays.
+func (n *BatchNestedLoopJoin) dropRun() {
+	if n.rscan != nil {
+		n.rscan.Close()
+		n.rscan = nil
+	}
+	n.rb = nil
+	n.file.Close()
+	n.file = nil
 }
 
 // nlChunk is one materialized right batch: rows*width values in a slab.
@@ -491,9 +568,14 @@ type nlChunk struct {
 
 // NextBatch implements BatchIterator: the probe loop.
 func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
-	if n.delegate != nil {
-		return n.delegateBatch()
+	b, ok, err := n.nextBatch()
+	if ok && n.mode == SemiMode {
+		obs.SemiReduceOutputRows.Add(int64(b.Len()))
 	}
+	return b, ok, err
+}
+
+func (n *BatchNestedLoopJoin) nextBatch() (*Batch, bool, error) {
 	if err := n.ec.Err("nestedloop"); err != nil {
 		return nil, false, err
 	}
@@ -502,26 +584,31 @@ func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
 	}
 	out := n.out
 	out.Reset()
+	var err error
+	if n.rscan != nil {
+		err = n.probeRun(out)
+	} else {
+		err = n.probe(out)
+	}
+	if err != nil || out.Len() == 0 {
+		return nil, false, err
+	}
+	return out, true, nil
+}
+
+// probe is the in-memory probe: each left row scans the chunks.
+func (n *BatchNestedLoopJoin) probe(out *Batch) error {
 	for {
 		if n.pendRow != nil {
 			n.drainPend(out)
 			if out.Full() {
-				return out, true, nil
+				return nil
 			}
 		}
 		if n.lb == nil || n.lpos >= n.lb.Len() {
-			if n.ldone {
-				break
+			if ok, err := n.nextLeft(); err != nil || !ok {
+				return err
 			}
-			b, ok, err := n.bleft.NextBatch()
-			if err != nil {
-				return nil, false, err
-			}
-			if !ok {
-				n.ldone = true
-				break
-			}
-			n.lb, n.lpos = b, 0
 		}
 		for n.lpos < n.lb.Len() && !out.Full() && n.pendRow == nil {
 			n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = n.lb.Row(n.lpos), 0, 0, false
@@ -529,13 +616,110 @@ func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
 			n.drainPend(out)
 		}
 		if out.Full() {
-			return out, true, nil
+			return nil
 		}
 	}
-	if out.Len() == 0 {
-		return nil, false, nil
+}
+
+// probeRun is the probe over a spilled right input, a block nested
+// loop: each left batch scans the run once, a run batch at a time, and
+// matches every one of its rows against each run batch. When the scan
+// ends — or, for semi and anti, once every left row has matched — tail
+// emits what each row's outcome calls for.
+func (n *BatchNestedLoopJoin) probeRun(out *Batch) error {
+	for !out.Full() {
+		switch {
+		case n.lb == nil:
+			if err := n.ec.Err("nestedloop"); err != nil {
+				return err
+			}
+			if ok, err := n.nextLeft(); err != nil || !ok {
+				return err
+			}
+			n.startScan()
+		case n.tail:
+			n.emitOutcomes(out)
+		case n.rb == nil || n.lpos >= n.lb.Len():
+			b, ok, err := n.rscan.NextBatch()
+			if err != nil {
+				return err
+			}
+			decided := (n.mode == SemiMode || n.mode == AntiMode) && n.nmatched == n.lb.Len()
+			if !ok || decided {
+				n.tail, n.lpos = true, 0
+				continue
+			}
+			n.rb, n.lpos, n.rpos = b, 0, 0
+		default:
+			n.matchBlock(out)
+		}
 	}
-	return out, true, nil
+	return nil
+}
+
+// matchBlock matches lb's rows from lpos against rb's rows from rpos,
+// emitting inner and leftouter matches until out fills.
+func (n *BatchNestedLoopJoin) matchBlock(out *Batch) {
+	exists := n.mode == SemiMode || n.mode == AntiMode
+	for ; n.lpos < n.lb.Len(); n.lpos, n.rpos = n.lpos+1, 0 {
+		if exists && n.matched[n.lpos] {
+			continue
+		}
+		lrow := n.lb.Row(n.lpos)
+		for n.rpos < n.rb.Len() {
+			if out.Full() {
+				return
+			}
+			rrow := n.rb.Row(n.rpos)
+			n.rpos++
+			if !n.matches(lrow, rrow) {
+				continue
+			}
+			if !n.matched[n.lpos] {
+				n.matched[n.lpos] = true
+				n.nmatched++
+			}
+			if exists {
+				break
+			}
+			out.AppendConcat(lrow, rrow)
+		}
+	}
+}
+
+// emitOutcomes emits, once lb's scan is over, the null-padded rows of
+// unmatched leftouter rows, the matched semi rows and the unmatched
+// anti rows, until out fills.
+func (n *BatchNestedLoopJoin) emitOutcomes(out *Batch) {
+	for n.lpos < n.lb.Len() && !out.Full() {
+		i := n.lpos
+		n.lpos++
+		switch {
+		case n.mode == LeftOuterMode && !n.matched[i]:
+			out.AppendPad(n.lb.Row(i))
+		case n.mode == SemiMode && n.matched[i], n.mode == AntiMode && !n.matched[i]:
+			out.AppendRow(n.lb.Row(i))
+		}
+	}
+	if n.lpos >= n.lb.Len() {
+		n.lb = nil
+	}
+}
+
+// matches reports whether lrow joins rrow. A null key never matches.
+func (n *BatchNestedLoopJoin) matches(lrow, rrow []relation.Value) bool {
+	if n.equi {
+		for k, lk := range n.eqL {
+			lv, rv := lrow[lk], rrow[n.eqR[k]]
+			if lv.IsNull() || rv.IsNull() || lv.Compare(rv) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	crow := append(append(n.crow[:0], lrow...), rrow...)
+	n.crow = crow
+	return n.bound.Holds(crow)
 }
 
 // streamBatch is the single-driving-row probe: right batches stream
@@ -546,7 +730,7 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 	}
 	out := n.out
 	out.Reset()
-	lrow := n.slrow
+	lrow := n.first.Row(0)
 	if n.equi {
 		for _, k := range n.eqL {
 			if lrow[k].IsNull() {
@@ -555,15 +739,6 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 				return n.streamFinish(out)
 			}
 		}
-	}
-	var crow []relation.Value
-	if !n.equi {
-		w := len(lrow) + n.rwidth
-		if cap(n.crow) < w {
-			n.crow = make([]relation.Value, w)
-		}
-		crow = n.crow[:w]
-		copy(crow, lrow)
 	}
 	for {
 		if n.srb == nil || n.srpos >= n.srb.Len() {
@@ -579,23 +754,8 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 		for n.srpos < n.srb.Len() {
 			rrow := n.srb.Row(n.srpos)
 			n.srpos++
-			if n.equi {
-				hit := true
-				for k := range n.eqL {
-					rv := rrow[n.eqR[k]]
-					if rv.IsNull() || lrow[n.eqL[k]].Compare(rv) != 0 {
-						hit = false
-						break
-					}
-				}
-				if !hit {
-					continue
-				}
-			} else {
-				copy(crow[len(lrow):], rrow)
-				if !n.bound.Holds(crow) {
-					continue
-				}
+			if !n.matches(lrow, rrow) {
+				continue
 			}
 			n.smatched = true
 			switch n.mode {
@@ -623,18 +783,19 @@ func (n *BatchNestedLoopJoin) streamFinish(out *Batch) (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
+	lrow := n.first.Row(0)
 	switch n.mode {
 	case LeftOuterMode:
 		if !n.smatched {
-			out.AppendPad(n.slrow)
+			out.AppendPad(lrow)
 		}
 	case SemiMode:
 		if n.smatched {
-			out.AppendRow(n.slrow)
+			out.AppendRow(lrow)
 		}
 	case AntiMode:
 		if !n.smatched {
-			out.AppendRow(n.slrow)
+			out.AppendRow(lrow)
 		}
 	}
 	if out.Len() == 0 {
@@ -739,32 +900,8 @@ scan:
 	}
 }
 
-// delegateBatch serves the row delegate's stream re-batched.
-func (n *BatchNestedLoopJoin) delegateBatch() (*Batch, bool, error) {
-	out := n.out
-	out.Reset()
-	for !out.Full() {
-		row, ok, err := n.delegate.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			break
-		}
-		out.AppendRow(row)
-	}
-	if out.Len() == 0 {
-		return nil, false, nil
-	}
-	return out, true, nil
-}
-
-// Next implements Iterator through the batch cursor (or the delegate
-// directly).
+// Next implements Iterator through the batch cursor.
 func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
-	if n.delegate != nil {
-		return n.delegate.Next()
-	}
 	return n.cur.next(n.NextBatch)
 }
 
@@ -780,37 +917,20 @@ func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
 	n.held.release(ec)
 }
 
-// BufferedRows implements Buffered: the slab's row count (or the
-// delegate's buffer).
-func (n *BatchNestedLoopJoin) BufferedRows() int {
-	if n.delegate != nil {
-		if b, ok := n.delegate.(Buffered); ok {
-			return b.BufferedRows()
-		}
-		return 0
-	}
-	return n.rrows
-}
+// BufferedRows implements Buffered: the slab's row count.
+func (n *BatchNestedLoopJoin) BufferedRows() int { return n.rrows }
 
-// SpillInfo implements Spiller: only the row delegate can spill.
-func (n *BatchNestedLoopJoin) SpillInfo() SpillStats {
-	if n.delegate != nil {
-		if s, ok := n.delegate.(Spiller); ok {
-			return s.SpillInfo()
-		}
-	}
-	return SpillStats{}
-}
+// SpillInfo implements Spiller: the run of the latest Open cycle's
+// spilled right input.
+func (n *BatchNestedLoopJoin) SpillInfo() SpillStats { return n.spst }
 
-// Close implements Iterator: the slab (and its charge) is released.
-// After a delegation the row join owns both children and closes them.
+// Close implements Iterator: the slab (and its charge) or the spill run
+// is released.
 func (n *BatchNestedLoopJoin) Close() error {
 	n.cur.reset()
 	n.out = releaseBatch(n.out)
-	n.lb, n.pendRow, n.srb = nil, nil, nil
-	if n.delegate != nil {
-		return n.delegate.Close()
-	}
+	n.first = releaseBatch(n.first)
+	n.lb, n.next, n.pendRow, n.srb = nil, nil, nil, nil
 	var rerr error
 	if n.rightOpen {
 		n.rightOpen = false
@@ -818,6 +938,7 @@ func (n *BatchNestedLoopJoin) Close() error {
 	}
 	n.resetBuild(n.ec)
 	n.chunks = nil
+	n.dropRun()
 	lerr := n.left.Close()
 	if rerr != nil {
 		return rerr

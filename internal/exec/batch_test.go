@@ -11,10 +11,10 @@ import (
 
 // Unit coverage for the batch layer itself: the null bitmap, the
 // row/batch adapter round-trip, boundary batch sizes, the hash join's
-// in-place spill, and the single-row stream mode of the batch nested-loop join — with
-// regression tests for the two ownership bugs the vectorization work
-// surfaced (re-Open leaking a stale delegate's spill run, and the peek
-// leaving the left child doubly opened across a delegation).
+// in-place spill, and the single-row stream mode of the nested-loop
+// join — with regression tests for the nested-loop join's spill
+// lifecycle (re-Open without Close dropping the stale run, and the
+// Open-time peek keeping the children balanced across a spill).
 
 // TestBatchNullBitmap checks every append path maintains the bitmap:
 // copied rows, concatenated rows, null padding, and in-place moves.
@@ -67,14 +67,14 @@ func TestBatchNullBitmap(t *testing.T) {
 // the input length, and one larger than the whole input).
 func TestBatchingAdapterRoundTrip(t *testing.T) {
 	rt, _ := contractTables(t)
-	ref, err := Collect(NewScan(rt, &Counters{}), nil)
+	ref, err := Collect(NewRelationScan(rt.Relation()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, size := range []int{1, 2, 3, 100} {
 		// Row child behind the adapter, drained by batches.
 		var c Counters
-		a := Batching(NewScan(rt, &c), size)
+		a := Batching(NewRelationScan(rt.Relation()), size)
 		if err := a.Open(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +118,14 @@ func TestBatchHashJoinTripSpills(t *testing.T) {
 	rt, st := contractTables(t)
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
 	mk := func(right Iterator) *BatchHashJoin {
-		h, err := NewBatchHashJoin(NewScan(rt, nil), right,
+		h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), right,
 			[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return h
 	}
-	ref, err := Collect(mk(NewScan(st, nil)), nil)
+	ref, err := Collect(mk(NewBatchScan(st, nil, 0)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +204,8 @@ func TestBatchNestedLoopStreamMode(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream mode tripped the budget: %v", err)
 			}
-			if n.DegradedTo() != nil {
-				t.Fatal("single-row left delegated instead of streaming")
+			if !n.stream {
+				t.Fatal("single-row left did not stream")
 			}
 			if got.Len() != tc.wantRows {
 				t.Errorf("rows = %d, want %d\n%v", got.Len(), tc.wantRows, got)
@@ -242,31 +242,29 @@ func TestBatchNestedLoopStreamContract(t *testing.T) {
 	}
 }
 
-// TestBatchReopenClosesStaleDelegate is the regression test for the
-// spill leak the metamorphic oracle caught: an operator whose previous
-// execution delegated to the row join (with live spill state) is
-// re-opened WITHOUT an intervening Close — the iterator contract allows
-// this — and must close the stale delegate first. Before the fix the
-// delegate's spill run leaked its governor reservation and run file.
-func TestBatchReopenClosesStaleDelegate(t *testing.T) {
+// TestBatchReopenDropsStaleSpill: a nested-loop join whose previous
+// execution spilled its right input is re-opened WITHOUT an intervening
+// Close — the iterator contract allows this — and must drop the stale
+// run and its file first, or its spill reservation and run file leak.
+func TestBatchReopenDropsStaleSpill(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
-	n, err := NewBatchNestedLoopJoin(NewScan(rt, &c), NewScan(st, &c),
+	n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, &c, 0), NewBatchScan(st, &c, 0),
 		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ec, gov, dir := spillCtx(t, 96)
 
-	// Cycle 1: the build trips, delegates to the row join, which spills.
+	// Cycle 1: the build trips and spills the right input to a run.
 	if err := n.Open(ec); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := n.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if n.DegradedTo() == nil {
-		t.Fatal("96-byte budget did not force delegation")
+	if !n.SpillInfo().Spilled() {
+		t.Fatal("96-byte budget did not force the spill")
 	}
 
 	// Cycle 2: re-Open without Close, drain fully, Close.
@@ -288,13 +286,12 @@ func TestBatchReopenClosesStaleDelegate(t *testing.T) {
 	checkSpillDrained(t, gov, dir)
 }
 
-// TestBatchStreamTripDelegationBalancesLeft is the regression test for
-// the double-open leak: the Open-time peek holds the left child open,
-// and a memory trip during the right build delegates to the row join
-// which re-opens both children. The delegation must close the peeked
-// left child first, or its open count leaks (audited by the fault
-// iterator's lifecycle counters).
-func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
+// TestBatchPeekThenSpillBalancesChildren: the Open-time peek holds the
+// left child open while a memory trip during the right build spills.
+// The spill continues over the same open children — each is opened
+// once and closed once (audited by the fault iterator's lifecycle
+// counters).
+func TestBatchPeekThenSpillBalancesChildren(t *testing.T) {
 	rt, st := contractTables(t)
 	lf := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
 	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
@@ -307,12 +304,12 @@ func TestBatchStreamTripDelegationBalancesLeft(t *testing.T) {
 	if _, err := CollectCtx(ec, n, nil); err != nil {
 		t.Fatal(err)
 	}
-	if n.DegradedTo() == nil {
-		t.Fatal("96-byte budget did not force delegation")
+	if !n.SpillInfo().Spilled() {
+		t.Fatal("96-byte budget did not force the spill")
 	}
 	for name, f := range map[string]*storage.FaultIterator{"left": lf, "right": rf} {
-		if f.OpenCalls != f.CloseCalls {
-			t.Errorf("%s child leaked: opens=%d closes=%d", name, f.OpenCalls, f.CloseCalls)
+		if f.OpenCalls != 1 || !f.Balanced() {
+			t.Errorf("%s child: opens=%d closes=%d, want one balanced open", name, f.OpenCalls, f.CloseCalls)
 		}
 	}
 	checkSpillDrained(t, gov, dir)

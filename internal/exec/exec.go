@@ -25,7 +25,6 @@ import (
 
 	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
-	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 	"freejoin/internal/resource"
 	"freejoin/internal/storage"
@@ -301,55 +300,6 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 	return out, nil
 }
 
-// Scan reads every row of a table. Rows are served from a reused
-// per-iterator buffer: handing out base-table storage directly would let
-// a caller exercising its ownership right to mutate the row corrupt the
-// table.
-type Scan struct {
-	table    *storage.Table
-	counters *Counters
-	ec       *ExecContext
-	pos      int
-	buf      []relation.Value
-}
-
-// NewScan returns a full-table scan.
-func NewScan(t *storage.Table, c *Counters) *Scan {
-	return &Scan{table: t, counters: c}
-}
-
-// Scheme implements Iterator.
-func (s *Scan) Scheme() *relation.Scheme { return s.table.Scheme() }
-
-// Open implements Iterator.
-func (s *Scan) Open(ec *ExecContext) error {
-	s.ec = ec
-	s.pos = 0
-	return ec.Err("scan")
-}
-
-// Next implements Iterator.
-func (s *Scan) Next() ([]relation.Value, bool, error) {
-	if err := s.ec.Err("scan"); err != nil {
-		return nil, false, err
-	}
-	if s.pos >= s.table.Relation().Len() {
-		return nil, false, nil
-	}
-	if s.buf == nil {
-		s.buf = make([]relation.Value, s.table.Scheme().Len())
-	}
-	copy(s.buf, s.table.Relation().RawRow(s.pos))
-	s.pos++
-	if s.counters != nil {
-		s.counters.IncTuples()
-	}
-	return s.buf, true, nil
-}
-
-// Close implements Iterator.
-func (s *Scan) Close() error { return nil }
-
 // IndexScan fetches only the rows of a table whose indexed column equals
 // a constant — the access path a pushed-down equality restriction earns
 // when the column has a hash index. Each fetched row counts as one
@@ -454,48 +404,6 @@ func (s *RelationScan) Next() ([]relation.Value, bool, error) {
 // Close implements Iterator.
 func (s *RelationScan) Close() error { return nil }
 
-// Filter applies a predicate to its child's rows.
-type Filter struct {
-	child Iterator
-	bound predicate.Bound
-}
-
-// NewFilter compiles p against the child's scheme.
-func NewFilter(child Iterator, p predicate.Predicate) (*Filter, error) {
-	b, err := predicate.Bind(p, child.Scheme())
-	if err != nil {
-		return nil, fmt.Errorf("exec: filter: %w", err)
-	}
-	return &Filter{child: child, bound: b}, nil
-}
-
-// Scheme implements Iterator.
-func (f *Filter) Scheme() *relation.Scheme { return f.child.Scheme() }
-
-// Open implements Iterator.
-func (f *Filter) Open(ec *ExecContext) error {
-	if err := ec.Err("filter"); err != nil {
-		return err
-	}
-	return f.child.Open(ec)
-}
-
-// Next implements Iterator.
-func (f *Filter) Next() ([]relation.Value, bool, error) {
-	for {
-		row, ok, err := f.child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if f.bound.Holds(row) {
-			return row, true, nil
-		}
-	}
-}
-
-// Close implements Iterator.
-func (f *Filter) Close() error { return f.child.Close() }
-
 // materialize drains an iterator into memory (used by blocking joins),
 // charging each buffered row to the governor on behalf of op when h is
 // non-nil. The child is closed on every path; on error the caller still
@@ -531,26 +439,32 @@ func materialize(it Iterator, ec *ExecContext, op string, h *hold) ([][]relation
 }
 
 // spillRest is the spill path of an operator whose buffered input trips
-// the memory budget: it writes the rows buffered so far, calls release
-// (the operator drops them and their charge), and streams the rest of
-// the input from next into the same run of a new spill file, noting the
-// degradation for op. On error it holds nothing.
-func spillRest(ec *ExecContext, op, what string, rows [][]relation.Value, release func(), next func() ([]relation.Value, bool, error)) (*spill.File, *spill.Run, error) {
+// the memory budget. It writes the rows buffered so far — held, slabs of
+// whole rows laid out back to back — calls release (the operator drops
+// them and their charge), and streams the rest of rest into the same
+// run of a new spill file, noting the degradation for op. rest is left
+// open for the caller to close. On error it holds nothing.
+func spillRest(ec *ExecContext, op, what string, held [][]relation.Value, release func(), rest BatchIterator) (*spill.File, *spill.Run, error) {
 	f, err := spill.Create(ec, op)
 	if err != nil {
 		return nil, nil, err
 	}
 	w := f.NewWriter()
-	for i := 0; err == nil && i < len(rows); i++ {
-		err = w.Append(rows[i])
+	width := rest.Scheme().Len()
+	for _, slab := range held {
+		for off := 0; err == nil && off < len(slab); off += width {
+			err = w.Append(slab[off : off+width])
+		}
 	}
 	release()
 	for err == nil {
-		row, ok, nerr := next()
+		b, ok, nerr := rest.NextBatch()
 		if err = nerr; err != nil || !ok {
 			break
 		}
-		err = w.Append(row)
+		for i := 0; err == nil && i < b.Len(); i++ {
+			err = w.Append(b.Row(i))
+		}
 	}
 	var run *spill.Run
 	if err == nil {
@@ -570,10 +484,4 @@ func concatRows(a, b []relation.Value) []relation.Value {
 	out := make([]relation.Value, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
-}
-
-func padRight(a []relation.Value, n int) []relation.Value {
-	out := make([]relation.Value, len(a)+n)
-	copy(out, a)
-	return out
 }

@@ -24,10 +24,10 @@ func randRel(rnd *rand.Rand, name string, n int) *relation.Relation {
 	return r
 }
 
-func scanOf(t *testing.T, name string, rel *relation.Relation, c *Counters) (*Scan, *storage.Table) {
+func scanOf(t *testing.T, name string, rel *relation.Relation, c *Counters) (*BatchScan, *storage.Table) {
 	t.Helper()
 	tb := storage.NewTable(name, rel)
-	return NewScan(tb, c), tb
+	return NewBatchScan(tb, c, 0), tb
 }
 
 // refFor computes the expected result of a physical join mode via the
@@ -110,7 +110,7 @@ func TestFilter(t *testing.T) {
 	rel := relation.FromRows("R", []string{"k", "v"}, []any{1, 2}, []any{3, 4}, []any{nil, 9})
 	s, _ := scanOf(t, "R", rel, nil)
 	p := predicate.Cmp(predicate.GtOp, predicate.Col(relation.A("R", "k")), predicate.Const(relation.Int(1)))
-	f, err := NewFilter(s, p)
+	f, err := NewBatchFilter(s, p, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +123,13 @@ func TestFilter(t *testing.T) {
 		t.Errorf("filter mismatch:\n%v\nvs\n%v", out, want)
 	}
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewFilter(s2, predicate.NewIsNull(relation.A("Z", "z"))); err == nil {
+	if _, err := NewBatchFilter(s2, predicate.NewIsNull(relation.A("Z", "z")), 0); err == nil {
 		t.Error("unbindable filter must fail")
 	}
 }
 
-// hashJoinSizes are the batch sizes every hash-join test runs at: one
-// row per batch, a size that splits the inputs unevenly, and the default.
+// hashJoinSizes are the batch sizes every join test runs at: one row per
+// batch, a size that splits the inputs unevenly, and the default.
 var hashJoinSizes = []int{1, 7, DefaultBatchSize}
 
 func TestHashJoinAllModes(t *testing.T) {
@@ -220,19 +220,21 @@ func TestNestedLoopJoinAllModes(t *testing.T) {
 		lrel := randRel(rnd, "R", rnd.Intn(10))
 		rrel := randRel(rnd, "S", rnd.Intn(10))
 		for _, mode := range allModes {
-			ls, _ := scanOf(t, "R", lrel, nil)
-			rs, _ := scanOf(t, "S", rrel, nil)
-			nl, err := NewNestedLoopJoin(ls, rs, p, mode, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Collect(nl, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := refFor(t, mode, lrel, rrel, p)
-			if !got.EqualBag(want) {
-				t.Fatalf("trial %d mode %s: NL join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, got, want)
+			for _, size := range hashJoinSizes {
+				ls, _ := scanOf(t, "R", lrel, nil)
+				rs, _ := scanOf(t, "S", rrel, nil)
+				nl, err := NewBatchNestedLoopJoin(ls, rs, p, mode, nil, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Collect(nl, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refFor(t, mode, lrel, rrel, p)
+				if !got.EqualBag(want) {
+					t.Fatalf("trial %d mode %s size %d: NL join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, size, got, want)
+				}
 			}
 		}
 	}
@@ -249,18 +251,20 @@ func TestIndexJoinAllModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range allModes {
-			ls, _ := scanOf(t, "R", lrel, nil)
-			ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Collect(ij, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := refFor(t, mode, lrel, rrel, key)
-			if !got.EqualBag(want) {
-				t.Fatalf("trial %d mode %s: index join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, got, want)
+			for _, size := range hashJoinSizes {
+				ls, _ := scanOf(t, "R", lrel, nil)
+				ij, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, mode, nil, nil, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := Collect(ij, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := refFor(t, mode, lrel, rrel, key)
+				if !got.EqualBag(want) {
+					t.Fatalf("trial %d mode %s size %d: index join mismatch\ngot:\n%v\nwant:\n%v", trial, mode, size, got, want)
+				}
 			}
 		}
 	}
@@ -280,7 +284,7 @@ func TestIndexJoinCountsRetrievedTuples(t *testing.T) {
 	}
 	var c Counters
 	ls, _ := scanOf(t, "R", outer, &c)
-	ij, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, &c)
+	ij, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, &c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +304,13 @@ func TestIndexJoinErrors(t *testing.T) {
 	lrel := randRel(rand.New(rand.NewSource(3)), "R", 3)
 	inner := storage.NewTable("S", randRel(rand.New(rand.NewSource(4)), "S", 3))
 	ls, _ := scanOf(t, "R", lrel, nil)
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, nil); err == nil {
+	if _, err := NewBatchIndexJoin(ls, inner, "k", relation.A("R", "k"), nil, InnerMode, nil, nil, 0); err == nil {
 		t.Error("missing index must fail")
 	}
 	if _, err := inner.BuildHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil, nil); err == nil {
+	if _, err := NewBatchIndexJoin(ls, inner, "k", relation.A("Z", "z"), nil, InnerMode, nil, nil, 0); err == nil {
 		t.Error("bad outer key must fail")
 	}
 }
@@ -328,7 +332,7 @@ func TestJoinSchemeOverlapRejected(t *testing.T) {
 	rel := randRel(rand.New(rand.NewSource(7)), "R", 3)
 	s1, _ := scanOf(t, "R", rel, nil)
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode, nil); err == nil {
+	if _, err := NewBatchNestedLoopJoin(s1, s2, predicate.TruePred, InnerMode, nil, 0); err == nil {
 		t.Error("overlapping schemes must fail")
 	}
 }

@@ -143,7 +143,7 @@ func TestExpiredDeadline(t *testing.T) {
 	rt, st := contractTables(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	hj, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+	hj, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestMemoryBudgetTrips(t *testing.T) {
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) (Iterator, string){
 		"hashjoin": func(t *testing.T) (Iterator, string) {
-			h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+			h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 				[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -175,15 +175,15 @@ func TestMemoryBudgetTrips(t *testing.T) {
 			return h, "hashjoin"
 		},
 		"nestedloop": func(t *testing.T) (Iterator, string) {
-			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode, nil)
+			n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Eq(rk, sk), InnerMode, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return n, "nestedloop"
 		},
 		"goj": func(t *testing.T) (Iterator, string) {
-			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),
+			g, err := NewHashGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)
@@ -191,19 +191,20 @@ func TestMemoryBudgetTrips(t *testing.T) {
 			return g, "goj"
 		},
 		"semireduce": func(t *testing.T) (Iterator, string) {
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil), predicate.Eq(rk, sk))
+			s, err := NewBatchSemiReduce(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0), predicate.Eq(rk, sk), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return s, "semireduce"
 		},
 		"semireduce-scan": func(t *testing.T) (Iterator, string) {
-			s, err := NewSemiReduce(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)))
+			// The non-equi semijoin as lowered: a nested-loop join.
+			s, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk)), SemiMode, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s, "semireduce"
+			return s, "nestedloop"
 		},
 	}
 	for name, build := range builders {
@@ -237,7 +238,7 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			for _, size := range hashJoinSizes {
 				mkJoin := func() *BatchHashJoin {
-					h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+					h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 						[]relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, size)
 					if err != nil {
 						t.Fatal(err)
@@ -251,7 +252,7 @@ func TestHashJoinGracefulDegradation(t *testing.T) {
 
 				h := mkJoin()
 				h.SetFallback(func(left Iterator) (Iterator, error) {
-					return NewIndexJoin(left, st, "k", rk, nil, mode, nil, nil)
+					return NewBatchIndexJoin(left, st, "k", rk, nil, mode, nil, nil, 0)
 				})
 				gov := NewGovernor(1, 0) // the 4-row build side cannot fit
 				got, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil)
@@ -279,13 +280,13 @@ func TestHashJoinFallbackNotTakenWithoutTrip(t *testing.T) {
 	rt, st := contractTables(t)
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
-	h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+	h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 		[]relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetFallback(func(left Iterator) (Iterator, error) {
-		return NewIndexJoin(left, st, "k", rk, nil, InnerMode, nil, nil)
+		return NewBatchIndexJoin(left, st, "k", rk, nil, InnerMode, nil, nil, 0)
 	})
 	gov := NewGovernor(1000, 0)
 	if _, err := CollectCtx(NewExecContext(context.Background(), gov), h, nil); err != nil {

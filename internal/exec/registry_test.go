@@ -9,7 +9,9 @@ import (
 )
 
 // The shared operator inventory. Every physical operator is registered
-// here exactly once, and the generic suites are all driven off this one
+// here, the batched ones at the default batch size and (the batch*
+// cases) at two rows per batch, and the generic suites are all driven
+// off this one
 // map — the iterator contract (contract_test.go), the per-child
 // fault-injection matrix, the failed-Open governor drain, and the
 // cancelled-context fail-fast check (faults_test.go). Adding an
@@ -35,6 +37,7 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	rk := relation.A("R", "k")
 	sk := relation.A("S", "k")
 	key := predicate.Eq(rk, sk)
+	lt := predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk))
 	must := func(it Iterator, err error) Iterator {
 		t.Helper()
 		if err != nil {
@@ -43,20 +46,20 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		return it
 	}
 	cases := map[string]opCase{
-		"scan":         {0, func(t *testing.T, ch []Iterator) Iterator { return NewScan(rt, c) }},
+		"scan":         {0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, 0) }},
 		"relationscan": {0, func(t *testing.T, ch []Iterator) Iterator { return NewRelationScan(rt.Relation()) }},
 		"indexscan": {0, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewIndexScan(st, "k", relation.Int(2), c))
 		}},
 		"filter": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewFilter(ch[0],
-				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1)))))
+			return must(NewBatchFilter(ch[0],
+				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1))), 0))
 		}},
 		"nestedloop": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewNestedLoopJoin(ch[0], ch[1], key, InnerMode, nil))
+			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, InnerMode, nil, 0))
 		}},
 		"indexjoin": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c))
+			return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c, 0))
 		}},
 		"hashgoj": {2, func(t *testing.T, ch []Iterator) Iterator {
 			return must(NewHashGOJ(ch[0], ch[1],
@@ -64,12 +67,11 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		}},
 		"semireduce": {2, func(t *testing.T, ch []Iterator) Iterator {
 			// Pure equi predicate: the hash-filter fast path.
-			return must(NewSemiReduce(ch[0], ch[1], key))
+			return must(NewBatchSemiReduce(ch[0], ch[1], key, 0))
 		}},
 		"semireduce-scan": {2, func(t *testing.T, ch []Iterator) Iterator {
-			// Non-equi predicate: the materialize-and-scan path.
-			return must(NewSemiReduce(ch[0], ch[1],
-				predicate.Cmp(predicate.LtOp, predicate.Col(rk), predicate.Col(sk))))
+			// Non-equi predicate: the nested-loop semijoin it lowers to.
+			return must(NewBatchNestedLoopJoin(ch[0], ch[1], lt, SemiMode, nil, 0))
 		}},
 		"instrumented": {1, func(t *testing.T, ch []Iterator) Iterator {
 			return Instrument(ch[0], "probe", c)
@@ -78,8 +80,9 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return storage.NewFaultIterator(ch[0], storage.Fault{})
 		}},
 	}
-	// The hash join at its default batch size, where the 5-row inputs
-	// fit one batch; the batchhashjoin cases below refill every 2 rows.
+	// The cases above and the hash join run at the default batch size,
+	// where the 5-row inputs fit one batch; the batch* cases below refill
+	// every 2 rows.
 	for name, mode := range map[string]JoinMode{
 		"hashjoin": InnerMode, "hashjoin-outer": LeftOuterMode, "hashjoin-semi": SemiMode, "hashjoin-anti": AntiMode,
 	} {
@@ -88,9 +91,9 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, 0))
 		}}
 	}
-	// The batch evaluators run through the same contract/fault/ownership
-	// suites via their Iterator side (Next over the batch cursor). A tiny
-	// batch size forces multiple refills over the 5-row inputs.
+	// The operators run through the contract/fault/ownership suites via
+	// their Iterator side (Next over the batch cursor). A tiny batch size
+	// forces multiple refills over the 5-row inputs.
 	const bsz = 2
 	cases["batchscan"] = opCase{0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, bsz) }}
 	cases["batchfilter"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
@@ -99,6 +102,9 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 	}}
 	cases["batchsemireduce"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
 		return must(NewBatchSemiReduce(ch[0], ch[1], key, bsz))
+	}}
+	cases["batchsemireduce-scan"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
+		return must(NewBatchNestedLoopJoin(ch[0], ch[1], lt, SemiMode, nil, bsz))
 	}}
 	cases["spool"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
 		// One reader over one child: its Close is the last, so every

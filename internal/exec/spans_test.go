@@ -217,8 +217,8 @@ func TestConcurrentCountersScrape(t *testing.T) {
 		go func() {
 			defer runs.Done()
 			p, err := NewBatchHashJoin(
-				Instrument(NewScan(rt, &c), "scan R", &c),
-				Instrument(NewScan(st, &c), "scan S", &c),
+				Instrument(NewBatchScan(rt, &c, 0), "scan R", &c),
+				Instrument(NewBatchScan(st, &c, 0), "scan S", &c),
 				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, 0)
 			if err != nil {
 				errs <- err

@@ -1,6 +1,6 @@
 // Package spill implements governed spill-to-disk storage for the
 // external-memory execution paths: the grace hash join, the spilling
-// nested-loop and semijoin operators, and the shared spool.
+// nested-loop join, and the shared spool.
 //
 // A spilling operator opens one File at its first spill and closes it —
 // which unlinks it — when it is done. Inside the file, each Writer
@@ -202,7 +202,7 @@ type Run struct {
 }
 
 // Open returns a sequential reader over the run. A run may be opened
-// many times (the nested-loop spill path re-scans per outer row).
+// many times.
 func (r *Run) Open() *Reader { return &Reader{run: r} }
 
 // Drop returns the run's extents to its file for reuse; readers over it
@@ -254,18 +254,6 @@ func (r *Reader) AppendNext(dst []relation.Value) ([]relation.Value, bool, error
 			return dst, false, nil
 		}
 	}
-}
-
-// Next returns the next row in a fresh slice, or false at end of run.
-func (r *Reader) Next() ([]relation.Value, bool, error) {
-	row, ok, err := r.AppendNext(nil)
-	if !ok {
-		return nil, false, err
-	}
-	if row == nil {
-		row = []relation.Value{}
-	}
-	return row, true, nil
 }
 
 // fill moves the unread bytes to the front of the window and reads the

@@ -88,8 +88,8 @@ func TestRunRoundTrip(t *testing.T) {
 	if run.Rows != int64(len(want)) {
 		t.Fatalf("run.Rows = %d, want %d", run.Rows, len(want))
 	}
-	// Two sequential scans — a fresh reader and a rewound one, each through
-	// both decoders — must see the full content.
+	// Two sequential scans — a fresh reader decoding into new slices and
+	// a rewound one reusing a buffer — must see the full content.
 	rd := run.Open()
 	for scan := 0; scan < 2; scan++ {
 		var buf []relation.Value
@@ -97,7 +97,7 @@ func TestRunRoundTrip(t *testing.T) {
 			var row []relation.Value
 			var ok bool
 			if scan == 0 {
-				row, ok, err = rd.Next()
+				row, ok, err = rd.AppendNext(nil)
 			} else {
 				buf, ok, err = rd.AppendNext(buf[:0])
 				row = buf
@@ -115,7 +115,7 @@ func TestRunRoundTrip(t *testing.T) {
 				}
 			}
 		}
-		if _, ok, err := rd.Next(); ok || err != nil {
+		if _, ok, err := rd.AppendNext(nil); ok || err != nil {
 			t.Fatalf("scan %d: expected clean EOF, ok=%v err=%v", scan, ok, err)
 		}
 		rd.Rewind()
@@ -227,7 +227,7 @@ func TestSpillFileReusesExtents(t *testing.T) {
 	for _, run := range live {
 		rd := run.Open()
 		for n := int64(0); ; n++ {
-			_, ok, err := rd.Next()
+			_, ok, err := rd.AppendNext(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +271,7 @@ func TestSpillFileLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Abort() // no-op after Finish: must not free the sealed run
-		if row, ok, err := run.Open().Next(); !ok || err != nil || row[0].AsInt() != int64(i) {
+		if row, ok, err := run.Open().AppendNext(nil); !ok || err != nil || row[0].AsInt() != int64(i) {
 			t.Fatalf("run %d reads back %v (ok=%v err=%v)", i, row, ok, err)
 		}
 		run.Drop()
@@ -303,7 +303,7 @@ func TestTruncatedRun(t *testing.T) {
 	if err := os.Truncate(f.Name(), run.Bytes-4); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := run.Open().Next(); err == nil {
+	if _, ok, err := run.Open().AppendNext(nil); err == nil {
 		t.Fatalf("truncated run read: ok=%v, want error", ok)
 	}
 }
@@ -326,8 +326,8 @@ func TestWriterCreatesMissingDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := run.Open().Next(); err != nil || !ok {
-		t.Fatalf("Next: ok=%v err=%v", ok, err)
+	if _, ok, err := run.Open().AppendNext(nil); err != nil || !ok {
+		t.Fatalf("AppendNext: ok=%v err=%v", ok, err)
 	}
 	f.Close()
 	if files, _ := filepath.Glob(filepath.Join(dir, "ojspill-*")); len(files) != 0 {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
 	"freejoin/internal/storage"
@@ -92,7 +93,7 @@ func spillInfo(t *testing.T, it Iterator) SpillStats {
 func hashJoinOf(t *testing.T, rt, st *storage.Table, mode JoinMode, size int) func() *BatchHashJoin {
 	return func() *BatchHashJoin {
 		t.Helper()
-		h, err := NewBatchHashJoin(NewScan(rt, nil), NewScan(st, nil),
+		h, err := NewBatchHashJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, nil, mode, nil, size)
 		if err != nil {
 			t.Fatal(err)
@@ -333,8 +334,8 @@ func TestGraceHashJoinSpillOneFile(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
 	for _, size := range hashJoinSizes {
 		ec, gov, dir := spillCtx(t, 400)
-		lw := &diskWatch{Iterator: NewScan(rt, nil), t: t, gov: gov, dir: dir}
-		rw := &diskWatch{Iterator: NewScan(st, nil), t: t, gov: gov, dir: dir}
+		lw := &diskWatch{Iterator: NewBatchScan(rt, nil, 0), t: t, gov: gov, dir: dir}
+		rw := &diskWatch{Iterator: NewBatchScan(st, nil, 0), t: t, gov: gov, dir: dir}
 		h, err := NewBatchHashJoin(lw, rw, []relation.Attr{relation.A("R", "k")},
 			[]relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, size)
 		if err != nil {
@@ -423,48 +424,93 @@ func TestGraceHashJoinSpillFaults(t *testing.T) {
 	}
 }
 
+// TestNestedLoopJoinSpill: in every mode and at every batch size, a
+// right input that trips the budget mid-build spills natively — one
+// run, one degradation — and the probe's scans of the run return the
+// reference algebra's bag, null keys included.
 func TestNestedLoopJoinSpill(t *testing.T) {
-	rt, st := spillTables(t, 60, 200)
+	rt, st := spillTables(t, 60, 2000)
 	pred := predicate.Eq(relation.A("R", "k"), relation.A("S", "k"))
-	for _, mode := range []JoinMode{InnerMode, LeftOuterMode, SemiMode, AntiMode} {
+	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) {
-			mk := func() *NestedLoopJoin {
-				n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil), pred, mode, nil)
+			want := refFor(t, mode, rt.Relation(), st.Relation(), pred)
+			for _, size := range hashJoinSizes {
+				n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0), pred, mode, nil, size)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return n
+				// 100KB holds more than one 1024-row build batch of the
+				// 164KB right input: the trip comes mid-build at every size.
+				ec, gov, dir := spillCtx(t, 100_000)
+				deg0 := obs.GovernorDegradations.Value()
+				got, err := CollectCtx(ec, n, nil)
+				if err != nil {
+					t.Fatalf("size %d: spilled nested loop failed: %v", size, err)
+				}
+				if !want.EqualBag(got) {
+					t.Errorf("size %d: spilled NL bag differs: want %d rows, got %d", size, want.Len(), got.Len())
+				}
+				if sp := n.SpillInfo(); sp.Runs != 1 {
+					t.Errorf("size %d: want one spilled run, got %+v", size, sp)
+				}
+				if d := obs.GovernorDegradations.Value() - deg0; d != 1 {
+					t.Errorf("size %d: %d degradations for one trip: %v", size, d, gov.Events())
+				}
+				if n := countEvents(gov, "memory budget exceeded"); n != 1 {
+					t.Errorf("size %d: %d trips, want 1: %v", size, n, gov.Events())
+				}
+				checkSpillDrained(t, gov, dir)
 			}
-			want, err := Collect(mk(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ec, gov, dir := spillCtx(t, 500)
-			n := mk()
-			got, err := CollectCtx(ec, n, nil)
-			if err != nil {
-				t.Fatalf("spilled nested loop failed: %v", err)
-			}
-			if !want.EqualBag(got) {
-				t.Errorf("spilled NL bag differs: want %d rows, got %d", want.Len(), got.Len())
-			}
-			if sp := n.SpillInfo(); !sp.Spilled() {
-				t.Errorf("nested loop should report its spilled inner run, got %+v", sp)
-			}
-			checkSpillDrained(t, gov, dir)
 		})
+	}
+}
+
+// TestGraceHashJoinOverBoundScansInPlace: past the recursion bound a
+// skewed partition pair is joined by a nested-loop join over its two
+// runs. The join scans the build run where it is: every run written is
+// a grace partition's, and the nested-loop join spills nothing.
+func TestGraceHashJoinOverBoundScansInPlace(t *testing.T) {
+	r := relation.New(relation.SchemeOf("R", "k", "v"))
+	s := relation.New(relation.SchemeOf("S", "k", "w"))
+	for i := 0; i < 120; i++ {
+		r.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i))})
+		s.AppendRaw([]relation.Value{relation.Int(7), relation.Int(int64(i * 2))})
+	}
+	rt, st := storage.NewTable("R", r), storage.NewTable("S", s)
+	key := predicate.Eq(relation.A("R", "k"), relation.A("S", "k"))
+	for _, size := range hashJoinSizes {
+		runs0 := obs.SpillRuns.Value()
+		ec, gov, dir := spillCtx(t, 400)
+		h := hashJoinOf(t, rt, st, InnerMode, size)()
+		got, err := CollectCtx(ec, h, nil)
+		if err != nil {
+			t.Fatalf("size %d: %v", size, err)
+		}
+		if want := refFor(t, InnerMode, r, s, key); !want.EqualBag(got) {
+			t.Errorf("size %d: bag differs: want %d rows, got %d", size, want.Len(), got.Len())
+		}
+		if countEvents(gov, "nested-loop join over its runs") == 0 {
+			t.Fatalf("size %d: no pair reached the nested-loop join: %v", size, gov.Events())
+		}
+		if n := countEvents(gov, "spilling inner input"); n != 0 {
+			t.Errorf("size %d: the nested-loop join re-spilled a run: %v", size, gov.Events())
+		}
+		if written, grace := obs.SpillRuns.Value()-runs0, h.SpillInfo().Runs; written != grace {
+			t.Errorf("size %d: %d runs written, %d of them grace partitions", size, written, grace)
+		}
+		checkSpillDrained(t, gov, dir)
 	}
 }
 
 // TestSpillBudgetExceeded: the spill-bytes budget is itself governed;
 // when it is too small the run must abort with a typed SpillExceeded
 // error and still clean up every file and reservation. The nested-loop
-// join's inner input trips the memory budget and streams into a single
+// join's right input trips the memory budget and streams into a single
 // run (spillRest), which overruns the spill budget part way.
 func TestSpillBudgetExceeded(t *testing.T) {
 	rt, st := spillTables(t, 10, 1000)
-	n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil)
+	n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,15 +580,15 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 	sk := relation.A("S", "k")
 	builders := map[string]func(t *testing.T) Iterator{
 		"nestedloop": func(t *testing.T) Iterator {
-			n, err := NewNestedLoopJoin(NewScan(rt, nil), NewScan(st, nil),
-				predicate.Eq(rk, sk), InnerMode, nil)
+			n, err := NewBatchNestedLoopJoin(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
+				predicate.Eq(rk, sk), InnerMode, nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return n
 		},
 		"goj": func(t *testing.T) Iterator {
-			g, err := NewHashGOJ(NewScan(rt, nil), NewScan(st, nil),
+			g, err := NewHashGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
 				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
 			if err != nil {
 				t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 // with its own BatchScan, which copies the rows out, because consumers
 // compact their batches in place. The rows are dropped once all readers
 // are closed, and an Open after that refills. A reader counts as closed
-// until it opens again, so a consumer re-opening a closed reader (a join
-// delegating to another algorithm) may cost a refill, never a leak.
+// until it opens again, so a consumer re-opening a closed reader (a
+// semijoin filter continuing on a nested-loop join after a memory trip)
+// may cost a refill, never a leak.
 //
 // A memory trip during the drain with spill on moves the rows to one
 // run of a spill file that each reader scans with its own runScan; with
@@ -106,10 +107,8 @@ func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
 		b.appendToRelation(rel)
 		if err = s.held.chargeN(ec, "spool", int64(b.Len()), b.Bytes()); err != nil {
 			if spillable(ec, err) {
-				var cur batchCursor
 				s.file, s.run, err = spillRest(ec, "spool", "shared rows", rel.RawRows(),
-					func() { s.held.release(ec) },
-					func() ([]relation.Value, bool, error) { return cur.next(bc.NextBatch) })
+					func() { s.held.release(ec) }, bc)
 			}
 			break
 		}

@@ -16,7 +16,7 @@ import (
 // a run; and the governor (and spill dir) drain.
 func TestSpoolReaders(t *testing.T) {
 	rt, _ := spillTables(t, 300, 0)
-	ref, err := Collect(NewScan(rt, nil), nil)
+	ref, err := Collect(NewBatchScan(rt, nil, 0), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSpoolReaders(t *testing.T) {
 
 	t.Run("charge", func(t *testing.T) {
 		// The rows are charged from the fill until the last reader closes.
-		sp := NewSpool(NewScan(rt, nil), 7)
+		sp := NewSpool(NewBatchScan(rt, nil, 0), 7)
 		r0, r1 := sp.Reader(), sp.Reader()
 		gov := NewGovernor(0, 0)
 		ec := NewExecContext(context.Background(), gov)
@@ -140,7 +140,7 @@ func TestSpoolReaders(t *testing.T) {
 	})
 
 	t.Run("trip-without-spill", func(t *testing.T) {
-		sp := NewSpool(NewScan(rt, nil), 7)
+		sp := NewSpool(NewBatchScan(rt, nil, 0), 7)
 		gov := NewGovernor(0, 512)
 		ec := NewExecContext(context.Background(), gov)
 		for i, r := range []*SpoolReader{sp.Reader(), sp.Reader()} {

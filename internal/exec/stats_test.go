@@ -16,8 +16,8 @@ func TestInstrumentStats(t *testing.T) {
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
 
-	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-	wrapS := Instrument(NewScan(st, &c), "scan S", &c)
+	wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+	wrapS := Instrument(NewBatchScan(st, &c, 0), "scan S", &c)
 	hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,8 @@ func TestInstrumentIndexJoinAttribution(t *testing.T) {
 	var c Counters
 	rk := relation.A("R", "k")
 
-	wrapR := Instrument(NewScan(rt, &c), "scan R", &c)
-	ij, err := NewIndexJoin(wrapR, st, "k", rk, nil, InnerMode, nil, &c)
+	wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+	ij, err := NewBatchIndexJoin(wrapR, st, "k", rk, nil, InnerMode, nil, &c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestInstrumentedConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wrapR, nodeR := InstrumentIterator(NewScan(rt, &c), "scan R", &c)
-			wrapS, nodeS := InstrumentIterator(NewScan(st, &c), "scan S", &c)
+			wrapR, nodeR := InstrumentIterator(NewBatchScan(rt, &c, 0), "scan R", &c)
+			wrapS, nodeS := InstrumentIterator(NewBatchScan(st, &c, 0), "scan S", &c)
 			hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 0)
 			if err != nil {
 				errs <- err
@@ -146,7 +146,7 @@ func instrumentStatsResetOnReopen(t *testing.T, size int) {
 	rt, st := contractTables(t)
 	var c Counters
 	rk, sk := relation.A("R", "k"), relation.A("S", "k")
-	hj, err := NewBatchHashJoin(NewScan(rt, &c), NewScan(st, &c), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, size)
+	hj, err := NewBatchHashJoin(NewBatchScan(rt, &c, 0), NewBatchScan(st, &c, 0), []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,9 +72,8 @@ func (l *lowering) build(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		size, _ := l.o.batchRows()
 		k, l.shared, l.subs = len(l.shared), append(l.shared, p), append(l.subs, node)
-		l.spools = append(l.spools, exec.NewSpool(it, size))
+		l.spools = append(l.spools, exec.NewSpool(it, l.o.BatchSize))
 	}
 	r := l.spools[k].Reader()
 	if !l.ins {
@@ -98,10 +97,8 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 			if it, err = exec.NewIndexScan(t, p.IndexCol, p.IndexVal, c); err != nil {
 				return nil, nil, err
 			}
-		} else if size, on := o.batchRows(); on {
-			it = exec.NewBatchScan(t, c, size)
 		} else {
-			it = exec.NewScan(t, c)
+			it = exec.NewBatchScan(t, c, o.BatchSize)
 		}
 		wrapped, node := wrapNode(it, p, c, ins)
 		return wrapped, node, nil
@@ -130,13 +127,7 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if !ok || len(lk) != 1 || rk[0].Name != p.IndexCol {
 			return nil, nil, fmt.Errorf("optimizer: index plan predicate mismatch: %v", p.Pred)
 		}
-		var it exec.Iterator
-		sch := joinScheme(p, left, t.Scheme())
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, sch, c, size)
-		} else {
-			it, err = exec.NewIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, sch, c)
-		}
+		it, err := exec.NewBatchIndexJoin(left, t, p.IndexCol, lk[0], nil, mode, joinScheme(p, left, t.Scheme()), c, o.BatchSize)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -158,10 +149,7 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if !ok {
 			return nil, nil, fmt.Errorf("optimizer: hash plan predicate mismatch: %v", p.Pred)
 		}
-		// One hash join in both evaluator modes: under batch_size off its
-		// row cursor serves the row-at-a-time parent.
-		size, _ := o.batchRows()
-		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, joinScheme(p, left, right.Scheme()), size)
+		it, err := exec.NewBatchHashJoin(left, right, lk, rk, nil, mode, joinScheme(p, left, right.Scheme()), o.BatchSize)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -173,13 +161,7 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var it exec.Iterator
-		sch := joinScheme(p, left, right.Scheme())
-		if size, on := o.batchRows(); on {
-			it, err = exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, sch, size)
-		} else {
-			it, err = exec.NewNestedLoopJoin(left, right, p.Pred, mode, sch)
-		}
+		it, err := exec.NewBatchNestedLoopJoin(left, right, p.Pred, mode, joinScheme(p, left, right.Scheme()), o.BatchSize)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -190,13 +172,13 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		// The equi filter, else the nested-loop semijoin; both emit left
+		// rows unchanged.
 		var it exec.Iterator
-		size, on := o.batchRows()
-		_, _, equi := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme)
-		if on && equi {
-			it, err = exec.NewBatchSemiReduce(left, right, p.Pred, size)
+		if _, _, equi := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); equi {
+			it, err = exec.NewBatchSemiReduce(left, right, p.Pred, o.BatchSize)
 		} else {
-			it, err = exec.NewSemiReduce(left, right, p.Pred)
+			it, err = exec.NewBatchNestedLoopJoin(left, right, p.Pred, exec.SemiMode, nil, o.BatchSize)
 		}
 		if err != nil {
 			return nil, nil, err
@@ -239,7 +221,7 @@ func (o *Optimizer) attachFallback(it *exec.BatchHashJoin, p *Plan, lk, rk []rel
 		tr.Degradation = fmt.Sprintf("index join via %s.%s", p.Right.Table, rk[0].Name)
 	}
 	it.SetFallback(func(left exec.Iterator) (exec.Iterator, error) {
-		return exec.NewIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, joinScheme(p, left, t.Scheme()), c)
+		return exec.NewBatchIndexJoin(left, t, rk[0].Name, lk[0], nil, mode, joinScheme(p, left, t.Scheme()), c, o.BatchSize)
 	})
 }
 

@@ -76,12 +76,7 @@ func (o *Optimizer) appendConfig(extras []string) []string {
 		// A strategy toggle must never be served the other mode's plan.
 		extras = append(extras, "config: strategy "+o.Strategy)
 	}
-	switch {
-	case o.BatchSize < 0:
-		// Row-mode plans carry different iterators than batch-mode plans;
-		// a cached batch plan must never serve a row-mode request.
-		extras = append(extras, "config: batch=off")
-	case o.BatchSize > 0:
+	if o.BatchSize > 0 {
 		extras = append(extras, "config: batch="+strconv.Itoa(o.BatchSize))
 	}
 	return extras

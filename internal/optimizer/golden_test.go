@@ -239,12 +239,13 @@ func TestEveryAlgorithmWins(t *testing.T) {
 
 // Lowering hands each join its plan node's scheme instead of building
 // one per query: over the explain.golden queries, under both planner
-// strategies and both evaluator modes, every plan node lowers to an
+// strategies and at the default and an explicit batch size, every plan
+// node lowers to an
 // iterator whose Scheme() is the node's Scheme — the same pointer.
 func TestLoweringReusesPlanSchemes(t *testing.T) {
 	for _, gc := range goldenCases(t) {
 		for _, strategy := range []string{"dp", "yannakakis"} {
-			for _, batch := range []int{0, BatchOff} {
+			for _, batch := range []int{0, 7} {
 				o := New(gc.cat)
 				o.Strategy, o.BatchSize = strategy, batch
 				p, _, err := o.PlanQueryTrace(gc.q)

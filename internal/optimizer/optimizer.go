@@ -55,13 +55,11 @@ type Optimizer struct {
 	// The strategy keys the plan cache: toggling it never aliases plans.
 	Strategy string
 
-	// BatchSize selects the vectorized-execution lowering. Zero (the
-	// default) lowers the batch-capable operators — full scans, filters,
-	// hash joins, equi semireduces — to their batch implementations with
-	// exec.DefaultBatchSize rows per batch; a positive value sets an
-	// explicit batch size; BatchOff forces the row-at-a-time operators.
-	// The mode keys the plan cache: a fingerprint must never alias
-	// across row and batch lowering (or across explicit sizes).
+	// BatchSize is the rows per batch the lowered operators run with.
+	// Zero (the default) leaves each operator at exec.DefaultBatchSize;
+	// a positive value sets an explicit size. The size keys the plan
+	// cache: it is baked into the operators at lowering, so a
+	// fingerprint must never alias across sizes.
 	BatchSize int
 
 	// Cache, when set, is consulted before the reordering DP: queries
@@ -75,26 +73,8 @@ type Optimizer struct {
 	Cache *plancache.Cache
 }
 
-// BatchOff disables the batch lowering (Optimizer.BatchSize): every
-// operator is built row-at-a-time.
-const BatchOff = -1
-
 // New returns an optimizer over the catalog.
 func New(cat *storage.Catalog) *Optimizer { return &Optimizer{cat: cat} }
-
-// batchRows resolves BatchSize for lowering: on reports whether the
-// batch operators should be built at all, and size is the explicit
-// per-operator batch size (0 lets the operator pick its default).
-func (o *Optimizer) batchRows() (size int, on bool) {
-	switch {
-	case o.BatchSize < 0:
-		return 0, false
-	case o.BatchSize == 0:
-		return 0, true // operators fall back to exec.DefaultBatchSize
-	default:
-		return o.BatchSize, true
-	}
-}
 
 // Optimize plans q. Per §6.1: if q is freely reorderable, the optimizer
 // enumerates every implementing tree of graph(q) by dynamic programming

@@ -414,12 +414,7 @@ func (l *lowering) buildFilter(p *Plan) (exec.Iterator, *exec.StatsNode, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	var it exec.Iterator
-	if size, on := l.o.batchRows(); on {
-		it, err = exec.NewBatchFilter(child, p.Pred, size)
-	} else {
-		it, err = exec.NewFilter(child, p.Pred)
-	}
+	it, err := exec.NewBatchFilter(child, p.Pred, l.o.BatchSize)
 	if err != nil {
 		return nil, nil, err
 	}

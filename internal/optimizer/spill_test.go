@@ -170,13 +170,13 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 // every blocking operator to disk must produce exactly the bag of the
 // unbudgeted in-memory run.
 func TestMetamorphicSpillOracle(t *testing.T) {
-	// Once per execution mode: spilled row plans and spilled batch
-	// plans must both reproduce their in-memory bags, and the two
-	// modes' in-memory bags are compared against each other directly.
+	// At the default batch size and at one row per batch ("row"): the
+	// spilled plans must reproduce their in-memory bags, and the
+	// in-memory bags the reference algebra's.
 	for _, mode := range []struct {
 		name string
 		size int
-	}{{"batch", 0}, {"row", BatchOff}} {
+	}{{"batch", 0}, {"row", 1}} {
 		mode := mode
 		t.Run(mode.name, func(t *testing.T) { runMetamorphicSpillOracle(t, mode.size) })
 	}
@@ -227,25 +227,13 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 			t.Fatalf("seed %d: unbudgeted execute: %v", seed, err)
 		}
 
-		// Cross-mode oracle: the opposite evaluator mode, unbudgeted,
-		// produces exactly the same bag.
-		other := New(catalogFor(db))
-		other.Spill = true
-		if batchSize == BatchOff {
-			other.BatchSize = 0
-		} else {
-			other.BatchSize = BatchOff
-		}
-		po, _, err := other.Optimize(its[0])
+		// The reference algebra produces exactly the same bag.
+		alg, err := its[0].Eval(db)
 		if err != nil {
-			t.Fatalf("seed %d: cross-mode optimize: %v", seed, err)
+			t.Fatalf("seed %d: Eval: %v", seed, err)
 		}
-		orel, _, err := other.Execute(po)
-		if err != nil {
-			t.Fatalf("seed %d: cross-mode execute: %v", seed, err)
-		}
-		if !orel.EqualBag(ref) {
-			t.Fatalf("seed %d: row and batch evaluators disagree\ngraph:\n%s", seed, g)
+		if !alg.EqualBag(ref) {
+			t.Fatalf("seed %d: executor and reference algebra disagree\ngraph:\n%s", seed, g)
 		}
 
 		// 96 bytes admits one ~80-byte row and trips on the second: every
@@ -276,11 +264,9 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 	t.Logf("verified %d spilled instances", success)
 }
 
-// TestBatchToggleMissesPlanCache: a plan lowered with the batch
-// evaluators contains different physical operators than a row plan (and
-// an explicit size is baked into the operators at lowering), so every
-// distinct batch mode must key its own cache entry and hit only itself
-// on repeat.
+// TestBatchToggleMissesPlanCache: an explicit batch size is baked into
+// the operators at lowering, so every distinct size must key its own
+// cache entry and hit only itself on repeat.
 func TestBatchToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 78)
 
@@ -292,13 +278,13 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 		t.Fatalf("first optimize outcome %q; want miss", tr1.CacheOutcome)
 	}
 
-	o.BatchSize = BatchOff
+	o.BatchSize = 7
 	_, tr2, err := o.OptimizeTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr2.CacheOutcome != "miss" {
-		t.Fatalf("row-mode optimize outcome %q; want miss (must not reuse the batched plan)", tr2.CacheOutcome)
+		t.Fatalf("size-7 optimize outcome %q; want miss (must not reuse the default-size plan)", tr2.CacheOutcome)
 	}
 	if tr1.Fingerprint == tr2.Fingerprint {
 		t.Fatalf("batch toggle did not change the fingerprint: %s", tr1.Fingerprint)
@@ -320,7 +306,7 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 	for _, step := range []struct {
 		size int
 		fp   string
-	}{{0, tr1.Fingerprint}, {BatchOff, tr2.Fingerprint}, {256, tr3.Fingerprint}} {
+	}{{0, tr1.Fingerprint}, {7, tr2.Fingerprint}, {256, tr3.Fingerprint}} {
 		o.BatchSize = step.size
 		_, tr, err := o.OptimizeTrace(q)
 		if err != nil {
@@ -332,7 +318,7 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 		}
 	}
 	if o.Cache.Len() != 3 {
-		t.Fatalf("cache holds %d entries; want one per batch mode", o.Cache.Len())
+		t.Fatalf("cache holds %d entries; want one per batch size", o.Cache.Len())
 	}
 }
 

@@ -174,14 +174,14 @@ type grantSweep struct {
 }
 
 // checkYannakakisModes runs one oracle instance's forced-yannakakis plan
-// at batch sizes {off, 1, 7, 1024}. Unbudgeted, it returns ref and
+// at batch sizes {1, 7, 1024}. Unbudgeted, it returns ref and
 // evaluates each distinct reducer step once. Under each memory grant,
 // with spill on and off, it returns ref or a typed MemoryExceeded, and
 // either way the governor drains and no spill file survives.
 func checkYannakakisModes(t *testing.T, seed int64, cat *storage.Catalog, g *graph.Graph, ref *relation.Relation, sw *grantSweep) {
 	t.Helper()
 	dir := t.TempDir()
-	for _, size := range []int{BatchOff, 1, 7, 1024} {
+	for _, size := range []int{1, 7, 1024} {
 		o := New(cat)
 		o.Strategy = "yannakakis"
 		o.BatchSize = size

@@ -50,10 +50,9 @@ type Config struct {
 	SpillDir  string // spill run-file directory ("" → OS temp dir)
 	Strategy  string // default planner strategy for new sessions ("" → dp)
 
-	// BatchSize is the default vectorized-execution mode for new
-	// sessions: 0 runs batched with exec.DefaultBatchSize,
-	// optimizer.BatchOff (-1) forces row-at-a-time evaluators, and a
-	// positive value sets the rows per batch.
+	// BatchSize is the default rows per execution batch for new
+	// sessions: 0 runs with exec.DefaultBatchSize, a positive value
+	// sets it.
 	BatchSize int
 
 	SnapshotPath string // optional .fjdb catalog snapshot to restore at startup

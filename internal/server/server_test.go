@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"freejoin/internal/optimizer"
 )
 
 // testClient is one protocol connection: send a command line, decode
@@ -330,9 +328,10 @@ func TestServerGracefulClose(t *testing.T) {
 	}
 }
 
-// "set batch_size off" flips a session to the row-at-a-time evaluators
-// and must not be served the batched plan from the shared cache (the
-// batch mode keys the fingerprint); results agree across modes.
+// "set batch_size N" changes a session's rows per batch and must not be
+// served the default-size plan from the shared cache (the size keys the
+// fingerprint); results agree across sizes. "off" is a usage error: the
+// batch operators are the only evaluators.
 func TestServerSetBatchSize(t *testing.T) {
 	srv := startTestServer(t, Config{})
 	c := dialServer(t, srv.Addr())
@@ -345,13 +344,16 @@ func TestServerSetBatchSize(t *testing.T) {
 	if r := c.mustOK("query " + q); r.Rows != 2 {
 		t.Fatalf("batched query rows = %d, want 2", r.Rows)
 	}
-	c.mustOK("set batch_size off")
+	if r := c.send("set batch_size off"); r.OK || r.Code != CodeUsage {
+		t.Fatalf("set batch_size off = %+v, want a usage error", r)
+	}
+	c.mustOK("set batch_size 7")
 	r := c.mustOK("query " + q)
 	if r.Rows != 2 {
-		t.Fatalf("row-mode query rows = %d, want 2", r.Rows)
+		t.Fatalf("size-7 query rows = %d, want 2", r.Rows)
 	}
 	if r.Cache == "hit" {
-		t.Fatalf("row-mode query hit the batched plan in the shared cache")
+		t.Fatalf("size-7 query hit the default-size plan in the shared cache")
 	}
 	c.mustOK("set batch_size 128")
 	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: 128") {
@@ -362,11 +364,11 @@ func TestServerSetBatchSize(t *testing.T) {
 	}
 }
 
-// Config.BatchSize seeds every new session's execution mode.
+// Config.BatchSize seeds every new session's batch size.
 func TestServerBatchSizeDefault(t *testing.T) {
-	srv := startTestServer(t, Config{BatchSize: optimizer.BatchOff})
+	srv := startTestServer(t, Config{BatchSize: 64})
 	c := dialServer(t, srv.Addr())
-	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: off") {
-		t.Fatalf("seeded set output missing batch_size off:\n%s", r.Output)
+	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: 64") {
+		t.Fatalf("seeded set output missing batch_size 64:\n%s", r.Output)
 	}
 }

@@ -114,9 +114,8 @@ type Session struct {
 	spill    bool
 	useCache bool   // whether this session consults the shared plan cache
 	strategy string // planner strategy ("" → dp); see optimizer.Optimizer.Strategy
-	// batchSize selects vectorized execution: 0 = batched with the
-	// default size, optimizer.BatchOff = row-at-a-time, >0 = rows per
-	// batch. Part of the plan-cache fingerprint.
+	// batchSize is the rows per execution batch: 0 = the default size,
+	// >0 = an explicit size. Part of the plan-cache fingerprint.
 	batchSize int
 
 	// prepared names statement texts: "execute NAME" runs its text
@@ -169,7 +168,7 @@ const sessionHelp = `commands (one per line; every answer is one JSON line):
   set spill on|off                            spill to disk on memory budget trips
   set plan_cache on|off                       consult the shared plan cache
   set strategy dp|yannakakis|auto             planner for reorderable queries
-  set batch_size N|off|default                rows per execution batch (off = row-at-a-time)
+  set batch_size N|default                    rows per execution batch
   set                                         show current limits
   stats                                       admission/pool/cache snapshot
   quit                                        close the session`
@@ -370,15 +369,12 @@ func (s *Session) cmdSet(rest string) Response {
 			return errResp(CodeUsage, fmt.Errorf("usage: set strategy dp|yannakakis|auto"))
 		}
 	case "batch_size":
-		switch {
-		case strings.EqualFold(val, "off"):
-			s.batchSize = optimizer.BatchOff
-		case strings.EqualFold(val, "default") || strings.EqualFold(val, "on"):
+		if strings.EqualFold(val, "default") {
 			s.batchSize = 0
-		default:
+		} else {
 			n, err := strconv.Atoi(val)
 			if err != nil || n <= 0 {
-				return errResp(CodeUsage, fmt.Errorf("usage: set batch_size N|off|default"))
+				return errResp(CodeUsage, fmt.Errorf("usage: set batch_size N|default"))
 			}
 			s.batchSize = n
 		}
@@ -424,18 +420,13 @@ func (s *Session) newOptimizer() *optimizer.Optimizer {
 	return o
 }
 
-// batchSizeString renders the batch-size setting: "off" for the
-// row-at-a-time mode, the default size when unset, or the explicit
-// rows-per-batch count.
+// batchSizeString renders the batch-size setting: the default size
+// when unset, else the explicit rows-per-batch count.
 func batchSizeString(n int) string {
-	switch {
-	case n == optimizer.BatchOff:
-		return "off"
-	case n == 0:
+	if n == 0 {
 		return fmt.Sprintf("%d (default)", exec.DefaultBatchSize)
-	default:
-		return strconv.Itoa(n)
 	}
+	return strconv.Itoa(n)
 }
 
 // runQuery is the query lifecycle of the statement text src: look the

@@ -77,7 +77,7 @@ func TestStatementRepeatHits(t *testing.T) {
 func TestStatementConfigMisses(t *testing.T) {
 	_, s := stmtCore(t, Config{})
 	wantCache(t, s, stmtQuery, "miss")
-	for _, set := range []string{"set strategy yannakakis", "set spill on", "set batch_size 128", "set batch_size off"} {
+	for _, set := range []string{"set strategy yannakakis", "set spill on", "set batch_size 128"} {
 		mustExec(t, s, set)
 		wantCache(t, s, stmtQuery, "miss")
 		wantCache(t, s, stmtQuery, "hit")
