@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench benchmark-ab experiments deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt fmt-check vet clean
+.PHONY: all check build test race cover bench benchmark-ab deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt fmt-check vet clean
 
 all: check
 
@@ -34,9 +34,6 @@ SECONDS ?= 15
 TRACE ?= 0
 benchmark-ab:
 	$(GO) run ./cmd/benchab -ref $(REF) -workloads "$(WORKLOADS)" -pairs $(PAIRS) -seconds $(SECONDS) -trace $(TRACE)
-
-experiments:
-	$(GO) run ./cmd/experiments
 
 # Reachability ratchet: TestUnreached lists every declaration under
 # internal/ that the mains of cmd/ojserver, cmd/ojshell and benchmark

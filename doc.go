@@ -8,7 +8,10 @@
 // cost-based optimization substrate needed to reproduce the paper's
 // examples end to end.
 //
-// The root package carries the repository-level benchmark harness and
-// integration tests; the library lives under internal/ (see README.md
-// for the map) and the runnable entry points under cmd/ and examples/.
+// The root package carries the repository-level tests: the end-to-end
+// pipeline, the reachability ratchet, the check that every section of
+// EXPERIMENTS.md cites the tests behind its claim, and the planner's
+// miss and hit benchmarks. The library lives under internal/ (see
+// README.md for the map), its runnable examples in its packages'
+// Example functions, and the programs under cmd/.
 package freejoin

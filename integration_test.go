@@ -6,12 +6,11 @@ package freejoin
 
 import (
 	"math/rand"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"freejoin/internal/core"
+	"freejoin/internal/exec"
 	"freejoin/internal/optimizer"
 	"freejoin/internal/parse"
 	"freejoin/internal/storage"
@@ -56,14 +55,15 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 5. Plan through the full §4 pipeline and execute.
 	o := optimizer.New(restored)
-	plan, reordered, err := o.PlanQuery(q)
+	plan, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		t.Fatalf("pipeline should reorder; plan:\n%s", plan.Explain())
 	}
-	got, counters, err := o.Execute(plan)
+	var counters exec.Counters
+	got, err := o.ExecuteCtxCounted(nil, plan, &counters)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,30 +95,5 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if !res.AllEqual {
 		t.Fatal("implementing trees disagree on real data")
-	}
-}
-
-// TestExamplesCompile ensures every example main stays buildable (the
-// full `go run` smoke lives in the Makefile-style workflow; compiling is
-// hermetic and fast).
-func TestExamplesCompile(t *testing.T) {
-	entries, err := os.ReadDir("examples")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) < 6 {
-		t.Fatalf("expected >= 6 examples, found %d", len(entries))
-	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join("examples", e.Name(), "main.go"))
-		if err != nil {
-			t.Fatalf("example %s has no main.go: %v", e.Name(), err)
-		}
-		if !strings.Contains(string(src), "package main") || !strings.Contains(string(src), "func main()") {
-			t.Errorf("example %s is not a runnable main", e.Name())
-		}
 	}
 }

@@ -348,3 +348,87 @@ func TestVerifyQuery(t *testing.T) {
 		t.Error("undefined graph must error")
 	}
 }
+
+// TestExample2SharedGraph (E3, §1.3): R1 → (R2 − R3) and (R1 → R2) − R3,
+// which differ on the paper's database (TestExample2NonAssociative in
+// internal/algebra), have one query graph, and the analyzer rejects it as
+// not nice at R2.
+func TestExample2SharedGraph(t *testing.T) {
+	var shapes []string
+	for _, q := range []*expr.Node{
+		expr.NewOuter(expr.NewLeaf("R1"), expr.NewJoin(expr.NewLeaf("R2"), expr.NewLeaf("R3"), eqp("R2", "R3")), eqp("R1", "R2")),
+		expr.NewJoin(expr.NewOuter(expr.NewLeaf("R1"), expr.NewLeaf("R2"), eqp("R1", "R2")), expr.NewLeaf("R3"), eqp("R2", "R3")),
+	} {
+		g, err := expr.GraphOf(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := AnalyzeGraph(g); a.Nice || !strings.Contains(a.NiceReason, "R2") {
+			t.Errorf("%s: analysis = %s; want not nice at R2", q, a)
+		}
+		shapes = append(shapes, g.String())
+	}
+	if shapes[0] != shapes[1] {
+		t.Errorf("graphs differ:\n%s\nvs\n%s", shapes[0], shapes[1])
+	}
+}
+
+// TestExample3TreesDisagree (E4, §2.3): the graph A → B → C with the
+// paper's non-strong P_bc is nice but not freely reorderable, and on the
+// paper's database its implementing trees disagree.
+func TestExample3TreesDisagree(t *testing.T) {
+	g := graph.New()
+	if err := g.AddOuterEdge("A", "B", predicate.Eq(relation.A("A", "a"), relation.A("B", "b1"))); err != nil {
+		t.Fatal(err)
+	}
+	pbc := predicate.NewOr(
+		predicate.Eq(relation.A("B", "b2"), relation.A("C", "c")),
+		predicate.NewIsNull(relation.A("B", "b2")))
+	if err := g.AddOuterEdge("B", "C", pbc); err != nil {
+		t.Fatal(err)
+	}
+	if a := AnalyzeGraph(g); !a.Nice || a.StrongOK || a.Free {
+		t.Fatalf("analysis = %s; want nice, P_bc weak, not free", a)
+	}
+	res, err := Verify(g, expr.DB{
+		"A": relation.FromRows("A", []string{"a"}, []any{1}),
+		"B": relation.FromRows("B", []string{"b1", "b2"}, []any{2, nil}),
+		"C": relation.FromRows("C", []string{"c"}, []any{3}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AllEqual {
+		t.Error("Example 3's implementing trees must disagree")
+	}
+}
+
+// TestTheorem1Figure2Trees (E10): the paper's Figure 2 topology is nice
+// with strong predicates, so every sampled implementing tree of its
+// 2 008 (modulo reversal) evaluates to the same result.
+func TestTheorem1Figure2Trees(t *testing.T) {
+	g := graph.New()
+	for _, e := range [][2]string{{"R", "S"}, {"S", "T"}, {"T", "U"}, {"U", "R"}, {"S", "U"}} {
+		if err := g.AddJoinEdge(e[0], e[1], eqp(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"R", "V"}, {"V", "W"}, {"V", "X"}, {"T", "Y"}} {
+		if err := g.AddOuterEdge(e[0], e[1], eqp(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := AnalyzeGraph(g); !a.Free {
+		t.Fatalf("Figure 2 must be freely reorderable: %s", a)
+	}
+	rnd := rand.New(rand.NewSource(1994))
+	for trial := 0; trial < 5; trial++ {
+		res, err := VerifySample(g, workload.RandomDB(rnd, g, 4), 40, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.AllEqual {
+			t.Fatalf("trial %d: %s and %s disagree:\n%v\nvs\n%v", trial, res.WitnessA, res.WitnessB, res.ResultA, res.ResultB)
+		}
+	}
+}

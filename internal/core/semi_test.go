@@ -9,6 +9,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"freejoin/internal/expr"
@@ -214,5 +215,35 @@ func TestVisibility(t *testing.T) {
 		expr.NewLeaf("C"), eqp("B", "C"))
 	if err := expr.CheckVisibility(badAJ); err == nil {
 		t.Error("antijoin-consumed attrs accepted")
+	}
+}
+
+// TestSemiForbiddenPatternsNotFree (E17, §6.3): the analyzer reports
+// none of the three forbidden semijoin patterns as freely reorderable,
+// while a pendant semijoin off a join core passes through the extension.
+func TestSemiForbiddenPatternsNotFree(t *testing.T) {
+	for shape, free := range map[string]bool{
+		"A ~> B ~> C": false,
+		"A ~> B - C":  false,
+		"X -> Y ~> Z": false,
+		"A - B ~> C":  true,
+	} {
+		g := graph.New()
+		f := strings.Fields(shape)
+		for i := 1; i < len(f); i += 2 {
+			add := g.AddSemiEdge
+			switch f[i] {
+			case "-":
+				add = g.AddJoinEdge
+			case "->":
+				add = g.AddOuterEdge
+			}
+			if err := add(f[i-1], f[i+1], eqp(f[i-1], f[i+1])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := AnalyzeGraph(g); a.Free != free {
+			t.Errorf("%s: free = %v, want %v (%s)", shape, a.Free, free, a)
+		}
 	}
 }

@@ -225,3 +225,31 @@ func TestReferentialIntegrityCounterexample(t *testing.T) {
 		t.Fatalf("after the RI rewrite the query must NOT be freely reorderable (%s)", reason)
 	}
 }
+
+// TestSimplifyCascadesPreservesResult (E12, §4): on a database where T
+// matches, misses and pads, σ[T.a = 1](R → (S → T)) and its simplified
+// form R − (S − T) return the same rows.
+func TestSimplifyCascadesPreservesResult(t *testing.T) {
+	q := strongRestrict(
+		expr.NewOuter(expr.NewLeaf("R"),
+			expr.NewOuter(expr.NewLeaf("S"), expr.NewLeaf("T"), eqp("S", "T")),
+			eqp("R", "S")),
+		"T")
+	got, _ := Simplify(q, SimplifyOptions{})
+	db := expr.DB{
+		"R": relation.FromRows("R", []string{"a"}, []any{1}, []any{2}, []any{3}),
+		"S": relation.FromRows("S", []string{"a"}, []any{1}, []any{2}),
+		"T": relation.FromRows("T", []string{"a"}, []any{1}, []any{1}),
+	}
+	want, err := q.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := got.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 2 || !out.EqualBag(want) {
+		t.Errorf("original:\n%v\nsimplified %s:\n%v", want, got, out)
+	}
+}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"testing"
 
 	"freejoin/internal/graph"
@@ -268,5 +269,68 @@ func TestEnumerateMatchesClosure(t *testing.T) {
 		if _, ok := cl[it.StringWithPreds()]; !ok {
 			t.Errorf("missing from closure: %v", it.StringWithPreds())
 		}
+	}
+}
+
+// TestFigure2ImplementingTreeCount (E8): Figure 2's nice topology — a
+// 4-node join core with a chord and two outerjoin trees directed
+// outward — admits 2,008 implementing trees modulo reversal.
+func TestFigure2ImplementingTreeCount(t *testing.T) {
+	g := graph.New()
+	for _, e := range [][2]string{{"R", "S"}, {"S", "T"}, {"T", "U"}, {"U", "R"}, {"S", "U"}} {
+		if err := g.AddJoinEdge(e[0], e[1], eqp(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range [][2]string{{"R", "V"}, {"V", "W"}, {"V", "X"}, {"T", "Y"}} {
+		if err := g.AddOuterEdge(e[0], e[1], eqp(e[0], e[1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nice, why := g.IsNice(); !nice {
+		t.Fatalf("Figure 2 must be nice: %s", why)
+	}
+	if n, err := CountITs(g, true); err != nil || n != 2008 {
+		t.Errorf("CountITs = %d, %v; want 2008", n, err)
+	}
+}
+
+// TestPlanSpaceSizes (E16): join chains of n = 2..10 relations have the
+// Catalan numbers C(n-1) of implementing trees modulo reversal and
+// 2^(n-1) times that in full; outerjoin chains have exactly as many
+// (direction constrains orientation, not association); a join star of
+// k leaves has k! modulo reversal and k!·2^k in full.
+func TestPlanSpaceSizes(t *testing.T) {
+	catalan := []int64{1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862}
+	check := func(name string, g *graph.Graph, modulo, full int64) {
+		t.Helper()
+		m, err := CountITs(g, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := CountITs(g, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != modulo || f != full {
+			t.Errorf("%s: %d / %d trees (modulo reversal / full), want %d / %d", name, m, f, modulo, full)
+		}
+	}
+	for n := 2; n <= 10; n++ {
+		want := catalan[n-1]
+		check(fmt.Sprintf("join chain %d", n), chainGraph(t, n), want, want<<(n-1))
+		outer := graph.New()
+		for i := 0; i < n-1; i++ {
+			u, v := string(rune('A'+i)), string(rune('A'+i+1))
+			if err := outer.AddOuterEdge(u, v, eqp(u, v)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(fmt.Sprintf("outerjoin chain %d", n), outer, want, want<<(n-1))
+	}
+	fact := int64(1)
+	for k := 1; k <= 7; k++ {
+		fact *= int64(k)
+		check(fmt.Sprintf("join star %d", k), starGraph(t, k), fact, fact<<k)
 	}
 }

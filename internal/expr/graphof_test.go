@@ -49,6 +49,19 @@ func TestFigure1Graph(t *testing.T) {
 	if Implements(qBad, g) {
 		t.Error("a tree with an R-T join must not implement the Fig. 1 graph")
 	}
+	// E7: 5 implementing trees modulo reversal, none joining R and T.
+	its, err := EnumerateITs(g, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(its) != 5 {
+		t.Errorf("%d implementing trees modulo reversal, want 5", len(its))
+	}
+	for _, it := range its {
+		if s := it.String(); strings.Contains(s, "(R - T)") || strings.Contains(s, "(T - R)") {
+			t.Errorf("%s joins R and T directly", s)
+		}
+	}
 }
 
 func TestGraphOfCollapsesParallelJoinConjuncts(t *testing.T) {
@@ -146,4 +159,31 @@ func TestImplementsRejectsUndefinedGraph(t *testing.T) {
 	if Implements(bad, g) {
 		t.Error("tree with undefined graph implements nothing")
 	}
+}
+
+// TestFigure1DOT (E7): the Figure 1 graph renders as DOT with its four
+// relations, two undirected join edges, the directed outerjoin T → U and
+// no R–T edge.
+func TestFigure1DOT(t *testing.T) {
+	dot := figure1Graph(t).DOT()
+	for _, want := range []string{`"R";`, `"S";`, `"T";`, `"U";`, `"R" -> "S" [dir=none`, `"S" -> "T" [dir=none`, `"T" -> "U" [label=`} {
+		if !strings.Contains(dot, want) {
+			t.Errorf("DOT lacks %s:\n%s", want, dot)
+		}
+	}
+	if strings.Count(dot, " -> ") != 3 {
+		t.Errorf("DOT must have exactly 3 edges:\n%s", dot)
+	}
+}
+
+// figure1Graph is the graph of Figure 1's ((R - S) - T) -> U.
+func figure1Graph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := GraphOf(NewOuter(
+		NewJoin(NewJoin(NewLeaf("R"), NewLeaf("S"), eqp("R", "S")), NewLeaf("T"), eqp("S", "T")),
+		NewLeaf("U"), eqp("T", "U")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

@@ -248,3 +248,32 @@ func TestBTKindString(t *testing.T) {
 		t.Error("BTKind.String broken")
 	}
 }
+
+// TestLemma3BTPathBetweenFigure1Trees (E11): on the nice Figure 1 graph
+// a sequence of basic transforms leads from the first implementing tree
+// to every other and back — so, composed, between any two — and every
+// tree on the way implements the graph.
+func TestLemma3BTPathBetweenFigure1Trees(t *testing.T) {
+	g := figure1Graph(t)
+	all, err := EnumerateITs(g, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range all {
+		for _, pair := range [][2]*Node{{all[0], it}, {it, all[0]}} {
+			from, to := pair[0], pair[1]
+			path, err := BTPath(from, to, 1000)
+			if err != nil {
+				t.Fatalf("%s to %s: %v", from, to, err)
+			}
+			if !path[0].Equal(from) || !path[len(path)-1].Equal(to) {
+				t.Fatalf("%s to %s: path %v", from, to, path)
+			}
+			for _, step := range path {
+				if !Implements(step, g) {
+					t.Fatalf("%s to %s: step %s leaves the graph", from, to, step)
+				}
+			}
+		}
+	}
+}

@@ -86,3 +86,30 @@ func TestTreeConditionMatchesGraphNiceness(t *testing.T) {
 		t.Errorf("generator must exercise both outcomes: %d/%d", agreeTrue, agreeFalse)
 	}
 }
+
+// TestTreeConditionSampleBalanced (E18): on another 4 000 random
+// well-formed trees the tree conditions again agree with graph niceness,
+// and the sample is roughly half nice, half not.
+func TestTreeConditionSampleBalanced(t *testing.T) {
+	rnd := rand.New(rand.NewSource(1998))
+	names := []string{"A", "B", "C", "D", "E", "F"}
+	const trials = 4000
+	nice := 0
+	for trial := 0; trial < trials; trial++ {
+		q := randomWellFormedTree(rnd, names[:2+rnd.Intn(5)])
+		g, err := GraphOf(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphNice, _ := g.IsNice()
+		if treeOK, why := TreeCondition(q); treeOK != graphNice {
+			t.Fatalf("trial %d: tree condition %v (%s), graph niceness %v on %s", trial, treeOK, why, graphNice, q.StringWithPreds())
+		}
+		if graphNice {
+			nice++
+		}
+	}
+	if nice < trials*3/10 || nice > trials*7/10 {
+		t.Errorf("%d of %d trees nice; want roughly half", nice, trials)
+	}
+}

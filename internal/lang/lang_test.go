@@ -263,18 +263,24 @@ func TestProsecutorQuery(t *testing.T) {
 	}
 }
 
-// TestSection5QueriesReorderable (E13): for each paper query, every
-// implementing tree of the translated block evaluates to the same result.
+// TestSection5QueriesReorderable (E13): the §5.2 query shapes compile
+// to freely reorderable outerjoin blocks — the paper's three queries
+// with 8, 8 and 288 implementing trees — every one of which evaluates
+// to the block's answer.
 func TestSection5QueriesReorderable(t *testing.T) {
 	s := paperStore(t)
-	queries := []string{
-		"Select All From EMPLOYEE*ChildName, DEPARTMENT Where EMPLOYEE.D# = DEPARTMENT.D#",
-		"Select All From DEPARTMENT-->Manager-->Audit",
-		"Select All From EMPLOYEE*ChildName, DEPARTMENT-->Manager-->Audit Where EMPLOYEE.D# = DEPARTMENT.D#",
-		"Select All From EMPLOYEE*ChildName",
-		"Select All From DEPARTMENT-->Manager, EMPLOYEE Where EMPLOYEE.D# = DEPARTMENT.D#",
+	queries := []struct {
+		src   string
+		trees int
+	}{
+		{"Select All From EMPLOYEE*ChildName, DEPARTMENT Where EMPLOYEE.D# = DEPARTMENT.D#", 8},
+		{"Select All From DEPARTMENT-->Manager-->Audit", 8},
+		{"Select All From EMPLOYEE*ChildName, DEPARTMENT-->Manager-->Audit Where EMPLOYEE.D# = DEPARTMENT.D#", 288},
+		{"Select All From EMPLOYEE*ChildName", 2},
+		{"Select All From DEPARTMENT-->Manager, EMPLOYEE Where EMPLOYEE.D# = DEPARTMENT.D#", 8},
 	}
-	for _, src := range queries {
+	for _, tc := range queries {
+		src := tc.src
 		q, err := Parse(src)
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
@@ -292,6 +298,9 @@ func TestSection5QueriesReorderable(t *testing.T) {
 		}
 		if !res.AllEqual {
 			t.Fatalf("%s: implementing trees disagree:\n%v\nvs\n%v", src, res.ResultA, res.ResultB)
+		}
+		if res.ITCount != tc.trees {
+			t.Errorf("%s: %d implementing trees, want %d", src, res.ITCount, tc.trees)
 		}
 	}
 }
@@ -349,5 +358,37 @@ func TestWhereOperatorsAndLiterals(t *testing.T) {
 	// OID column usable in Where.
 	if _, out, err := Run(s, "select all from EMPLOYEE where EMPLOYEE.@oid >= 1"); err != nil || out.Len() != 3 {
 		t.Errorf("@oid where: %v", err)
+	}
+}
+
+// TestSection5RestrictedQueries (E13): the §5 queries with their
+// restrictions — Queretaro's employees with children, Zurich's manager
+// and audit, and the prosecutor query — are freely reorderable, every
+// implementing tree of each block agrees, and they return 1, 1 and 2
+// rows.
+func TestSection5RestrictedQueries(t *testing.T) {
+	s := paperStore(t)
+	for _, tc := range []struct {
+		src  string
+		rows int
+	}{
+		{"Select All From EMPLOYEE*ChildName, DEPARTMENT Where EMPLOYEE.D# = DEPARTMENT.D# and DEPARTMENT.Location = 'Queretaro'", 1},
+		{"Select All From DEPARTMENT-->Manager-->Audit Where DEPARTMENT.Location = 'Zurich'", 1},
+		{"Select All From EMPLOYEE*ChildName, DEPARTMENT-->Manager-->Audit Where EMPLOYEE.D# = DEPARTMENT.D# and DEPARTMENT.Location = 'Zurich' and EMPLOYEE.Rank > 10", 2},
+	} {
+		tr, out, err := Run(s, tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if !tr.Analysis.Free {
+			t.Errorf("%s: block not freely reorderable: %s", tc.src, tr.Analysis)
+		}
+		res, err := core.Verify(tr.Graph, tr.DB)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		if !res.AllEqual || out.Len() != tc.rows {
+			t.Errorf("%s: trees agree = %v, %d rows; want agreement and %d rows:\n%v", tc.src, res.AllEqual, out.Len(), tc.rows, out)
+		}
 	}
 }

@@ -202,9 +202,6 @@ type desc struct {
 	labels string
 }
 
-// Name returns the metric name.
-func (d *desc) Name() string { return d.name }
-
 // metric is anything the registry can expose.
 type metric interface {
 	describe() *desc

@@ -8,7 +8,6 @@ import (
 	"freejoin/internal/expr"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
 // Build lowers a plan to a physical iterator tree, wiring the counter
@@ -21,17 +20,12 @@ func (o *Optimizer) Build(p *Plan, c *exec.Counters) (exec.Iterator, error) {
 	return it, err
 }
 
-// BuildInstrumented lowers p like Build but wraps every operator in an
-// exec.Instrument stats collector, returning the root of the parallel
-// StatsNode tree. Estimates (rows, cost) are copied onto each node so
-// EXPLAIN ANALYZE can report estimation error next to actuals.
-func (o *Optimizer) BuildInstrumented(p *Plan, c *exec.Counters) (exec.Iterator, *exec.StatsNode, error) {
-	return o.BuildInstrumentedTraced(p, c, nil)
-}
-
-// BuildInstrumentedTraced is BuildInstrumented recording lowering
-// decisions — which degradation path hash joins were wired with — into
-// tr (which may be nil).
+// BuildInstrumentedTraced lowers p like Build but wraps every operator
+// in an exec.Instrument stats collector, returning the root of the
+// parallel StatsNode tree. Estimates (rows, cost) are copied onto each
+// node so EXPLAIN ANALYZE can report estimation error next to actuals.
+// Lowering decisions — which degradation path hash joins were wired
+// with — are recorded into tr (which may be nil).
 func (o *Optimizer) BuildInstrumentedTraced(p *Plan, c *exec.Counters, tr *Trace) (exec.Iterator, *exec.StatsNode, error) {
 	l := lowering{o: o, c: c, ins: true, tr: tr}
 	return l.root(p)
@@ -290,23 +284,11 @@ func nodeLabel(p *Plan) string {
 	return fmt.Sprintf("%s [%s] on %v", opName, algo, p.Pred)
 }
 
-// Execute lowers and runs a plan ungoverned, returning the result
-// relation and the execution counters (tuples retrieved, rows produced).
-func (o *Optimizer) Execute(p *Plan) (*relation.Relation, *exec.Counters, error) {
-	return o.ExecuteCtx(nil, p)
-}
-
-// ExecuteCtx runs p under an execution context carrying cancellation,
-// deadline and memory budgets; ec may be nil for ungoverned execution.
-func (o *Optimizer) ExecuteCtx(ec *exec.ExecContext, p *Plan) (*relation.Relation, *exec.Counters, error) {
-	var c exec.Counters
-	out, err := o.ExecuteCtxCounted(ec, p, &c)
-	return out, &c, err
-}
-
-// ExecuteCtxCounted is ExecuteCtx with caller-owned counters: the
-// caller allocates c before execution and may read it concurrently
-// while the query runs (Counters is atomic), which is how the server's
+// ExecuteCtxCounted lowers and runs p under an execution context
+// carrying cancellation, deadline and memory budgets (ec may be nil for
+// ungoverned execution), with caller-owned counters: the caller
+// allocates c before execution and may read it concurrently while the
+// query runs (Counters is atomic), which is how the server's
 // live-progress view streams rows-so-far for in-flight queries.
 func (o *Optimizer) ExecuteCtxCounted(ec *exec.ExecContext, p *Plan, c *exec.Counters) (*relation.Relation, error) {
 	it, err := o.Build(p, c)
@@ -315,42 +297,3 @@ func (o *Optimizer) ExecuteCtxCounted(ec *exec.ExecContext, p *Plan, c *exec.Cou
 	}
 	return exec.CollectCtx(ec, it, c)
 }
-
-// ExecuteAnalyzed lowers p with instrumentation, runs it, and returns the
-// result, the counters, and the root of the collected per-operator stats
-// tree — the data behind EXPLAIN ANALYZE.
-func (o *Optimizer) ExecuteAnalyzed(p *Plan) (*relation.Relation, *exec.Counters, *exec.StatsNode, error) {
-	return o.ExecuteAnalyzedCtx(nil, p)
-}
-
-// ExecuteAnalyzedCtx is ExecuteAnalyzed under an execution context. On
-// error the partially-filled stats tree is still returned so EXPLAIN
-// ANALYZE can render what ran and name the failing operator.
-func (o *Optimizer) ExecuteAnalyzedCtx(ec *exec.ExecContext, p *Plan) (*relation.Relation, *exec.Counters, *exec.StatsNode, error) {
-	var c exec.Counters
-	it, root, err := o.BuildInstrumented(p, &c)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	out, err := exec.CollectCtx(ec, it, &c)
-	if err != nil {
-		return nil, &c, root, err
-	}
-	return out, &c, root, nil
-}
-
-// Run optimizes and executes a query in one call, reporting whether
-// reordering applied.
-func (o *Optimizer) Run(q *expr.Node) (*relation.Relation, *exec.Counters, bool, error) {
-	p, reordered, err := o.Optimize(q)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	out, c, err := o.Execute(p)
-	return out, c, reordered, err
-}
-
-// CatalogOf exposes the optimizer's catalog (a storage.Catalog implements
-// both expr.Source and core.SchemeSource, which callers often need
-// alongside planning).
-func (o *Optimizer) CatalogOf() *storage.Catalog { return o.cat }

@@ -35,14 +35,14 @@ func TestPlanCacheHit(t *testing.T) {
 	o, q := cacheFixture(t, 101)
 	hits0, misses0 := obs.PlanCacheHits.Value(), obs.PlanCacheMisses.Value()
 
-	p1, tr1, err := o.OptimizeTrace(q)
+	p1, tr1, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr1.CacheOutcome != "miss" || tr1.Fingerprint == "" {
 		t.Fatalf("first optimize: outcome %q, fp %q; want miss with a fingerprint", tr1.CacheOutcome, tr1.Fingerprint)
 	}
-	p2, tr2, err := o.OptimizeTrace(q)
+	p2, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPlanCacheAcrossImplementingTrees(t *testing.T) {
 	}
 	var fp string
 	for i, it := range its {
-		_, tr, err := o.OptimizeTrace(it)
+		_, tr, err := o.PlanQueryTrace(it)
 		if err != nil {
 			t.Fatalf("tree %d: %v", i, err)
 		}
@@ -108,19 +108,19 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 	o, q := cacheFixture(t, 103)
 	inval0 := obs.PlanCacheInvalidations.Value()
 
-	if _, tr, err := o.OptimizeTrace(q); err != nil || tr.CacheOutcome != "miss" {
+	if _, tr, err := o.PlanQueryTrace(q); err != nil || tr.CacheOutcome != "miss" {
 		t.Fatalf("first optimize: %v, outcome %q", err, tr.CacheOutcome)
 	}
 	// Any table will do: the epoch is per catalog.
-	name := o.CatalogOf().Tables()[0]
-	tab, err := o.CatalogOf().Table(name)
+	name := o.cat.Tables()[0]
+	tab, err := o.cat.Table(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tab.BuildHashIndex("a"); err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := o.OptimizeTrace(q)
+	_, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,8 @@ func TestPlanCacheConcurrentSingleflight(t *testing.T) {
 	o, q := cacheFixture(t, 105)
 
 	// Reference DP size for this query, measured without a cache.
-	ref := New(o.CatalogOf())
-	_, refTr, err := ref.OptimizeTrace(q)
+	ref := New(o.cat)
+	_, refTr, err := ref.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPlanCacheConcurrentSingleflight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			p, _, err := o.OptimizeTrace(q)
+			p, _, err := o.PlanQueryTrace(q)
 			if err != nil {
 				t.Error(err)
 				return
@@ -230,7 +230,7 @@ func TestPlanCacheConcurrentSingleflight(t *testing.T) {
 // pre-storm reference result.
 func TestPlanCacheConcurrentAddExecute(t *testing.T) {
 	o, q := cacheFixture(t, 106)
-	cat := o.CatalogOf()
+	cat := o.cat
 	name := cat.Tables()[0]
 	tab, err := cat.Table(name)
 	if err != nil {
@@ -238,11 +238,11 @@ func TestPlanCacheConcurrentAddExecute(t *testing.T) {
 	}
 	rel := tab.Relation()
 
-	refPlan, _, err := o.OptimizeTrace(q)
+	refPlan, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := o.ExecuteCtx(nil, refPlan)
+	want, _, err := execute(o, refPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,12 +266,12 @@ func TestPlanCacheConcurrentAddExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p, _, err := o.OptimizeTrace(q)
+				p, _, err := o.PlanQueryTrace(q)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got, _, err := o.ExecuteCtx(nil, p)
+				got, _, err := execute(o, p)
 				if err != nil {
 					t.Error(err)
 					return

@@ -81,7 +81,7 @@ func TestDPFindsCheapestImplementingTree(t *testing.T) {
 				walk(p)
 			}
 		}
-		p, err := o.OptimizeGraph(g)
+		p, _, err := planGraph(o, g)
 		if math.IsInf(best, 1) {
 			// No tree is plannable (semijoin operators have no physical
 			// form, or the graph admits no tree at all): the DP must agree.
@@ -105,7 +105,7 @@ func TestDPFindsCheapestImplementingTree(t *testing.T) {
 			t.Fatalf("trial %d: DP cost %v, cheapest of %d trees %v (one cardinality per set: %v)\n%s%s",
 				trial, p.Cost, len(its), best, premise, g, p.Explain())
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(o, p)
 		if err != nil {
 			t.Fatalf("trial %d: execute: %v\n%s", trial, err, p.Explain())
 		}
@@ -166,7 +166,7 @@ func TestDPScalesWithTheSearchSpace(t *testing.T) {
 		if !tr.Reordered() || tr.Subsets != subsets {
 			t.Errorf("chain%d: strategy %s over %d subsets, want reordered over %d", n, tr.Strategy, tr.Subsets, subsets)
 		}
-		if got, _, err := o.Execute(p); err != nil || got.Len() != 1 {
+		if got, _, err := execute(o, p); err != nil || got.Len() != 1 {
 			t.Errorf("chain%d: executed to %v, %v", n, got, err)
 		}
 	}
@@ -182,8 +182,8 @@ func TestDPSearchBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.OptimizeGraph(a.Graph); !errors.Is(err, ErrSearchBudget) {
-		t.Fatalf("OptimizeGraph(star24) = %v, want ErrSearchBudget", err)
+	if _, _, err := planGraph(o, a.Graph); !errors.Is(err, ErrSearchBudget) {
+		t.Fatalf("planGraph(star24) = %v, want ErrSearchBudget", err)
 	}
 	start := time.Now()
 	p, tr, err := o.PlanQueryTrace(q)
@@ -196,7 +196,7 @@ func TestDPSearchBudget(t *testing.T) {
 	if tr.Strategy != "fixed" || !strings.Contains(tr.FallbackReason, "budget") {
 		t.Errorf("strategy %q, fallback reason %q: want fixed with the budget named", tr.Strategy, tr.FallbackReason)
 	}
-	if got, _, err := o.Execute(p); err != nil || got.Len() != 1 {
+	if got, _, err := execute(o, p); err != nil || got.Len() != 1 {
 		t.Errorf("fixed-order star24 executed to %v, %v", got, err)
 	}
 	// The largest star inside the budget still gets the DP.

@@ -89,31 +89,22 @@ func Explain(p *Plan, tr *Trace) string {
 	return b.String()
 }
 
-// ExplainAnalyze executes p with per-operator instrumentation and renders
-// the plan tree with estimates AND actuals side by side: rows emitted,
-// base tuples retrieved by each operator itself, peak buffered rows, wall
-// time, and the q-error of the row estimate. The result relation and the
-// global counters are returned alongside the rendering.
-func (o *Optimizer) ExplainAnalyze(p *Plan, tr *Trace) (*relation.Relation, *exec.Counters, string, error) {
-	return o.ExplainAnalyzeCtx(nil, p, tr)
-}
-
-// ExplainAnalyzeCtx is ExplainAnalyze under an execution context. When a
-// resource limit aborts the run, the partial stats tree is still
-// rendered — with the tripping operator marked — followed by governor
-// events and an "aborted" trailer, and the error is returned alongside
-// the text so callers can show both.
-func (o *Optimizer) ExplainAnalyzeCtx(ec *exec.ExecContext, p *Plan, tr *Trace) (*relation.Relation, *exec.Counters, string, error) {
-	return o.ExplainAnalyzeTraced(ec, p, tr, nil)
-}
-
-// ExplainAnalyzeTraced is ExplainAnalyzeCtx feeding a query trace: the
-// build and execute phases become spans, the executed stats tree is
-// synthesized into per-operator spans, and the trace's record is filled
-// with the chosen implementing tree, the optimizer's strategy and
-// fallback reason, the effort counters, the root q-error, and any
-// governor events — everything the slow-query log and /debug/queries
-// report. qt may be nil (plain ExplainAnalyzeCtx behavior).
+// ExplainAnalyzeTraced executes p with per-operator instrumentation
+// under an execution context and renders the plan tree with estimates
+// AND actuals side by side: rows emitted, base tuples retrieved by each
+// operator itself, peak buffered rows, wall time, and the q-error of the
+// row estimate. The result relation and the global counters are returned
+// alongside the rendering. When a resource limit aborts the run, the
+// partial stats tree is still rendered — with the tripping operator
+// marked — followed by governor events and an "aborted" trailer, and the
+// error is returned alongside the text so callers can show both.
+//
+// The run feeds qt (which may be nil): the build and execute phases
+// become spans, the executed stats tree is synthesized into per-operator
+// spans, and the trace's record is filled with the chosen implementing
+// tree, the optimizer's strategy and fallback reason, the effort
+// counters, the root q-error, and any governor events — everything the
+// slow-query log and /debug/queries report.
 func (o *Optimizer) ExplainAnalyzeTraced(ec *exec.ExecContext, p *Plan, tr *Trace, qt *obs.QueryTrace) (*relation.Relation, *exec.Counters, string, error) {
 	var c exec.Counters
 	buildStart := time.Now()

@@ -27,7 +27,7 @@ func chainSetup(t testing.TB, rows int) (*Optimizer, *expr.Node, expr.DB) {
 
 func TestExplainReordered(t *testing.T) {
 	o, q, _ := chainSetup(t, 20)
-	p, tr, err := o.OptimizeTrace(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestExplainFallbackReason(t *testing.T) {
 		expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), eqp("Y", "Z")),
 		eqp("X", "Y"))
 	o := New(catalogFor(db))
-	_, tr, err := o.OptimizeTrace(q)
+	_, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestExplainFallbackReason(t *testing.T) {
 
 func TestExplainAnalyze(t *testing.T) {
 	o, q, db := chainSetup(t, 20)
-	p, tr, err := o.OptimizeTrace(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, c, text, err := o.ExplainAnalyze(p, tr)
+	out, c, text, err := o.ExplainAnalyzeTraced(nil, p, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestExplainAnalyze(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !out.EqualBag(want) {
-		t.Fatal("ExplainAnalyze changed the result")
+		t.Fatal("ExplainAnalyzeTraced changed the result")
 	}
 	if c.RowsProduced() != int64(out.Len()) {
 		t.Errorf("counters RowsProduced = %d, want %d", c.RowsProduced(), out.Len())
 	}
 	for _, wantStr := range []string{"actual rows=", "q-err=", "tuples=", "-- totals: "} {
 		if !strings.Contains(text, wantStr) {
-			t.Errorf("ExplainAnalyze output missing %q:\n%s", wantStr, text)
+			t.Errorf("ExplainAnalyzeTraced output missing %q:\n%s", wantStr, text)
 		}
 	}
 }
@@ -109,8 +109,8 @@ func TestExplainAnalyzeIndexPhantom(t *testing.T) {
 	g := workload.JoinChainGraph(2)
 	db := workload.RandomDB(rnd, g, 8)
 	o := New(catalogFor(db))
-	for _, name := range o.CatalogOf().Tables() {
-		tb, err := o.CatalogOf().Table(name)
+	for _, name := range o.cat.Tables() {
+		tb, err := o.cat.Table(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestExplainAnalyzeIndexPhantom(t *testing.T) {
 	if idx == nil {
 		t.Skip("no index candidate for this predicate")
 	}
-	_, _, text, err := o.ExplainAnalyze(idx, nil)
+	_, _, text, err := o.ExplainAnalyzeTraced(nil, idx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestQErr(t *testing.T) {
 // acceptance gate and should be indistinguishable from the seed.
 func BenchmarkStatsOverhead(b *testing.B) {
 	o, q, _ := chainSetup(b, 400)
-	p, _, err := o.OptimizeTrace(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func BenchmarkStatsOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var c exec.Counters
-			it, _, err := o.BuildInstrumented(p, &c)
+			it, _, err := o.BuildInstrumentedTraced(p, &c, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

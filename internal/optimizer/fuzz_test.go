@@ -140,7 +140,7 @@ func FuzzJoinTree(f *testing.F) {
 		db := workload.RandomDanglingDB(rnd, g, 5, 0.4)
 		o := New(catalogFor(db))
 		o.Strategy = "yannakakis"
-		p, err := o.OptimizeGraph(g)
+		p, _, err := planGraph(o, g)
 		if err != nil {
 			t.Fatalf("yannakakis plan over a valid join tree failed: %v\ngraph:\n%s", err, g)
 		}
@@ -152,7 +152,7 @@ func FuzzJoinTree(f *testing.F) {
 		if err != nil {
 			t.Fatalf("algebra eval: %v", err)
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(o, p)
 		if err != nil {
 			t.Fatalf("yannakakis execute: %v\nplan:\n%s", err, p.Explain())
 		}

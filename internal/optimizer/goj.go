@@ -12,9 +12,10 @@ import (
 // Generalized-outerjoin planning (§6.2). Example 2's shape X → (Y — Z)
 // is not freely reorderable, so the DP cannot touch it; identity 15
 // nevertheless allows (X → Y) GOJ[sch(X)] Z, letting the engine evaluate
-// the cheap X → Y side first. OptimizeWithGOJ extends Optimize with that
-// rewrite, and the Plan/Build layers gain a GOJ operator (hash-based when
-// the predicate is a pure equijoin, reference algebra otherwise).
+// the cheap X → Y side first. OptimizeWithGOJ extends PlanQueryTrace
+// with that rewrite, and the Plan/Build layers gain a GOJ operator
+// (hash-based when the predicate is a pure equijoin, reference algebra
+// otherwise).
 
 // planGOJ builds a plan node for GOJ[S][pred](l, r).
 func (o *Optimizer) planGOJ(l, r *Plan, pred predicate.Predicate, s []relation.Attr) (*Plan, error) {
@@ -71,7 +72,7 @@ func (l *lowering) buildGOJ(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 	return wrapped, node, nil
 }
 
-// OptimizeWithGOJ plans q like Optimize, but when q is not freely
+// OptimizeWithGOJ plans q like PlanQueryTrace, but when q is not freely
 // reorderable it additionally tries the §6.2 GOJ reassociation at the
 // root and keeps whichever of {fixed-order plan, GOJ plan} the cost model
 // prefers. The string result names the strategy used: "reordered",
@@ -88,10 +89,10 @@ func (o *Optimizer) OptimizeWithGOJ(q *expr.Node) (*Plan, string, error) {
 // attached; on strategy "goj" the trace keeps the not-free verdict that
 // made the reassociation worth trying.
 func (o *Optimizer) OptimizeWithGOJTrace(q *expr.Node) (*Plan, *Trace, error) {
-	// Uses the unrecorded optimizeTrace so the strategy metric counts the
+	// Uses the unrecorded planQuery so the strategy metric counts the
 	// final decision, not the intermediate "fixed" verdict a successful
 	// GOJ upgrade replaces.
-	p, tr, err := o.optimizeTrace(q)
+	p, tr, err := o.planQuery(q)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -116,8 +117,7 @@ func (o *Optimizer) OptimizeWithGOJTrace(q *expr.Node) (*Plan, *Trace, error) {
 }
 
 // planForcedGOJ applies the §6.2 rewrite when it matches and plans it
-// regardless of estimated cost (an exploration hook used by tests and the
-// experiment harness).
+// regardless of estimated cost (an exploration hook for tests).
 func (o *Optimizer) planForcedGOJ(q *expr.Node) (*Plan, bool, error) {
 	rw, ok, err := core.GOJReassociate(q, o.cat)
 	if err != nil || !ok {

@@ -54,7 +54,7 @@ func TestOptimizeWithGOJPrefersRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := o.Execute(p)
+	got, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestOptimizeWithGOJPrefersRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := o.Execute(fixed)
+	_, cf, err := execute(o, fixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cg, err := o.Execute(p)
+	_, cg, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestGOJPlanNonEquiPredicate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(o, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestGOJPlanNonEquiPredicate(t *testing.T) {
 		t.Fatalf("forced GOJ: %v %v", ok, err)
 	}
 	want, _ := q.Eval(db)
-	got, _, err := o.Execute(rw)
+	got, _, err := execute(o, rw)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 	"freejoin/internal/storage"
 )
 
-// Governor trips through the full pipeline: parse → PlanQuery → build →
+// Governor trips through the full pipeline: parse → PlanQueryTrace → build →
 // instrumented execute under limits, asserting typed errors, clean
 // release, and that EXPLAIN ANALYZE names the tripping operator.
 
@@ -39,7 +39,7 @@ func governorQuery(t *testing.T) (*Optimizer, *Plan) {
 		t.Fatal(err)
 	}
 	o := New(governorCatalog(t))
-	p, _, err := o.PlanQuery(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,13 @@ func TestGovernorTripThroughOptimizer(t *testing.T) {
 	o, p := governorQuery(t)
 
 	// Sanity: the ungoverned plan executes.
-	if _, _, err := o.Execute(p); err != nil {
+	if _, _, err := execute(o, p); err != nil {
 		t.Fatalf("ungoverned: %v", err)
 	}
 
 	gov := exec.NewGovernor(1, 0) // one buffered row: any join build trips
 	ec := exec.NewExecContext(context.Background(), gov)
-	_, _, err := o.ExecuteCtx(ec, p)
+	_, _, err := executeCtx(o, ec, p)
 	var re *exec.ResourceError
 	if !errors.As(err, &re) || re.Kind != exec.MemoryExceeded {
 		t.Fatalf("want MemoryExceeded through the optimizer path, got %v", err)
@@ -73,7 +73,7 @@ func TestCancelledContextThroughOptimizer(t *testing.T) {
 	o, p := governorQuery(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := o.ExecuteCtx(exec.NewExecContext(ctx, nil), p)
+	_, _, err := executeCtx(o, exec.NewExecContext(ctx, nil), p)
 	var re *exec.ResourceError
 	if !errors.As(err, &re) || re.Kind != exec.Cancelled {
 		t.Fatalf("want Cancelled through the optimizer path, got %v", err)
@@ -90,7 +90,7 @@ func TestExplainAnalyzeNamesTrippingOperator(t *testing.T) {
 	o, p := governorQuery(t)
 	gov := exec.NewGovernor(1, 0)
 	ec := exec.NewExecContext(context.Background(), gov)
-	_, _, text, err := o.ExplainAnalyzeCtx(ec, p, nil)
+	_, _, text, err := o.ExplainAnalyzeTraced(ec, p, nil, nil)
 	var re *exec.ResourceError
 	if !errors.As(err, &re) || re.Kind != exec.MemoryExceeded {
 		t.Fatalf("want MemoryExceeded, got %v", err)
@@ -119,12 +119,12 @@ func TestExplainAnalyzeNamesTrippingOperator(t *testing.T) {
 // behaves exactly like the ungoverned one.
 func TestExplainAnalyzeCtxCleanRun(t *testing.T) {
 	o, p := governorQuery(t)
-	want, _, err := o.Execute(p)
+	want, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gov := exec.NewGovernor(1_000_000, 0)
-	got, _, text, err := o.ExplainAnalyzeCtx(exec.NewExecContext(context.Background(), gov), p, nil)
+	got, _, text, err := o.ExplainAnalyzeTraced(exec.NewExecContext(context.Background(), gov), p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestOptimizerFallbackWiring(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(cat)
-	p, _, err := o.PlanQuery(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := o.Execute(p)
+	want, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestOptimizerFallbackWiring(t *testing.T) {
 	// A 50-row budget admits neither side's 40-row build, but the index
 	// strategy buffers almost nothing.
 	gov := exec.NewGovernor(30, 0)
-	got, _, err := o.ExecuteCtx(exec.NewExecContext(context.Background(), gov), p)
+	got, _, err := executeCtx(o, exec.NewExecContext(context.Background(), gov), p)
 	if err != nil {
 		t.Fatalf("expected graceful degradation, got %v", err)
 	}

@@ -8,10 +8,10 @@ import (
 
 // recordTrace feeds a finished optimization decision into the
 // process-wide metrics: one strategy count per optimization plus the DP
-// search volume. Called once per public entry point (OptimizeTrace,
-// OptimizeWithGOJTrace, PlanQueryTrace, OptimizeGraphTrace) after the
-// strategy is final, so an OptimizeWithGOJ run that upgrades "fixed" to
-// "goj" counts once, under the strategy actually returned.
+// search volume. Called once per planning entry point (PlanQueryTrace,
+// a PlanStatement cache hit, OptimizeWithGOJTrace) after the strategy
+// is final, so an OptimizeWithGOJ run that upgrades "fixed" to "goj"
+// counts once, under the strategy actually returned.
 func recordTrace(tr *Trace) {
 	if tr == nil {
 		return

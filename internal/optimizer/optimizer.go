@@ -2,11 +2,8 @@ package optimizer
 
 import (
 	"fmt"
-	"time"
 
-	"freejoin/internal/core"
 	"freejoin/internal/expr"
-	"freejoin/internal/graph"
 	"freejoin/internal/plancache"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
@@ -75,75 +72,6 @@ type Optimizer struct {
 
 // New returns an optimizer over the catalog.
 func New(cat *storage.Catalog) *Optimizer { return &Optimizer{cat: cat} }
-
-// Optimize plans q. Per §6.1: if q is freely reorderable, the optimizer
-// enumerates every implementing tree of graph(q) by dynamic programming
-// and returns the cheapest; otherwise it returns a fixed-order plan that
-// honors q's own association (reordered, the query could change meaning).
-// The second result reports whether reordering was performed.
-func (o *Optimizer) Optimize(q *expr.Node) (*Plan, bool, error) {
-	p, tr, err := o.OptimizeTrace(q)
-	if err != nil {
-		return nil, false, err
-	}
-	return p, tr.Reordered(), nil
-}
-
-// OptimizeTrace is Optimize with the decision record attached. A query
-// whose graph is undefined (Definition 1 fails: a relation used twice, a
-// predicate not spanning exactly the two operand sides, an operator
-// outside the join/outerjoin set) is an error, not a fixed-order plan —
-// the fallback is reserved for well-formed queries that are merely not
-// provably freely reorderable, and the trace records that verdict.
-func (o *Optimizer) OptimizeTrace(q *expr.Node) (*Plan, *Trace, error) {
-	p, tr, err := o.optimizeTrace(q)
-	if err == nil {
-		recordTrace(tr)
-	}
-	return p, tr, err
-}
-
-// optimizeTrace is OptimizeTrace without the metrics hook, for callers
-// (OptimizeWithGOJTrace) that may still revise the strategy.
-func (o *Optimizer) optimizeTrace(q *expr.Node) (*Plan, *Trace, error) {
-	aStart := time.Now()
-	analysis, err := core.Analyze(q)
-	if err != nil {
-		return nil, nil, fmt.Errorf("optimizer: query graph undefined: %w", err)
-	}
-	tr := &Trace{AnalyzeTime: time.Since(aStart)}
-	if analysis.Free {
-		p, err := o.optimizeGraphCached(analysis.Graph, nil, tr)
-		if err != nil {
-			return nil, nil, err
-		}
-		tr.Strategy = strategyFor(p)
-		return p, tr, nil
-	}
-	tr.Strategy = "fixed"
-	tr.FallbackReason = analysis.String()
-	p, err := o.PlanFixed(q)
-	return p, tr, err
-}
-
-// OptimizeGraph finds the cheapest plan among all implementing trees of a
-// connected query graph, by dynamic programming over connected node
-// subsets (the classic DP, with outerjoin edges handled like join edges
-// but orientation-pinned).
-func (o *Optimizer) OptimizeGraph(g *graph.Graph) (*Plan, error) {
-	return o.optimizeGraphCached(g, nil, nil)
-}
-
-// OptimizeGraphTrace is OptimizeGraph with DP search statistics attached.
-func (o *Optimizer) OptimizeGraphTrace(g *graph.Graph) (*Plan, *Trace, error) {
-	tr := &Trace{Strategy: "reordered"}
-	p, err := o.optimizeGraphCached(g, nil, tr)
-	if err == nil {
-		tr.Strategy = strategyFor(p)
-		recordTrace(tr)
-	}
-	return p, tr, err
-}
 
 // PlanFixed produces a physical plan honoring q's own operator order:
 // only algorithm selection, no reordering. It supports join and outerjoin

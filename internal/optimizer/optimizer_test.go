@@ -37,8 +37,8 @@ func TestLeafPlanScan(t *testing.T) {
 	if _, err := o.leafPlan("NOPE", nil); err == nil {
 		t.Error("unknown table must fail")
 	}
-	if o.CatalogOf() != cat {
-		t.Error("CatalogOf broken")
+	if o.cat != cat {
+		t.Error("catalog not kept")
 	}
 }
 
@@ -60,11 +60,15 @@ func TestOptimizerCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(catalogFor(db))
-		got, _, reordered, err := o.Run(q)
+		p, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if !reordered {
+		got, _, err := execute(o, p)
+		if err != nil {
+			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
+		}
+		if !tr.Reordered() {
 			t.Fatalf("trial %d: nice query should be reordered", trial)
 		}
 		if !got.EqualBag(want) {
@@ -92,11 +96,15 @@ func TestFixedOrderCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(catalogFor(db))
-		got, _, reordered, err := o.Run(q)
+		p, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reordered {
+		got, _, err := execute(o, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Reordered() {
 			t.Fatal("Example 2 query must not be reordered")
 		}
 		if !got.EqualBag(want) {
@@ -124,7 +132,7 @@ func TestFixedOrderRightOuterNormalized(t *testing.T) {
 	if p.Op != expr.LeftOuter || p.Left.Table != "Y" {
 		t.Fatalf("RightOuter not normalized: %s", p.Tree())
 	}
-	got, _, err := o.Execute(p)
+	got, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +149,11 @@ func TestPlanFixedRejectsOtherOps(t *testing.T) {
 	}
 }
 
-// TestExample1PlanChoice reproduces the paper's Example 1 preference:
-// with a 1-row R1 and key indexes on R2, R3, the optimizer must pick an
-// index-driven left-deep plan starting from R1, and execution must
-// retrieve ~3 tuples instead of ~2N.
+// TestExample1PlanChoice (E1, §1.2) reproduces the paper's Example 1:
+// for R1 -[key] R2 ->[key] R3 with a 1-row R1 and key indexes on R2,
+// R3, the association R1 - (R2 -> R3) run as written retrieves exactly
+// 2N+1 tuples and (R1 - R2) -> R3 exactly 3, and the optimizer, given
+// the bad association, picks the good one driven from R1.
 func TestExample1PlanChoice(t *testing.T) {
 	const n = 20000
 	rnd := rand.New(rand.NewSource(58))
@@ -160,49 +169,43 @@ func TestExample1PlanChoice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// R1 - (R2 -> R3), equijoining keys.
-	q := expr.NewJoin(expr.NewLeaf("R1"),
+	bad := expr.NewJoin(expr.NewLeaf("R1"),
 		expr.NewOuter(expr.NewLeaf("R2"), expr.NewLeaf("R3"), eqp("R2", "R3")),
 		eqp("R1", "R2"))
+	good := expr.NewOuter(
+		expr.NewJoin(expr.NewLeaf("R1"), expr.NewLeaf("R2"), eqp("R1", "R2")),
+		expr.NewLeaf("R3"), eqp("R2", "R3"))
 	o := New(cat)
-	p, reordered, err := o.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reordered {
-		t.Fatal("Example 1 query is freely reorderable")
-	}
-	out, c, err := o.Execute(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
-		t.Fatalf("result rows = %d", out.Len())
-	}
-	if c.TuplesRetrieved() > 10 {
-		t.Fatalf("optimized plan retrieved %d tuples (plan:\n%s)", c.TuplesRetrieved(), p.Explain())
-	}
-	// The join-before-outerjoin association must have been chosen with R1
-	// driving.
-	if !strings.HasPrefix(p.Tree(), "((R1") {
-		t.Errorf("plan tree = %s, want R1-driven left-deep", p.Tree())
+	for _, tc := range []struct {
+		q    *expr.Node
+		want int64
+	}{{bad, 2*n + 1}, {good, 3}} {
+		p, err := o.PlanFixed(tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, c, err := execute(o, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 1 || c.TuplesRetrieved() != tc.want {
+			t.Errorf("fixed %s: %d rows, %d tuples; want 1 row, %d tuples", p.Tree(), out.Len(), c.TuplesRetrieved(), tc.want)
+		}
 	}
 
-	// Baseline: fixed-order plan of the user's tree evaluates R2 -> R3
-	// first and must retrieve ~2N tuples.
-	fixed, err := o.PlanFixed(q)
+	p, tr, err := o.PlanQueryTrace(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, cf, err := o.Execute(fixed)
+	if !tr.Reordered() || p.Tree() != "((R1 - R2) -> R3)" {
+		t.Fatalf("planned %s (strategy %s), want ((R1 - R2) -> R3) reordered", p.Tree(), tr.Strategy)
+	}
+	out, c, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.TuplesRetrieved() < int64(n) {
-		t.Errorf("fixed plan retrieved only %d tuples; expected ~2N", cf.TuplesRetrieved())
-	}
-	if cf.TuplesRetrieved() <= 100*c.TuplesRetrieved() {
-		t.Errorf("expected >=100x gap: fixed=%d optimized=%d", cf.TuplesRetrieved(), c.TuplesRetrieved())
+	if out.Len() != 1 || c.TuplesRetrieved() != 3 {
+		t.Errorf("planned: %d rows, %d tuples; want 1 row, 3 tuples (plan:\n%s)", out.Len(), c.TuplesRetrieved(), p.Explain())
 	}
 }
 
@@ -212,7 +215,7 @@ func TestExplainAndTree(t *testing.T) {
 	cat.AddRelation("S", relation.FromRows("S", []string{"a"}, []any{1}))
 	o := New(cat)
 	q := expr.NewOuter(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S"))
-	p, _, err := o.Optimize(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,13 +236,13 @@ func TestExplainAndTree(t *testing.T) {
 func TestOptimizeGraphErrors(t *testing.T) {
 	o := New(storage.NewCatalog())
 	g := workload.JoinChainGraph(2)
-	if _, err := o.OptimizeGraph(g); err == nil {
+	if _, _, err := planGraph(o, g); err == nil {
 		t.Error("missing tables must fail")
 	}
 	rnd := rand.New(rand.NewSource(59))
 	db := workload.RandomDB(rnd, g, 3)
 	o2 := New(catalogFor(db))
-	if _, err := o2.OptimizeGraph(g); err != nil {
+	if _, _, err := planGraph(o2, g); err != nil {
 		t.Errorf("valid graph failed: %v", err)
 	}
 }
@@ -268,7 +271,7 @@ func TestOptimizerPrefersIndexOrHash(t *testing.T) {
 	}
 	o := New(cat)
 	q := expr.NewJoin(expr.NewLeaf("A"), expr.NewLeaf("B"), eqp("A", "B"))
-	p, _, err := o.Optimize(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 	"freejoin/internal/relation"
 )
 
-// PlanQuery is the full §4 planning pipeline for queries that carry
-// restrictions:
+// PlanQueryTrace is the full §4 planning pipeline, returning the plan
+// with its decision record:
 //
 //  1. Simplify: strong restrictions convert outerjoins to joins;
 //  2. PushRestrictions: conjuncts sink to the base tables they cover;
@@ -22,20 +22,21 @@ import (
 //     the leaf filters folded into the scans; otherwise keep the written
 //     order. Residual top-level restrictions become Filter operators.
 //
-// The boolean reports whether reordering applied.
-func (o *Optimizer) PlanQuery(q *expr.Node) (*Plan, bool, error) {
-	p, tr, err := o.PlanQueryTrace(q)
-	if err != nil {
-		return nil, false, err
+// A query whose graph is undefined (Definition 1 fails: a relation used
+// twice, a predicate not spanning exactly the two operand sides) keeps
+// its written order and the trace records why; it is an error only when
+// no physical plan applies to that order either.
+func (o *Optimizer) PlanQueryTrace(q *expr.Node) (*Plan, *Trace, error) {
+	plan, tr, err := o.planQuery(q)
+	if err == nil {
+		recordTrace(tr)
 	}
-	return p, tr.Reordered(), nil
+	return plan, tr, err
 }
 
-// PlanQueryTrace is PlanQuery with the decision record attached. Unlike
-// OptimizeTrace, an undefined query graph is not an error here: the shell
-// pipeline must still execute such queries, so they keep their written
-// order and the trace records why.
-func (o *Optimizer) PlanQueryTrace(q *expr.Node) (*Plan, *Trace, error) {
+// planQuery is PlanQueryTrace without the metrics hook, for callers
+// (OptimizeWithGOJTrace) that may still revise the strategy.
+func (o *Optimizer) planQuery(q *expr.Node) (*Plan, *Trace, error) {
 	q, _ = core.Simplify(q, core.SimplifyOptions{})
 	q = core.PushRestrictions(q)
 
@@ -53,7 +54,6 @@ func (o *Optimizer) PlanQueryTrace(q *expr.Node) (*Plan, *Trace, error) {
 	for i := len(top) - 1; i >= 0; i-- {
 		plan = o.filterPlan(plan, top[i])
 	}
-	recordTrace(tr)
 	return plan, tr, nil
 }
 
@@ -139,8 +139,9 @@ func stripLeafFilters(q *expr.Node) (*expr.Node, map[string]predicate.Predicate,
 const maxDPSubsets = 1 << 14
 
 // ErrSearchBudget reports a query graph whose space of connected
-// subsets is larger than the DP will enumerate. PlanQuery falls back to
-// the written operator order and records the reason in the trace.
+// subsets is larger than the DP will enumerate. PlanQueryTrace falls
+// back to the written operator order and records the reason in the
+// trace.
 var ErrSearchBudget = fmt.Errorf("optimizer: plan search stopped at its budget of %d connected subsets", maxDPSubsets)
 
 // dpCell is the best plan found so far for a node set, as plain values:
@@ -172,9 +173,10 @@ type planSearch struct {
 	err   error
 }
 
-// optimizeGraph is the DP of OptimizeGraph with per-relation filters
-// folded into the leaf plans. When tr is non-nil the search statistics
-// (subsets, splits, candidates, pruned) are recorded into it.
+// optimizeGraph is the DP over a connected query graph, with
+// per-relation filters folded into the leaf plans. When tr is non-nil
+// the search statistics (subsets, splits, candidates, pruned) are
+// recorded into it.
 func (o *Optimizer) optimizeGraph(g *graph.Graph, filters map[string]predicate.Predicate, tr *Trace) (*Plan, error) {
 	n := g.NumNodes()
 	if n == 0 {

@@ -38,19 +38,19 @@ func TestPlanQueryCorrectness(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := New(catalogFor(db))
-		p, reordered, err := o.PlanQuery(q)
+		p, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if reordered {
+		if tr.Reordered() {
 			reorderedCount++
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(o, p)
 		if err != nil {
 			t.Fatalf("trial %d: %v\nplan:\n%s", trial, err, p.Explain())
 		}
 		if !got.EqualBag(want) {
-			t.Fatalf("trial %d: PlanQuery changed the result\nq=%s\nplan tree=%s",
+			t.Fatalf("trial %d: PlanQueryTrace changed the result\nq=%s\nplan tree=%s",
 				trial, q.StringWithPreds(), p.Tree())
 		}
 	}
@@ -71,11 +71,11 @@ func TestPlanQueryPushesFilterBelowJoin(t *testing.T) {
 	q := expr.NewRestrict(
 		expr.NewJoin(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S")),
 		restOn("R", 7))
-	p, reordered, err := o.PlanQuery(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		t.Fatal("restricted join block should still reorder")
 	}
 	ex := p.Explain()
@@ -86,7 +86,7 @@ func TestPlanQueryPushesFilterBelowJoin(t *testing.T) {
 	if p.Op == expr.Restrict {
 		t.Fatalf("filter should be pushed below the join:\n%s", ex)
 	}
-	out, _, err := o.Execute(p)
+	out, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +108,18 @@ func TestPlanQuerySimplifiesOuterjoin(t *testing.T) {
 	q := expr.NewRestrict(
 		expr.NewOuter(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S")),
 		restOn("S", 1))
-	p, reordered, err := o.PlanQuery(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reordered {
+	if !tr.Reordered() {
 		t.Fatal("after simplification the block is a plain join")
 	}
 	if strings.Contains(p.Explain(), "leftouterjoin") {
 		t.Fatalf("outerjoin should have been simplified:\n%s", p.Explain())
 	}
 	want, _ := q.Eval(db)
-	got, _, err := o.Execute(p)
+	got, _, err := execute(o, p)
 	if err != nil || !got.EqualBag(want) {
 		t.Fatal("pipeline changed the result")
 	}
@@ -139,15 +139,15 @@ func TestPlanQueryFixedFallback(t *testing.T) {
 			expr.NewJoin(expr.NewLeaf("Y"), expr.NewLeaf("Z"), eqp("Y", "Z")),
 			eqp("X", "Y")),
 		predicate.NewIsNull(relation.A("Y", "a"))) // non-strong: no simplification
-	p, reordered, err := o.PlanQuery(q)
+	p, tr, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reordered {
+	if tr.Reordered() {
 		t.Fatal("Example 2 shape must not reorder")
 	}
 	want, _ := q.Eval(db)
-	got, _, err := o.Execute(p)
+	got, _, err := execute(o, p)
 	if err != nil || !got.EqualBag(want) {
 		t.Fatal("fixed fallback wrong")
 	}
@@ -156,11 +156,11 @@ func TestPlanQueryFixedFallback(t *testing.T) {
 func TestPlanQueryErrors(t *testing.T) {
 	o := New(storage.NewCatalog())
 	q := expr.NewRestrict(expr.NewLeaf("NOPE"), restOn("NOPE", 1))
-	if _, _, err := o.PlanQuery(q); err == nil {
+	if _, _, err := o.PlanQueryTrace(q); err == nil {
 		t.Error("unknown table must fail")
 	}
 	anti := expr.NewAnti(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S"))
-	if _, _, err := o.PlanQuery(anti); err == nil {
+	if _, _, err := o.PlanQueryTrace(anti); err == nil {
 		t.Error("antijoin plans unsupported")
 	}
 }
@@ -182,14 +182,17 @@ func TestPlanQueryIndexScan(t *testing.T) {
 	q := expr.NewRestrict(
 		expr.NewJoin(expr.NewLeaf("R"), expr.NewLeaf("S"), eqp("R", "S")),
 		restOn("R", 42))
-	p, reordered, err := o.PlanQuery(q)
-	if err != nil || !reordered {
-		t.Fatalf("plan failed: %v reordered=%v", err, reordered)
+	p, tr, err := o.PlanQueryTrace(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Reordered() {
+		t.Fatalf("plan not reordered: %s", tr)
 	}
 	if !strings.Contains(p.Explain(), "indexscan R.a = 42") {
 		t.Fatalf("no index scan in plan:\n%s", p.Explain())
 	}
-	out, c, err := o.Execute(p)
+	out, c, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestLeafPlanResidualFilter(t *testing.T) {
 	if p.Op != expr.Restrict || p.Left.Algo != AlgoIndexScan {
 		t.Fatalf("shape:\n%s", p.Explain())
 	}
-	out, _, err := o.Execute(p)
+	out, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}

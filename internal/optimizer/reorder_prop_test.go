@@ -108,7 +108,7 @@ func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 			if err != nil {
 				t.Fatalf("seed %d tree %d: PlanFixed: %v", seed, i, err)
 			}
-			rel, _, err := o.Execute(pf)
+			rel, _, err := execute(o, pf)
 			if err != nil {
 				t.Fatalf("seed %d tree %d: execute fixed: %v", seed, i, err)
 			}
@@ -119,9 +119,9 @@ func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 
 			// Oracle 3: the plan cache must see every tree of this graph
 			// as the same query.
-			p, tr, err := o.OptimizeTrace(it)
+			p, tr, err := o.PlanQueryTrace(it)
 			if err != nil {
-				t.Fatalf("seed %d tree %d: OptimizeTrace: %v", seed, i, err)
+				t.Fatalf("seed %d tree %d: PlanQueryTrace: %v", seed, i, err)
 			}
 			if !tr.Reordered() {
 				t.Fatalf("seed %d tree %d: nice query not reordered (%s)", seed, i, tr.FallbackReason)
@@ -132,7 +132,7 @@ func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 				}
 				fp, shared = tr.Fingerprint, p
 				// The optimized plan agrees with the oracle as well.
-				orel, _, err := o.Execute(p)
+				orel, _, err := execute(o, p)
 				if err != nil {
 					t.Fatalf("seed %d: execute optimized: %v", seed, err)
 				}

@@ -56,7 +56,7 @@ func TestFixedPlanRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d: PlanFixed: %v\nq=%s", trial, err, q.StringWithPreds())
 			}
-			got, _, err := o.Execute(p)
+			got, _, err := execute(o, p)
 			if err != nil {
 				t.Fatalf("trial %d: execute: %v\nq=%s\nplan:\n%s", trial, err, q.StringWithPreds(), p.Explain())
 			}
@@ -108,7 +108,7 @@ func TestJoinCandidatesAllBuildable(t *testing.T) {
 			t.Fatalf("trial %d: no candidates for %s", trial, q.StringWithPreds())
 		}
 		for _, cand := range cands {
-			got, _, err := o.Execute(cand)
+			got, _, err := execute(o, cand)
 			if err != nil {
 				t.Fatalf("trial %d: candidate [%s] failed to build/run: %v\nq=%s",
 					trial, cand.Algo, err, q.StringWithPreds())
@@ -155,7 +155,7 @@ func TestPlanQueryRoundTrip(t *testing.T) {
 		if !tr.Reordered() && tr.FallbackReason == "" {
 			t.Fatalf("trial %d: fixed-order plan without a recorded reason", trial)
 		}
-		got, _, err := o.Execute(p)
+		got, _, err := execute(o, p)
 		if err != nil {
 			t.Fatalf("trial %d: execute: %v\nplan:\n%s", trial, err, p.Explain())
 		}
@@ -168,14 +168,14 @@ func TestPlanQueryRoundTrip(t *testing.T) {
 
 // TestOptimizeRejectsUndefinedGraph: a query whose graph is undefined
 // (here, the same relation on both sides) must surface an error from both
-// Optimize and PlanFixed — not a panic, and not a silent wrong plan.
+// PlanQueryTrace and PlanFixed — not a panic, and not a silent wrong plan.
 func TestOptimizeRejectsUndefinedGraph(t *testing.T) {
 	cat := storage.NewCatalog()
 	cat.AddRelation("R", relation.FromRows("R", []string{"a"}, []any{1}, []any{2}))
 	o := New(cat)
 	q := expr.NewJoin(expr.NewLeaf("R"), expr.NewLeaf("R"), eqp("R", "R"))
-	if _, _, err := o.Optimize(q); err == nil {
-		t.Error("Optimize must reject a query with an undefined graph")
+	if _, _, err := o.PlanQueryTrace(q); err == nil {
+		t.Error("PlanQueryTrace must reject a self-join")
 	}
 	if _, err := o.PlanFixed(q); err == nil {
 		t.Error("PlanFixed must reject operands with overlapping schemes")

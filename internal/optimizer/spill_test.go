@@ -27,7 +27,7 @@ import (
 func TestSpillToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 77)
 
-	_, tr1, err := o.OptimizeTrace(q)
+	_, tr1, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.Spill = true
-	_, tr2, err := o.OptimizeTrace(q)
+	_, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 	}
 
 	// Each mode hits its own entry on repeat.
-	_, tr3, err := o.OptimizeTrace(q)
+	_, tr3, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSpillToggleMissesPlanCache(t *testing.T) {
 		t.Fatalf("spill-enabled repeat: outcome %q fp %q; want hit on %q", tr3.CacheOutcome, tr3.Fingerprint, tr2.Fingerprint)
 	}
 	o.Spill = false
-	_, tr4, err := o.OptimizeTrace(q)
+	_, tr4, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(cat)
-	p, _, err := o.PlanQuery(q)
+	p, _, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTraceDegradationAnnotation(t *testing.T) {
 // process-wide oj_spill_* metrics.
 func TestExplainAnalyzeSpillCounters(t *testing.T) {
 	o, p := governorQuery(t)
-	want, _, err := o.Execute(p)
+	want, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestExplainAnalyzeSpillCounters(t *testing.T) {
 	ec.EnableSpill(exec.SpillConfig{Dir: dir})
 	o.Spill = true
 
-	got, _, text, err := o.ExplainAnalyzeCtx(ec, p, &Trace{})
+	got, _, text, err := o.ExplainAnalyzeTraced(ec, p, &Trace{}, nil)
 	if err != nil {
 		t.Fatalf("spilling EXPLAIN ANALYZE failed: %v\n%s", err, text)
 	}
@@ -218,11 +218,11 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 		o.Spill = true
 		o.BatchSize = batchSize
 
-		p, _, err := o.OptimizeTrace(its[0])
+		p, _, err := o.PlanQueryTrace(its[0])
 		if err != nil {
-			t.Fatalf("seed %d: OptimizeTrace: %v", seed, err)
+			t.Fatalf("seed %d: PlanQueryTrace: %v", seed, err)
 		}
-		ref, _, err := o.Execute(p)
+		ref, _, err := execute(o, p)
 		if err != nil {
 			t.Fatalf("seed %d: unbudgeted execute: %v", seed, err)
 		}
@@ -242,7 +242,7 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 		gov := exec.NewGovernor(0, 96)
 		ec := exec.NewExecContext(context.Background(), gov)
 		ec.EnableSpill(exec.SpillConfig{Dir: dir})
-		got, _, err := o.ExecuteCtx(ec, p)
+		got, _, err := executeCtx(o, ec, p)
 		if err != nil {
 			t.Fatalf("seed %d: spilled execute: %v\ngraph:\n%s", seed, err, g)
 		}
@@ -270,7 +270,7 @@ func runMetamorphicSpillOracle(t *testing.T, batchSize int) {
 func TestBatchToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 78)
 
-	_, tr1, err := o.OptimizeTrace(q) // default: batched
+	_, tr1, err := o.PlanQueryTrace(q) // default: batched
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +279,7 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.BatchSize = 7
-	_, tr2, err := o.OptimizeTrace(q)
+	_, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.BatchSize = 256
-	_, tr3, err := o.OptimizeTrace(q)
+	_, tr3, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestBatchToggleMissesPlanCache(t *testing.T) {
 		fp   string
 	}{{0, tr1.Fingerprint}, {7, tr2.Fingerprint}, {256, tr3.Fingerprint}} {
 		o.BatchSize = step.size
-		_, tr, err := o.OptimizeTrace(q)
+		_, tr, err := o.PlanQueryTrace(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,11 +349,11 @@ func TestGraceSpillBuildRunsOnce(t *testing.T) {
 			o := New(cat)
 			o.Strategy = "auto"
 			o.Spill = true
-			p, _, err := o.PlanQuery(q)
+			p, _, err := o.PlanQueryTrace(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wc, err := o.Execute(p)
+			want, wc, err := execute(o, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -363,7 +363,7 @@ func TestGraceSpillBuildRunsOnce(t *testing.T) {
 			ec := exec.NewExecContext(context.Background(), gov)
 			ec.EnableSpill(exec.SpillConfig{Dir: dir})
 			trips0, deg0 := obs.GovernorTripsMemory.Value(), obs.GovernorDegradations.Value()
-			got, c, text, err := o.ExplainAnalyzeCtx(ec, p, &Trace{})
+			got, c, text, err := o.ExplainAnalyzeTraced(ec, p, &Trace{}, nil)
 			if err != nil {
 				t.Fatalf("spilled run failed: %v\n%s", err, text)
 			}

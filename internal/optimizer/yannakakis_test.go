@@ -83,14 +83,14 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 
 		// Oracle 1: classic DP.
 		oDP := New(cat)
-		pDP, trDP, err := oDP.OptimizeGraphTrace(g)
+		pDP, trDP, err := planGraph(oDP, g)
 		if err != nil {
 			t.Fatalf("seed %d: DP optimize: %v", seed, err)
 		}
 		if trDP.Strategy != "reordered" {
 			t.Fatalf("seed %d: default strategy = %q; want reordered", seed, trDP.Strategy)
 		}
-		relDP, _, err := oDP.Execute(pDP)
+		relDP, _, err := execute(oDP, pDP)
 		if err != nil {
 			t.Fatalf("seed %d: DP execute: %v", seed, err)
 		}
@@ -103,7 +103,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: PlanFixed: %v", seed, err)
 		}
-		relFix, _, err := oDP.Execute(pFix)
+		relFix, _, err := execute(oDP, pFix)
 		if err != nil {
 			t.Fatalf("seed %d: fixed execute: %v", seed, err)
 		}
@@ -115,7 +115,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 		// fall back.
 		oY := New(cat)
 		oY.Strategy = "yannakakis"
-		pY, trY, err := oY.OptimizeGraphTrace(g)
+		pY, trY, err := planGraph(oY, g)
 		if err != nil {
 			t.Fatalf("seed %d: yannakakis optimize: %v", seed, err)
 		}
@@ -123,7 +123,7 @@ func TestMetamorphicYannakakisOracle(t *testing.T) {
 			t.Fatalf("seed %d: forced yannakakis on a tree fell back: strategy %q (%s)\ngraph:\n%s",
 				seed, trY.Strategy, trY.FallbackReason, g)
 		}
-		relY, _, stats, err := oY.ExecuteAnalyzed(pY)
+		relY, _, stats, err := executeAnalyzed(oY, pY)
 		if err != nil {
 			t.Fatalf("seed %d: yannakakis execute: %v\nplan:\n%s", seed, err, pY.Explain())
 		}
@@ -185,11 +185,11 @@ func checkYannakakisModes(t *testing.T, seed int64, cat *storage.Catalog, g *gra
 		o := New(cat)
 		o.Strategy = "yannakakis"
 		o.BatchSize = size
-		p, err := o.OptimizeGraph(g)
+		p, _, err := planGraph(o, g)
 		if err != nil {
 			t.Fatalf("seed %d size %d: %v", seed, size, err)
 		}
-		got, c, root, err := o.ExecuteAnalyzed(p)
+		got, c, root, err := executeAnalyzed(o, p)
 		if err != nil || !got.EqualBag(ref) {
 			t.Fatalf("seed %d size %d: yannakakis run differs from the algebra (err %v)\nplan:\n%s", seed, size, err, p.Explain())
 		}
@@ -205,7 +205,7 @@ func checkYannakakisModes(t *testing.T, seed int64, cat *storage.Catalog, g *gra
 				if spill {
 					ec.EnableSpill(exec.SpillConfig{Dir: dir})
 				}
-				got, _, err := o.ExecuteCtx(ec, p)
+				got, _, err := executeCtx(o, ec, p)
 				var re *exec.ResourceError
 				switch {
 				case err == nil && got.EqualBag(ref):
@@ -248,7 +248,7 @@ func TestYannakakisFallsBackOnCycles(t *testing.T) {
 	db := workload.RandomDB(rnd, g, 6)
 	o := New(catalogFor(db))
 	o.Strategy = "yannakakis"
-	p, tr, err := o.OptimizeGraphTrace(g)
+	p, tr, err := planGraph(o, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestYannakakisFallsBackOnCycles(t *testing.T) {
 func TestUnknownStrategyErrors(t *testing.T) {
 	o, g := yannakakisFixture(t, 11)
 	o.Strategy = "yannakaki"
-	if _, err := o.OptimizeGraph(g); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+	if _, _, err := planGraph(o, g); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
 		t.Fatalf("err = %v; want unknown strategy", err)
 	}
 }
@@ -279,17 +279,17 @@ func TestUnknownStrategyErrors(t *testing.T) {
 func TestAutoStrategyPicksCheaper(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		o, g := yannakakisFixture(t, 40+seed)
-		pDP, err := o.OptimizeGraph(g)
+		pDP, _, err := planGraph(o, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.Strategy = "yannakakis"
-		pY, err := o.OptimizeGraph(g)
+		pY, _, err := planGraph(o, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		o.Strategy = "auto"
-		pAuto, err := o.OptimizeGraph(g)
+		pAuto, _, err := planGraph(o, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,11 +298,11 @@ func TestAutoStrategyPicksCheaper(t *testing.T) {
 			t.Errorf("seed %d: auto chose yannakakis=%v; want %v (dp cost %.0f, yannakakis cost %.0f)",
 				seed, gotYann, wantYann, pDP.Cost, pY.Cost)
 		}
-		want, _, err := o.Execute(pDP)
+		want, _, err := execute(o, pDP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := o.Execute(pAuto)
+		got, _, err := execute(o, pAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -318,7 +318,7 @@ func TestAutoStrategyPicksCheaper(t *testing.T) {
 func TestStrategyToggleMissesPlanCache(t *testing.T) {
 	o, q := cacheFixture(t, 78)
 
-	_, tr1, err := o.OptimizeTrace(q)
+	_, tr1, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 	}
 
 	o.Strategy = "yannakakis"
-	p2, tr2, err := o.OptimizeTrace(q)
+	p2, tr2, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 		t.Errorf("strategy = %q; want yannakakis", tr2.Strategy)
 	}
 
-	_, tr3, err := o.OptimizeTrace(q)
+	_, tr3, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestStrategyToggleMissesPlanCache(t *testing.T) {
 		t.Errorf("cache-hit strategy = %q; want yannakakis (attributed from the plan shape)", tr3.Strategy)
 	}
 	o.Strategy = ""
-	_, tr4, err := o.OptimizeTrace(q)
+	_, tr4, err := o.PlanQueryTrace(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,11 @@ func TestYannakakisObservability(t *testing.T) {
 	o.Strategy = "yannakakis"
 	strat0 := obs.StrategyYannakakis.Value()
 	in0 := obs.SemiReduceInputRows.Value()
-	p, tr, err := o.OptimizeGraphTrace(g)
+	its, err := expr.EnumerateITs(g, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, tr, err := o.PlanQueryTrace(its[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +393,7 @@ func TestYannakakisObservability(t *testing.T) {
 	if !strings.Contains(tr.String(), "strategy: yannakakis") {
 		t.Errorf("trace must carry the strategy:\n%s", tr.String())
 	}
-	if _, _, err := o.Execute(p); err != nil {
+	if _, _, err := execute(o, p); err != nil {
 		t.Fatal(err)
 	}
 	if obs.SemiReduceInputRows.Value() == in0 {
@@ -406,7 +410,7 @@ func TestYannakakisRoundTrip(t *testing.T) {
 	db := workload.RandomDanglingDB(rnd, g, 10, 0.6)
 	o := New(catalogFor(db))
 	o.Strategy = "yannakakis"
-	p, err := o.OptimizeGraph(g)
+	p, _, err := planGraph(o, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +421,7 @@ func TestYannakakisRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := o.Execute(p)
+	got, _, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +492,7 @@ func TestYannakakisEvaluatesEachReductionOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := oDP.Execute(pDP)
+	want, _, err := execute(oDP, pDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +505,7 @@ func TestYannakakisEvaluatesEachReductionOnce(t *testing.T) {
 	if tr.Strategy != "yannakakis" {
 		t.Fatalf("strategy = %q, want yannakakis", tr.Strategy)
 	}
-	got, c, err := o.Execute(p)
+	got, c, err := execute(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +515,7 @@ func TestYannakakisEvaluatesEachReductionOnce(t *testing.T) {
 	if n := c.TuplesRetrieved(); n != 18_000 {
 		t.Errorf("retrieved %d base tuples, want 18000", n)
 	}
-	got, c, root, err := o.ExecuteAnalyzed(p)
+	got, c, root, err := executeAnalyzed(o, p)
 	if err != nil {
 		t.Fatal(err)
 	}

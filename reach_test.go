@@ -34,7 +34,7 @@ import (
 var frontEnds = []string{"cmd/ojserver", "cmd/ojshell", "benchmark"}
 
 // otherMains are the remaining programs, roots of the wider report only.
-var otherMains = []string{"cmd/reorder", "cmd/experiments", "examples/"}
+var otherMains = []string{"cmd/reorder"}
 
 // stdCalledNames are method names the standard library calls through
 // an interface value (fmt, errors, encoding/json, sort, container/heap,
