@@ -50,11 +50,13 @@ faults:
 
 # Observability suite: the metrics registry and tracer, the span/stats
 # consistency property, concurrent scraping during concurrent joins, and
-# the shell/CLI monitoring surfaces — under the race detector, -count=2
-# for state reuse.
+# the shell's monitoring surfaces (metrics, trace export with the served
+# query's phase spans, and the -metrics-addr / -slow-query flags it
+# shares with ojserver) — under the race detector, -count=2 for state
+# reuse.
 obs:
 	$(GO) test -race -count=2 ./internal/obs ./internal/exec -run 'Span|Scrape|Counter|Histogram|Gauge|Registry|Trace|Ring|Slow|Server|Health|Metrics'
-	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/reorder
+	$(GO) test -race -count=2 ./cmd/ojshell ./cmd/ojserver
 
 # Spill-to-disk suite: grace hash join, the spilled nested-loop join,
 # the semijoin filter's trip onto it, the shared spool's spilled readers, the

@@ -10,129 +10,30 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"strconv"
-
 	"freejoin/internal/chaos"
-	"freejoin/internal/parse"
 	"freejoin/internal/server"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", "127.0.0.1:7432", "TCP address for the query protocol")
-		metricsAddr = flag.String("metrics-addr", "", "HTTP /metrics, /debug/queries, /healthz address (off when empty)")
-		maxConc     = flag.Int("max-concurrent", server.DefaultMaxConcurrent, "concurrent query slots")
-		queueDepth  = flag.Int("queue-depth", server.DefaultQueueDepth, "admission wait-queue bound (negative disables waiting)")
-		pool        = flag.String("pool", "", "process-wide memory pool, e.g. 64MB (empty = unlimited)")
-		spillPool   = flag.String("spill-pool", "", "process-wide spill pool, e.g. 256MB (empty = unlimited)")
-		queryMem    = flag.String("query-mem", "", "default per-query memory grant, e.g. 8MB (empty = ungoverned)")
-		querySpill  = flag.String("query-spill", "", "per-query spill grant when spill is on (empty = ungoverned)")
-		timeout     = flag.Duration("timeout", 0, "default per-query deadline, admission wait included (0 = none)")
-		planCache   = flag.Int("plan-cache", 0, "shared plan-cache capacity (0 = default, negative = off)")
-		spill       = flag.Bool("spill", false, "default spill-to-disk mode for new sessions")
-		spillDir    = flag.String("spill-dir", "", "spill run-file directory (empty = OS temp dir)")
-		strategy    = flag.String("strategy", "", "default planner strategy: dp, yannakakis or auto (empty = dp)")
-		batchSize   = flag.String("batch-size", "", "rows per execution batch: N or default (empty = default)")
-		restore     = flag.String("restore", "", "catalog snapshot (.fjdb) to restore at startup")
-
-		idleTimeout  = flag.Duration("idle-timeout", 0, "disconnect idle sessions (0 = default 5m, negative = off)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = default 30s, negative = off)")
-		maxLine      = flag.String("max-line", "", "longest accepted protocol line, e.g. 1MB (empty = default)")
-		shedWait     = flag.Duration("shed-wait", 0, "shed load when smoothed queue wait exceeds this (0 = off)")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on SIGTERM")
-
-		chaosSeed = flag.Int64("chaos-seed", 0, "dev mode: seed for network fault injection (needs -chaos-rate)")
-		chaosRate = flag.Float64("chaos-rate", 0, "dev mode: per-I/O fault probability in [0,1] (0 = off)")
-
-		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof on the metrics address (needs -metrics-addr)")
-		runtimeSamp = flag.Duration("runtime-metrics", 0, "background runtime/metrics sampling period (0 = scrape-time only)")
-		slowQuery   = flag.Duration("slow-query", 0, "slow-query threshold (0 = off)")
-		slowLog     = flag.String("slow-query-log", "", "slow-query JSONL file, size-capped with rotation (empty = off)")
-		slowLogMax  = flag.String("slow-query-log-max", "", "slow-query log size cap before rotation, e.g. 64MB (empty = default)")
-	)
-	flag.Parse()
-
-	cfg := server.Config{
-		Addr:          *addr,
-		MetricsAddr:   *metricsAddr,
-		MaxConcurrent: *maxConc,
-		QueueDepth:    *queueDepth,
-		Timeout:       *timeout,
-		PlanCache:     *planCache,
-		Spill:         *spill,
-		SpillDir:      *spillDir,
-		Strategy:      *strategy,
-		SnapshotPath:  *restore,
-		IdleTimeout:   *idleTimeout,
-		WriteTimeout:  *writeTimeout,
-		ShedWait:      *shedWait,
-		Pprof:         *pprofOn,
-		RuntimeSample: *runtimeSamp,
-		SlowQuery:     *slowQuery,
-		SlowQueryLog:  *slowLog,
+	cfg, drainTimeout, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	switch cfg.Strategy {
-	case "", "dp", "yannakakis", "auto":
-	default:
-		fmt.Fprintf(os.Stderr, "ojserver: unknown -strategy %q (want dp, yannakakis or auto)\n", cfg.Strategy)
-		os.Exit(2)
+	if err != nil {
+		os.Exit(2) // the flag set has printed the error and the usage
 	}
-	if *batchSize != "" && *batchSize != "default" {
-		n, err := strconv.Atoi(*batchSize)
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "ojserver: bad -batch-size %q (want N or default)\n", *batchSize)
-			os.Exit(2)
-		}
-		cfg.BatchSize = n
-	}
-	if *slowLogMax != "" {
-		n, err := parse.Bytes(*slowLogMax)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ojserver:", err)
-			os.Exit(2)
-		}
-		cfg.SlowQueryLogMaxBytes = n
-	}
-	if *maxLine != "" {
-		n, err := parse.Bytes(*maxLine)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ojserver:", err)
-			os.Exit(2)
-		}
-		cfg.MaxLineBytes = int(n)
-	}
-	if *chaosRate > 0 {
-		// Fault injection is a dev/test mode: every accepted connection
-		// suffers seeded, replayable network faults.
-		cfg.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
+	if cfg.Chaos != nil {
 		fmt.Fprintf(os.Stderr, "ojserver: CHAOS MODE: injecting faults at rate %g (seed %d)\n",
-			*chaosRate, *chaosSeed)
-	}
-	for _, f := range []struct {
-		val string
-		dst *int64
-	}{
-		{*pool, &cfg.PoolBytes},
-		{*spillPool, &cfg.SpillPoolBytes},
-		{*queryMem, &cfg.QueryMemBytes},
-		{*querySpill, &cfg.QuerySpillBytes},
-	} {
-		if f.val == "" {
-			continue
-		}
-		n, err := parse.Bytes(f.val)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ojserver:", err)
-			os.Exit(2)
-		}
-		*f.dst = n
+			cfg.Chaos.Rate, cfg.Chaos.Seed)
 	}
 
 	srv, err := server.Start(cfg)
@@ -157,11 +58,60 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Fprintln(os.Stderr, "ojserver: draining")
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "ojserver: drain:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "ojserver: drained")
+}
+
+// parseFlags parses the command line into the server configuration and
+// the graceful-drain bound; errors and usage go to errOut. The
+// process-level settings ojshell shares are registered by
+// server.RegisterProcessFlags, and -strategy and -batch-size parse with
+// the functions "set strategy" and "set batch_size" use.
+func parseFlags(args []string, errOut io.Writer) (server.Config, time.Duration, error) {
+	fs := flag.NewFlagSet("ojserver", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	cfg := server.Config{MaxConcurrent: server.DefaultMaxConcurrent, QueueDepth: server.DefaultQueueDepth}
+	server.RegisterProcessFlags(fs, &cfg)
+	fs.StringVar(&cfg.Addr, "addr", "127.0.0.1:7432", "TCP address for the query protocol")
+	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", cfg.MaxConcurrent, "concurrent query slots")
+	fs.IntVar(&cfg.QueueDepth, "queue-depth", cfg.QueueDepth, "admission wait-queue bound (negative disables waiting)")
+	server.BytesVar(fs, &cfg.PoolBytes, "pool", "process-wide memory pool, e.g. 64MB (empty = unlimited)")
+	server.BytesVar(fs, &cfg.SpillPoolBytes, "spill-pool", "process-wide spill pool, e.g. 256MB (empty = unlimited)")
+	server.BytesVar(fs, &cfg.QueryMemBytes, "query-mem", "default per-query memory grant, e.g. 8MB (empty = ungoverned)")
+	server.BytesVar(fs, &cfg.QuerySpillBytes, "query-spill", "per-query spill grant when spill is on (empty = ungoverned)")
+	fs.DurationVar(&cfg.Timeout, "timeout", 0, "default per-query deadline, admission wait included (0 = none)")
+	fs.BoolVar(&cfg.Spill, "spill", false, "default spill-to-disk mode for new sessions")
+	fs.Func("strategy", "default planner strategy: dp, yannakakis or auto (dp when unset)", func(v string) (err error) {
+		cfg.Strategy, err = server.ParseStrategy(v)
+		return err
+	})
+	fs.Func("batch-size", "rows per execution batch: N or default", func(v string) (err error) {
+		cfg.BatchSize, err = server.ParseBatchSize(v)
+		return err
+	})
+	fs.StringVar(&cfg.SnapshotPath, "restore", "", "catalog snapshot (.fjdb) to restore at startup")
+	fs.DurationVar(&cfg.IdleTimeout, "idle-timeout", 0, "disconnect idle sessions (0 = default 5m, negative = off)")
+	fs.DurationVar(&cfg.WriteTimeout, "write-timeout", 0, "per-response write deadline (0 = default 30s, negative = off)")
+	var maxLine int64
+	server.BytesVar(fs, &maxLine, "max-line", "longest accepted protocol line, e.g. 1MB (empty = default)")
+	fs.DurationVar(&cfg.ShedWait, "shed-wait", 0, "shed load when smoothed queue wait exceeds this (0 = off)")
+	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-drain bound on SIGTERM")
+	chaosSeed := fs.Int64("chaos-seed", 0, "dev mode: seed for network fault injection (needs -chaos-rate)")
+	chaosRate := fs.Float64("chaos-rate", 0, "dev mode: per-I/O fault probability in [0,1] (0 = off)")
+	fs.DurationVar(&cfg.RuntimeSample, "runtime-metrics", 0, "background runtime/metrics sampling period (0 = scrape-time only)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, 0, err
+	}
+	cfg.MaxLineBytes = int(maxLine)
+	if *chaosRate > 0 {
+		// Fault injection is a dev/test mode: every accepted connection
+		// suffers seeded, replayable network faults.
+		cfg.Chaos = &chaos.Config{Seed: *chaosSeed, Rate: *chaosRate}
+	}
+	return cfg, *drainTimeout, nil
 }

@@ -1,8 +1,13 @@
 // Command ojshell is an interactive shell over the join/outerjoin
-// engine: define tables and indexes, evaluate expressions, inspect query
-// graphs, check free reorderability, and run the optimizer.
+// engine. It is a line editor over an in-process server session: table,
+// index, query, explain [analyze], prepare/execute and set go through
+// the same lifecycle as a served query (admission, deadline, memory
+// grant, plan cache, tracer). The shell itself only adds commands that
+// touch local files or the process, and the paper's structures: the
+// written-order reference evaluation, query graphs, the
+// free-reorderability analysis and the implementing trees.
 //
-//	$ ojshell
+//	$ ojshell -metrics-addr 127.0.0.1:9090
 //	oj> table R(a) = (1), (2)
 //	oj> table S(a) = (2), (3)
 //	oj> query R ->[R.a = S.a] S
@@ -10,20 +15,29 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
 
-	"freejoin/internal/exec/spill"
+	"freejoin/internal/server"
 )
 
 func main() {
-	// A previous shell killed mid-query may have orphaned spill run
-	// files; reclaim the disk before this session writes its own.
-	if n, err := spill.SweepStale(os.TempDir(), 0); err == nil && n > 0 {
-		fmt.Fprintf(os.Stderr, "ojshell: swept %d stale spill file(s)\n", n)
+	var cfg server.Config
+	server.RegisterProcessFlags(flag.CommandLine, &cfg)
+	flag.Parse()
+	sh, err := NewShell(cfg, os.Stdout)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ojshell:", err)
+		os.Exit(1)
 	}
-	sh := NewShell(os.Stdout)
 	defer sh.Close()
+	if sh.swept > 0 {
+		fmt.Fprintf(os.Stderr, "ojshell: swept %d stale spill file(s)\n", sh.swept)
+	}
+	if sh.mon != nil {
+		fmt.Fprintf(os.Stderr, "ojshell: metrics on %s\n", sh.mon.Addr())
+	}
 	fmt.Println("freejoin shell — type help for commands, quit to exit")
 	if err := sh.Run(os.Stdin, true); err != nil {
 		sh.Close()

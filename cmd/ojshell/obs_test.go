@@ -2,14 +2,19 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
+
+	"freejoin/internal/server"
 )
 
 // The acceptance path of the observability PR: run queries through the
@@ -21,7 +26,7 @@ func TestShellMetricsCommand(t *testing.T) {
 table R(a) = (1), (2)
 table S(a) = (2), (3)
 query R ->[R.a = S.a] S
-plan R -[R.a = S.a] S
+explain analyze R -[R.a = S.a] S
 metrics
 quit
 `)
@@ -92,26 +97,30 @@ quit
 	}
 }
 
-func TestShellMetricsAddr(t *testing.T) {
-	var out strings.Builder
-	sh := NewShell(&out)
-	defer sh.Close()
-	script := `
-table R(a) = (1), (2)
-set metrics_addr 127.0.0.1:0
-query R
-set
-`
-	if err := sh.Run(strings.NewReader(script), false); err != nil {
+// flagConfig parses args with the process-level flags ojshell
+// registers.
+func flagConfig(t *testing.T, args ...string) server.Config {
+	t.Helper()
+	var cfg server.Config
+	fs := flag.NewFlagSet("ojshell", flag.ContinueOnError)
+	server.RegisterProcessFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+func TestShellMetricsAddr(t *testing.T) {
+	var out strings.Builder
+	sh := newTestShell(t, flagConfig(t, "-metrics-addr", "127.0.0.1:0"), &out)
 	if sh.mon == nil {
-		t.Fatalf("monitoring server not started:\n%s", out.String())
+		t.Fatal("monitoring server not started")
 	}
 	addr := sh.mon.Addr()
-	if !strings.Contains(out.String(), addr) {
-		t.Errorf("shell output does not echo the bound address %s:\n%s", addr, out.String())
-	}
+	run(t, sh, &out, `
+table R(a) = (1), (2)
+query R
+`)
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -132,48 +141,40 @@ set
 		t.Fatalf("/debug/queries is not JSON: %v", err)
 	}
 	resp.Body.Close()
-	if len(recs) == 0 || recs[0].Query != "R" {
-		t.Errorf("/debug/queries = %v, want newest query %q first", recs, "R")
+	if len(recs) == 0 || recs[0].Query != "query R" {
+		t.Errorf("/debug/queries = %v, want newest query %q first", recs, "query R")
 	}
-	if err := sh.Exec("set metrics_addr off"); err != nil {
-		t.Fatal(err)
-	}
-	if sh.mon != nil {
-		t.Error("metrics_addr off must stop the server")
+	sh.Close()
+	if conn, err := net.DialTimeout("tcp", addr, 200*time.Millisecond); err == nil {
+		conn.Close()
+		t.Error("Close must stop the monitoring server")
 	}
 }
 
 func TestShellSlowQueryLog(t *testing.T) {
-	out := runScript(t, `
+	path := filepath.Join(t.TempDir(), "slow.jsonl")
+	var b strings.Builder
+	sh := newTestShell(t, flagConfig(t, "-slow-query", "1ns", "-slow-query-log", path, "-slow-query-log-max", "1MB"), &b)
+	out := run(t, sh, &b, `
 table R(a) = (1), (2)
 table S(a) = (2), (3)
-set slow_query 1ns
-plan R -[R.a = S.a] S
-set slow_query off
-plan R -[R.a = S.a] S
+query R -[R.a = S.a] S
 quit
 `)
 	if n := strings.Count(out, "slow query ("); n != 1 {
-		t.Errorf("want exactly 1 slow-query entry (second run has the log off), got %d:\n%s", n, out)
+		t.Errorf("want exactly 1 slow-query entry, got %d:\n%s", n, out)
 	}
 	for _, want := range []string{"strategy: reordered", "plan: ", "rows: "} {
 		if !strings.Contains(out, want) {
 			t.Errorf("slow-query entry missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func TestShellSetShowsObsSettings(t *testing.T) {
-	out := runScript(t, `
-set
-set slow_query 250ms
-set
-quit
-`)
-	if !strings.Contains(out, "metrics_addr: off") || !strings.Contains(out, "slow_query: off") {
-		t.Errorf("bare set must show observability settings as off initially:\n%s", out)
+	sh.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, "slow_query: 250ms") {
-		t.Errorf("bare set must show the configured threshold:\n%s", out)
+	if n := strings.Count(string(raw), "\n"); n != 1 || !strings.Contains(string(raw), "query R -[R.a = S.a] S") {
+		t.Errorf("slow-query log holds %d lines, want the one query:\n%s", n, raw)
 	}
 }

@@ -1,20 +1,53 @@
 package main
 
 import (
+	"context"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"freejoin/internal/parse"
+	"freejoin/internal/server"
 )
 
-func runScript(t *testing.T, script string) string {
+// newTestShell builds a shell over cfg writing to out, closed when the
+// test ends.
+func newTestShell(t *testing.T, cfg server.Config, out *strings.Builder) *Shell {
 	t.Helper()
-	var out strings.Builder
-	sh := NewShell(&out)
+	sh, err := NewShell(cfg, out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	return sh
+}
+
+// run feeds script to the shell and returns everything it printed.
+func run(t *testing.T, sh *Shell, out *strings.Builder, script string) string {
+	t.Helper()
 	if err := sh.Run(strings.NewReader(script), false); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
+}
+
+func runScript(t *testing.T, script string) string {
+	t.Helper()
+	var out strings.Builder
+	return run(t, newTestShell(t, server.Config{}, &out), &out, script)
+}
+
+// cacheOf runs line in the shell's session and returns its plan-cache
+// outcome.
+func cacheOf(t *testing.T, sh *Shell, line string) string {
+	t.Helper()
+	r := sh.sess.Exec(context.Background(), line)
+	if !r.OK {
+		t.Fatalf("%s: %s", line, r.Error)
+	}
+	return r.Cache
 }
 
 func TestShellEndToEnd(t *testing.T) {
@@ -28,7 +61,8 @@ query R ->[R.a = S.a] S
 graph R ->[R.a = S.a] S
 analyze R ->[R.a = S.a] S
 trees (R -[R.a = S.a] S)
-plan R ->[R.a = S.a] S
+eval R ->[R.a = S.a] S
+explain analyze R ->[R.a = S.a] S
 quit
 `)
 	for _, want := range []string{
@@ -38,7 +72,8 @@ quit
 		"freely reorderable",
 		"(2 rows)",
 		"R -> S",
-		"tuples retrieved:",
+		"*   1: (R - S)",
+		"-- totals: 2 rows",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -92,10 +127,10 @@ func TestShellSigmaPlan(t *testing.T) {
 table R(a) = (1), (2), (3)
 table S(a) = (1), (2)
 index R a
-plan sigma[R.a = 2](R ->[R.a = S.a] S)
+explain sigma[R.a = 2](R ->[R.a = S.a] S)
 query sigma[R.a = 2](R ->[R.a = S.a] S)
 `)
-	if !strings.Contains(out, "reordered: true") {
+	if !strings.Contains(out, "-- strategy: reordered") {
 		t.Errorf("sigma plan should reorder via the pipeline:\n%s", out)
 	}
 	if !strings.Contains(out, "(1 rows)") {
@@ -125,6 +160,59 @@ restore `+dir+`/missing.fjdb
 	}
 	if strings.Count(out, "error:") < 3 {
 		t.Errorf("error paths missing:\n%s", out)
+	}
+}
+
+// restore replaces the core's tables in place: a statement prepared
+// before it is re-planned rather than served from the cache, answers
+// from the restored tables, and a table defined after the dump is gone.
+func TestShellRestoreReplacesCatalog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cat.fjdb")
+	var b strings.Builder
+	sh := newTestShell(t, server.Config{}, &b)
+	run(t, sh, &b, `
+table R(a) = (1), (2), (3)
+table S(a) = (2), (3)
+dump `+path+`
+table S(a) = (3)
+table T(a) = (1)
+prepare q1 R -[R.a = S.a] S
+`)
+	if c := cacheOf(t, sh, "execute q1"); c != "hit" {
+		t.Fatalf("before restore: cache = %q, want hit", c)
+	}
+	run(t, sh, &b, "restore "+path+"\n")
+	r := sh.sess.Exec(context.Background(), "execute q1")
+	if !r.OK || r.Cache == "hit" || r.Rows != 2 {
+		t.Errorf("execute after restore = %+v, want a re-planned answer of 2 rows", r)
+	}
+	if r := sh.sess.Exec(context.Background(), "query T"); r.OK {
+		t.Errorf("T was defined after the dump and must be gone: %+v", r)
+	}
+	if out := b.String(); !strings.Contains(out, "restored 2 tables") {
+		t.Errorf("restore output:\n%s", out)
+	}
+}
+
+// The shell sweeps the configured spill directory, not the OS temp dir,
+// of run files a killed process left behind.
+func TestShellSweepsSpillDir(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "ojspill-orphan")
+	if err := os.WriteFile(stale, []byte("run"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-2 * time.Hour)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	sh := newTestShell(t, server.Config{SpillDir: dir}, &b)
+	if sh.swept != 1 {
+		t.Errorf("swept %d files, want 1", sh.swept)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale spill file survived the sweep: %v", err)
 	}
 }
 
@@ -178,7 +266,7 @@ func TestParseValueForms(t *testing.T) {
 // report a clean error from every command path — historically the graph
 // layer panicked on the unknown node.
 func TestShellUnknownTableIsError(t *testing.T) {
-	for _, cmd := range []string{"plan", "explain", "explain analyze", "query"} {
+	for _, cmd := range []string{"eval", "explain", "explain analyze", "query"} {
 		out := runScript(t, `
 table R(a) = (1), (2)
 `+cmd+` R -[R.a = Zed.a] Zed
@@ -228,7 +316,7 @@ table S(a) = (2), (3)
 table T(a) = (2), (4)
 set strategy yannakakis
 set
-plan (R -[R.a = S.a] S) -[S.a = T.a] T
+explain (R -[R.a = S.a] S) -[S.a = T.a] T
 query (R -[R.a = S.a] S) -[S.a = T.a] T
 set strategy dp
 set strategy bogus
@@ -237,6 +325,7 @@ quit
 	for _, want := range []string{
 		"strategy yannakakis",
 		"strategy: yannakakis",
+		"-- strategy: yannakakis",
 		"semireduce",
 		"(1 rows)",
 		"strategy dp",
@@ -256,7 +345,7 @@ func TestShellMemoryLimitTrips(t *testing.T) {
 table R(a) = (1), (2), (3), (4), (5)
 table S(a) = (1), (2), (3), (4), (5)
 set memory_limit 100
-plan R -[R.a = S.a] S
+query R -[R.a = S.a] S
 explain analyze R -[R.a = S.a] S
 quit
 `
@@ -279,7 +368,7 @@ table R(a) = (1), (2)
 table S(a) = (2), (3)
 set timeout 10s
 set memory_limit 1MB
-plan R -[R.a = S.a] S
+query R -[R.a = S.a] S
 quit
 `)
 	if !strings.Contains(out, "(1 rows)") && !strings.Contains(out, "(1 row)") {
@@ -287,10 +376,13 @@ quit
 	}
 }
 
-// The prepared-query pipeline: prepare warms the plan cache, execute
-// hits it, and the hit shares the fingerprint prepare reported.
+// The prepared-query pipeline runs in the session: prepare warms the
+// statement cache, execute hits it, and re-preparing a name replaces
+// its statement.
 func TestShellPrepareExecute(t *testing.T) {
-	out := runScript(t, `
+	var b strings.Builder
+	sh := newTestShell(t, server.Config{}, &b)
+	out := run(t, sh, &b, `
 table R(a) = (1), (2), (3)
 table S(a) = (2), (3)
 prepare q1 R ->[R.a = S.a] S
@@ -303,24 +395,28 @@ execute nope
 prepare q2
 quit
 `)
-	if !strings.Contains(out, "prepared q1 (plan cache miss, fp ") {
-		t.Errorf("prepare must report the cold plan:\n%s", out)
+	if !strings.Contains(out, "prepared q1") {
+		t.Errorf("prepare must answer:\n%s", out)
 	}
-	if n := strings.Count(out, "plan cache: hit"); n < 3 {
-		t.Errorf("expected >=3 plan-cache hits across executes, got %d:\n%s", n, out)
+	if n := strings.Count(out, "(3 rows)"); n != 2 {
+		t.Errorf("outerjoin result must render on both executes, got %d:\n%s", n, out)
 	}
-	if n := strings.Count(out, "(3 rows)"); n < 2 {
-		t.Errorf("outerjoin result must render on every execute:\n%s", out)
+	if !strings.Contains(out, "(2 rows)") {
+		t.Errorf("the re-prepared join must answer:\n%s", out)
 	}
-	if n := strings.Count(out, "error:"); n < 3 {
+	if n := strings.Count(out, "error:"); n != 3 {
 		t.Errorf("usage errors missing (got %d):\n%s", n, out)
+	}
+	if c := cacheOf(t, sh, "execute q1"); c != "hit" {
+		t.Errorf("execute after prepare: cache = %q, want hit", c)
 	}
 }
 
-// set plan_cache toggles and resizes the session cache; plan/explain
-// share it, so a repeated plan is a hit until the cache is turned off.
+// set plan_cache toggles the session's use of the shared cache; the
+// cache's capacity is the process-level -plan-cache flag.
 func TestShellSetPlanCache(t *testing.T) {
-	out := runScript(t, `
+	var b strings.Builder
+	out := run(t, newTestShell(t, server.Config{PlanCache: 4}, &b), &b, `
 table R(a) = (1), (2)
 table S(a) = (2), (3)
 explain R -[R.a = S.a] S
@@ -329,7 +425,6 @@ set
 set plan_cache off
 explain R -[R.a = S.a] S
 set plan_cache 4
-set
 set plan_cache on
 set plan_cache bogus
 quit
@@ -337,39 +432,38 @@ quit
 	if !strings.Contains(out, "plancache: miss") || !strings.Contains(out, "plancache: hit") {
 		t.Errorf("explain must trace the plan-cache outcome:\n%s", out)
 	}
-	if !strings.Contains(out, "plan_cache: on (cap 128, 1 cached)") {
+	if !strings.Contains(out, "plan_cache: on (cap 4, 1 cached)") {
 		t.Errorf("bare set must show the cache state:\n%s", out)
 	}
-	if !strings.Contains(out, "plan_cache off") || !strings.Contains(out, "plan_cache on (cap 4)") {
+	if strings.Count(out, "plancache: ") != 2 {
+		t.Errorf("explain with the cache off must not consult it:\n%s", out)
+	}
+	if !strings.Contains(out, "plan_cache off") || !strings.Contains(out, "plan_cache on\n") {
 		t.Errorf("plan_cache toggle output missing:\n%s", out)
 	}
-	if !strings.Contains(out, "error:") {
-		t.Errorf("bogus plan_cache value must error:\n%s", out)
+	if n := strings.Count(out, "error: usage: set plan_cache on|off"); n != 2 {
+		t.Errorf("plan_cache N and bogus values must be usage errors, got %d:\n%s", n, out)
 	}
 }
 
-// Index builds and restores change the statistics epoch, so a prepared
-// plan is re-optimized instead of reusing a stale cached plan.
+// Index builds change the statistics epoch, so a prepared plan is
+// re-optimized instead of reusing a stale cached plan.
 func TestShellPrepareInvalidation(t *testing.T) {
-	out := runScript(t, `
+	var b strings.Builder
+	sh := newTestShell(t, server.Config{}, &b)
+	run(t, sh, &b, `
 table R(a) = (1), (2), (3)
 table S(a) = (2), (3)
 prepare q1 R -[R.a = S.a] S
-execute q1
-index S a
-execute q1
-quit
 `)
-	if !strings.Contains(out, "plan cache: hit") {
-		t.Errorf("pre-index execute must hit:\n%s", out)
+	if c := cacheOf(t, sh, "execute q1"); c != "hit" {
+		t.Errorf("pre-index execute: cache = %q, want hit", c)
 	}
-	// After the index build the epoch moved: the second execute re-plans.
-	idx := strings.Index(out, "hash index on S.a")
-	if idx < 0 {
+	if out := run(t, sh, &b, "index S a\n"); !strings.Contains(out, "hash index on S.a") {
 		t.Fatalf("index build missing:\n%s", out)
 	}
-	if !strings.Contains(out[idx:], "plan cache: miss") {
-		t.Errorf("post-index execute must miss (stale epoch):\n%s", out)
+	if c := cacheOf(t, sh, "execute q1"); c != "miss" {
+		t.Errorf("post-index execute: cache = %q, want miss (stale epoch)", c)
 	}
 }
 

@@ -1,19 +1,13 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"freejoin/internal/obs"
 )
 
 func TestRunAnalysis(t *testing.T) {
 	var out strings.Builder
-	err := run(&out, "(R -[R.a = S.a] S) ->[S.a = T.a] T", true, true, true, 1000, false, false, 0, 0, "", "", nil)
+	err := run(&out, "(R -[R.a = S.a] S) ->[S.a = T.a] T", true, true, true, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +28,7 @@ func TestRunAnalysis(t *testing.T) {
 
 func TestRunFullEnumeration(t *testing.T) {
 	var out strings.Builder
-	if err := run(&out, "R -[R.a = S.a] S", true, false, false, 1000, false, false, 0, 0, "", "", nil); err != nil {
+	if err := run(&out, "R -[R.a = S.a] S", true, false, false, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "implementing trees: 2\n") {
@@ -44,10 +38,10 @@ func TestRunFullEnumeration(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out strings.Builder
-	if err := run(&out, "R -[", false, false, true, 1000, false, false, 0, 0, "", "", nil); err == nil {
+	if err := run(&out, "R -[", false, false, true, 1000); err == nil {
 		t.Error("parse error must surface")
 	}
-	if err := run(&out, "R -[R.a = 1] S", false, false, true, 1000, false, false, 0, 0, "", "", nil); err == nil {
+	if err := run(&out, "R -[R.a = 1] S", false, false, true, 1000); err == nil {
 		t.Error("undefined graph must surface")
 	}
 	// Limit enforcement.
@@ -57,100 +51,17 @@ func TestRunErrors(t *testing.T) {
 		v := string(rune('A' + i))
 		big = "(" + big + " -[" + u + ".a = " + v + ".a] " + v + ")"
 	}
-	if err := run(&out, big, true, false, true, 10, false, false, 0, 0, "", "", nil); err == nil {
+	if err := run(&out, big, true, false, true, 10); err == nil {
 		t.Error("limit must be enforced")
-	}
-}
-
-func TestRunExplain(t *testing.T) {
-	var out strings.Builder
-	if err := run(&out, "(R -[R.a = S.a] S) ->[S.a = T.a] T", false, false, true, 1000, true, false, 0, 0, "", "", nil); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{
-		"plan (synthetic catalog",
-		"-- strategy: reordered",
-		"-- dp: ",
-		"scan ",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("explain output missing %q:\n%s", want, s)
-		}
 	}
 }
 
 func TestRunNonNice(t *testing.T) {
 	var out strings.Builder
-	if err := run(&out, "R ->[R.a = S.a] (S -[S.a = T.a] T)", false, false, true, 1000, false, false, 0, 0, "", "", nil); err != nil {
+	if err := run(&out, "R ->[R.a = S.a] (S -[S.a = T.a] T)", false, false, true, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "NOT provably freely reorderable") {
 		t.Errorf("non-nice analysis missing:\n%s", out.String())
-	}
-}
-
-// TestRunTraced drives -explain with a tracer configured the way the
-// -trace-out and -slow-query flags do, and checks the trace file and
-// the slow log both materialize.
-func TestRunTraced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.json")
-	tracer := obs.NewTracer()
-	tracer.Enable(path)
-	var slow strings.Builder
-	tracer.Slow().SetThreshold(time.Nanosecond)
-	tracer.Slow().SetText(&slow)
-
-	var out strings.Builder
-	if err := run(&out, "(R -[R.a = S.a] S) ->[S.a = T.a] T", false, false, true, 1000, true, false, 0, 0, "", "", tracer); err != nil {
-		t.Fatal(err)
-	}
-	if err := tracer.Disable(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Cat string `json:"cat"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace file is not valid JSON: %v", err)
-	}
-	phases, operators := 0, 0
-	for _, ev := range doc.TraceEvents {
-		switch ev.Cat {
-		case "phase":
-			phases++
-		case "operator":
-			operators++
-		}
-	}
-	if phases < 4 || operators < 3 {
-		t.Errorf("trace has %d phase and %d operator spans, want >=4 and >=3", phases, operators)
-	}
-	if !strings.Contains(slow.String(), "slow query (") ||
-		!strings.Contains(slow.String(), "strategy: reordered") {
-		t.Errorf("slow log missing entry:\n%s", slow.String())
-	}
-}
-
-// -plan-cache replans the query after the first optimization: the
-// second pass must hit the cache by canonical fingerprint and return
-// the identical plan object.
-func TestRunExplainPlanCache(t *testing.T) {
-	var out strings.Builder
-	if err := run(&out, "(R -[R.a = S.a] S) ->[S.a = T.a] T", false, false, true, 1000, true, true, 0, 0, "", "", nil); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "plancache: miss (fp ") {
-		t.Errorf("first plan must trace the cold miss:\n%s", got)
-	}
-	if !strings.Contains(got, "re-plan: plan cache hit (fp ") || !strings.Contains(got, "plan object reused") {
-		t.Errorf("re-plan must hit and reuse the plan:\n%s", got)
 	}
 }

@@ -59,7 +59,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() {
+	if tr.Strategy != "reordered" && tr.Strategy != "yannakakis" {
 		t.Fatalf("pipeline should reorder; plan:\n%s", plan.Explain())
 	}
 	var counters exec.Counters

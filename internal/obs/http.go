@@ -165,8 +165,8 @@ func startServer(addr string, h http.Handler, runtimeEvery time.Duration) (*Serv
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close shuts the server down: the listener closes immediately (so the
-// address can be rebound — `set metrics_addr` twice must not leak the
-// first listener) and in-flight handlers get CloseDrainTimeout to
+// address can be rebound — a monitoring server restarted on one
+// address must not leak the first listener) and in-flight handlers get CloseDrainTimeout to
 // finish before their connections are forced shut. Any background
 // runtime sampler stops with the server. Idempotent and nil-safe;
 // concurrent and repeated calls return nil without waiting twice.

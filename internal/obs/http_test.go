@@ -96,8 +96,8 @@ func TestStartServerResolvesAddr(t *testing.T) {
 	}
 }
 
-// The rebind regression: "set metrics_addr" issued twice must not leak
-// the previous listener or its accept goroutine. Two successive binds to
+// The rebind regression: a monitoring server stopped and started again
+// must not leak the previous listener or its accept goroutine. Two successive binds to
 // 127.0.0.1:0 with a Close in between; the first address must stop
 // answering (listener really closed) while the second serves.
 func TestServerRebindNoLeak(t *testing.T) {

@@ -118,9 +118,6 @@ func (t *Tracer) Disable() error {
 	return t.Flush()
 }
 
-// Enabled reports whether span export is on.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
-
 // Flush writes the Chrome trace JSON to the configured path (a no-op
 // without one).
 func (t *Tracer) Flush() error {
@@ -559,9 +556,6 @@ type SlowLog struct {
 
 // SetThreshold sets the slow-query duration (0 disables).
 func (s *SlowLog) SetThreshold(d time.Duration) { s.threshold.Store(int64(d)) }
-
-// Threshold returns the current threshold (0 = off).
-func (s *SlowLog) Threshold() time.Duration { return time.Duration(s.threshold.Load()) }
 
 // SetText directs the text log to w (nil to stop).
 func (s *SlowLog) SetText(w io.Writer) {

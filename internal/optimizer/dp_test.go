@@ -163,7 +163,7 @@ func TestDPScalesWithTheSearchSpace(t *testing.T) {
 		if d := time.Since(start); n == 24 && d > 50*time.Millisecond {
 			t.Errorf("chain24 planned in %v, want < 50ms", d)
 		}
-		if !tr.Reordered() || tr.Subsets != subsets {
+		if !reordered(tr) || tr.Subsets != subsets {
 			t.Errorf("chain%d: strategy %s over %d subsets, want reordered over %d", n, tr.Strategy, tr.Subsets, subsets)
 		}
 		if got, _, err := execute(o, p); err != nil || got.Len() != 1 {
@@ -201,7 +201,7 @@ func TestDPSearchBudget(t *testing.T) {
 	}
 	// The largest star inside the budget still gets the DP.
 	q, o = bigGraph(t, "star", 15)
-	if _, tr, err := o.PlanQueryTrace(q); err != nil || !tr.Reordered() {
+	if _, tr, err := o.PlanQueryTrace(q); err != nil || !reordered(tr) {
 		t.Errorf("star15: %v, trace %+v", err, tr)
 	}
 }

@@ -69,11 +69,11 @@ func ExampleOptimizer_PlanQueryTrace() {
 		log.Fatal(err)
 	}
 	out, tuples = run(o, plan)
-	fmt.Println("reordered:", tr.Reordered())
+	fmt.Println("strategy:", tr.Strategy)
 	fmt.Println("plan:", plan.Tree(), "rows:", out.Len(), "tuples retrieved:", tuples)
 	// Output:
 	// as written: (R1 - (R2 -> R3)) rows: 1 tuples retrieved: 2001
-	// reordered: true
+	// strategy: reordered
 	// plan: ((R1 - R2) -> R3) rows: 1 tuples retrieved: 3
 }
 
@@ -120,10 +120,10 @@ func ExampleOptimizer_PlanQueryTrace_departments() {
 		log.Fatal(err)
 	}
 	out, _ := run(o, plan)
-	fmt.Println("reordered:", tr.Reordered())
+	fmt.Println("strategy:", tr.Strategy)
 	fmt.Print(out)
 	// Output:
-	// reordered: true
+	// strategy: reordered
 	// Dept.dno  Dept.name    Emp.dno  Emp.name  Emp.badge  Badge.badge  Badge.issued
 	// --------  -----------  -------  --------  ---------  -----------  ------------
 	// 1         Engineering  1        ada       7001       7001         2019

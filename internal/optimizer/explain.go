@@ -51,13 +51,6 @@ type Trace struct {
 	Degradation string
 }
 
-// Reordered reports whether the optimizer chose the operator order (the
-// DP over the query graph, or the Yannakakis fast path over its join
-// tree) rather than keeping the query's written association.
-func (tr *Trace) Reordered() bool {
-	return tr.Strategy == "reordered" || tr.Strategy == "yannakakis"
-}
-
 // String renders the trace as indented "-- " comment lines.
 func (tr *Trace) String() string {
 	var b strings.Builder

@@ -31,7 +31,7 @@ func TestExplainReordered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() || tr.Strategy != "reordered" {
+	if tr.Strategy != "reordered" {
 		t.Fatalf("trace = %+v, want reordered", tr)
 	}
 	if tr.Subsets == 0 || tr.Splits == 0 || tr.Candidates == 0 {
@@ -64,7 +64,7 @@ func TestExplainFallbackReason(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Reordered() {
+	if reordered(tr) {
 		t.Fatal("Example 2 shape must not reorder")
 	}
 	if tr.FallbackReason == "" {

@@ -97,7 +97,7 @@ func (o *Optimizer) OptimizeWithGOJTrace(q *expr.Node) (*Plan, *Trace, error) {
 		return nil, nil, err
 	}
 	defer func() { recordTrace(tr) }()
-	if tr.Reordered() {
+	if tr.Strategy != "fixed" { // the DP or the Yannakakis path chose the order
 		return p, tr, nil
 	}
 	rw, ok, err := core.GOJReassociate(q, o.cat)

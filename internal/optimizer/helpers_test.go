@@ -19,6 +19,12 @@ func planGraph(o *Optimizer, g *graph.Graph) (*Plan, *Trace, error) {
 	return p, tr, nil
 }
 
+// reordered reports whether the optimizer chose the operator order (the
+// DP or the Yannakakis path) rather than the written association.
+func reordered(tr *Trace) bool {
+	return tr.Strategy == "reordered" || tr.Strategy == "yannakakis"
+}
+
 // execute lowers and runs p ungoverned.
 func execute(o *Optimizer, p *Plan) (*relation.Relation, *exec.Counters, error) {
 	return executeCtx(o, nil, p)

@@ -68,7 +68,7 @@ func TestOptimizerCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if !tr.Reordered() {
+		if !reordered(tr) {
 			t.Fatalf("trial %d: nice query should be reordered", trial)
 		}
 		if !got.EqualBag(want) {
@@ -104,7 +104,7 @@ func TestFixedOrderCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Reordered() {
+		if reordered(tr) {
 			t.Fatal("Example 2 query must not be reordered")
 		}
 		if !got.EqualBag(want) {
@@ -197,7 +197,7 @@ func TestExample1PlanChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() || p.Tree() != "((R1 - R2) -> R3)" {
+	if !reordered(tr) || p.Tree() != "((R1 - R2) -> R3)" {
 		t.Fatalf("planned %s (strategy %s), want ((R1 - R2) -> R3) reordered", p.Tree(), tr.Strategy)
 	}
 	out, c, err := execute(o, p)

@@ -214,7 +214,7 @@ func TestRestrictionPipelineTuples(t *testing.T) {
 	if naiveTuples != 3*n || tuples != 3 {
 		t.Errorf("naive %d / pipeline %d tuples, want %d / 3", naiveTuples, tuples, 3*n)
 	}
-	if !tr.Reordered() || p.Tree() != "((sigma(S) - R) -> T)" {
+	if !reordered(tr) || p.Tree() != "((sigma(S) - R) -> T)" {
 		t.Errorf("planned %s (strategy %s), want ((sigma(S) - R) -> T) reordered", p.Tree(), tr.Strategy)
 	}
 	if out.Len() != 1 || !out.EqualBag(naiveOut) {

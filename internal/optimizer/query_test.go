@@ -42,7 +42,7 @@ func TestPlanQueryCorrectness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if tr.Reordered() {
+		if reordered(tr) {
 			reorderedCount++
 		}
 		got, _, err := execute(o, p)
@@ -75,7 +75,7 @@ func TestPlanQueryPushesFilterBelowJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() {
+	if !reordered(tr) {
 		t.Fatal("restricted join block should still reorder")
 	}
 	ex := p.Explain()
@@ -112,7 +112,7 @@ func TestPlanQuerySimplifiesOuterjoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() {
+	if !reordered(tr) {
 		t.Fatal("after simplification the block is a plain join")
 	}
 	if strings.Contains(p.Explain(), "leftouterjoin") {
@@ -143,7 +143,7 @@ func TestPlanQueryFixedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Reordered() {
+	if reordered(tr) {
 		t.Fatal("Example 2 shape must not reorder")
 	}
 	want, _ := q.Eval(db)
@@ -186,7 +186,7 @@ func TestPlanQueryIndexScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tr.Reordered() {
+	if !reordered(tr) {
 		t.Fatalf("plan not reordered: %s", tr)
 	}
 	if !strings.Contains(p.Explain(), "indexscan R.a = 42") {

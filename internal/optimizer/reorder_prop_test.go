@@ -123,7 +123,7 @@ func runMetamorphicFreeReorderability(t *testing.T, batchSize int) {
 			if err != nil {
 				t.Fatalf("seed %d tree %d: PlanQueryTrace: %v", seed, i, err)
 			}
-			if !tr.Reordered() {
+			if !reordered(tr) {
 				t.Fatalf("seed %d tree %d: nice query not reordered (%s)", seed, i, tr.FallbackReason)
 			}
 			if i == 0 {

@@ -152,7 +152,7 @@ func TestPlanQueryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v\nq=%s", trial, err, q.StringWithPreds())
 		}
-		if !tr.Reordered() && tr.FallbackReason == "" {
+		if !reordered(tr) && tr.FallbackReason == "" {
 			t.Fatalf("trial %d: fixed-order plan without a recorded reason", trial)
 		}
 		got, _, err := execute(o, p)

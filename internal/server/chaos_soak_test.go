@@ -72,7 +72,7 @@ func TestChaosSoak(t *testing.T) {
 	refSess := NewSession(core)
 	refs := make([]string, len(queries))
 	for i, q := range queries {
-		resp, _ := refSess.runQuery(context.Background(), "ref", q)
+		resp, _ := refSess.runQuery(context.Background(), "ref", q, false)
 		if !resp.OK {
 			t.Fatalf("reference run of %q failed: %s", q, resp.Error)
 		}

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"cmp"
+	"os"
 	"sync/atomic"
 	"time"
 
 	"freejoin/internal/chaos"
+	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
 	"freejoin/internal/plancache"
 	"freejoin/internal/storage"
@@ -181,6 +184,31 @@ func NewCore(cfg Config) (*Core, error) {
 		}
 	}
 	return core, nil
+}
+
+// SweepSpill removes the stale spill run files a process killed
+// mid-query left in the configured spill directory (the OS temp dir by
+// default), reclaiming the disk before this process writes its own, and
+// returns how many it removed.
+func (c *Core) SweepSpill() int {
+	n, _ := spill.SweepStale(cmp.Or(c.cfg.SpillDir, os.TempDir()), 0)
+	return n
+}
+
+// StartMonitor starts the monitoring HTTP server the configuration asks
+// for (/metrics, /debug/queries, /healthz, and /debug/pprof with Pprof)
+// over the core's tracer and health; it returns nil when MetricsAddr is
+// empty.
+func (c *Core) StartMonitor() (*obs.Server, error) {
+	if c.cfg.MetricsAddr == "" {
+		return nil, nil
+	}
+	return obs.StartServerOpts(c.cfg.MetricsAddr, obs.ServerOptions{
+		Tracer:       c.tracer,
+		Health:       c.Health,
+		Pprof:        c.cfg.Pprof,
+		RuntimeEvery: c.cfg.RuntimeSample,
+	})
 }
 
 // Catalog returns the shared catalog (safe for concurrent use).

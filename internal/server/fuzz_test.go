@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzProtocol drives the full command surface — dispatch, the
-// table/index/value parsers behind it, set, prepare/execute, query —
+// table/index/value parsers behind it, set, prepare/execute, query, explain [analyze] —
 // with arbitrary single lines, including the corrupted (0x01-laced) and
 // garbage-glued shapes the chaos layer produces. The contract: Exec
 // never panics (panics here would be caught by SafeExec in production,
@@ -23,6 +23,9 @@ func FuzzProtocol(f *testing.F) {
 		"tables",
 		"query R -[R.a = S.a] S",
 		"explain R ->[R.a = S.a] S",
+		"explain analyze R -[R.a = S.a] S",
+		"explain analyze",
+		"explain analyze R -[R.a",
 		"prepare p1 R -[R.a = S.a] S",
 		"execute p1",
 		"set timeout 50ms",

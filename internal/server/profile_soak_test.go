@@ -68,7 +68,7 @@ func TestServerSoakProfileAttribution(t *testing.T) {
 					return
 				default:
 				}
-				sess.runQuery(context.Background(), "profile soak", queries[i%len(queries)])
+				sess.runQuery(context.Background(), "profile soak", queries[i%len(queries)], false)
 			}
 		}(r)
 	}

@@ -6,14 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"freejoin/internal/chaos"
-	"freejoin/internal/exec/spill"
 	"freejoin/internal/obs"
 )
 
@@ -61,16 +59,10 @@ func Start(cfg Config) (*Server, error) {
 }
 
 // StartWithCore serves an existing core — tests preload catalogs and
-// inspect shared state through it.
+// inspect shared state through it. The spill sweep and the monitoring
+// server follow the core's configuration; cfg supplies the listener.
 func StartWithCore(cfg Config, core *Core) (*Server, error) {
-	dir := cfg.SpillDir
-	if dir == "" {
-		dir = os.TempDir()
-	}
-	// A previous server killed mid-query may have orphaned spill run
-	// files; reclaim the disk before this process writes its own.
-	swept, _ := spill.SweepStale(dir, 0)
-
+	swept := core.SweepSpill()
 	addr := cfg.Addr
 	if addr == "" {
 		addr = "127.0.0.1:0"
@@ -82,18 +74,10 @@ func StartWithCore(cfg Config, core *Core) (*Server, error) {
 	if cfg.Chaos != nil {
 		ln = chaos.WrapListener(ln, *cfg.Chaos)
 	}
-	var mon *obs.Server
-	if cfg.MetricsAddr != "" {
-		mon, err = obs.StartServerOpts(cfg.MetricsAddr, obs.ServerOptions{
-			Tracer:       core.tracer,
-			Health:       core.Health,
-			Pprof:        cfg.Pprof,
-			RuntimeEvery: cfg.RuntimeSample,
-		})
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
+	mon, err := core.StartMonitor()
+	if err != nil {
+		ln.Close()
+		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{

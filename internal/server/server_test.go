@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -370,5 +372,102 @@ func TestServerBatchSizeDefault(t *testing.T) {
 	c := dialServer(t, srv.Addr())
 	if r := c.mustOK("set"); !strings.Contains(r.Output, "batch_size: 64") {
 		t.Fatalf("seeded set output missing batch_size 64:\n%s", r.Output)
+	}
+}
+
+// explain analyze runs the query lifecycle: a full admission queue sheds
+// it with the code query gets.
+func TestServerExplainAnalyzeAdmission(t *testing.T) {
+	srv := startTestServer(t, Config{MaxConcurrent: 1, QueueDepth: -1})
+	c := dialServer(t, srv.Addr())
+	c.mustOK("table R(a) = (1)")
+	c.mustOK("table S(a) = (1)")
+	g, err := srv.Core().Admission().Acquire(context.Background(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.send("query R -[R.a = S.a] S")
+	ea := c.send("explain analyze R -[R.a = S.a] S")
+	if ea.OK || ea.Code != CodeAdmissionRejected || ea.Code != q.Code {
+		t.Fatalf("saturated explain analyze = %+v, query = %+v; want both %s", ea, q, CodeAdmissionRejected)
+	}
+	g.Release()
+	r := c.mustOK("explain analyze R -[R.a = S.a] S")
+	if r.Rows != 1 || !strings.Contains(r.Output, "-- totals: 1 rows") || r.Plan == "" {
+		t.Fatalf("after release = %+v", r)
+	}
+}
+
+// Under a memory grant the join trips with spill off: explain analyze
+// answers with the typed resource code and the partial tree, the
+// tripping operator marked, and the grant goes back to the pool.
+func TestServerExplainAnalyzeGovernorTrip(t *testing.T) {
+	srv := startTestServer(t, Config{PoolBytes: 1 << 20})
+	c := dialServer(t, srv.Addr())
+	var rows []string
+	for i := 0; i < 200; i++ {
+		rows = append(rows, fmt.Sprintf("(%d)", i%5))
+	}
+	c.mustOK("table big(a) = " + strings.Join(rows, ", "))
+	c.mustOK("table big2(b) = " + strings.Join(rows, ", "))
+	c.mustOK("set memory_limit 64B")
+	c.mustOK("set spill off")
+	r := c.send("explain analyze big -[big.a = big2.b] big2")
+	if r.OK || r.Code != CodeResource {
+		t.Fatalf("governor trip = %+v, want %s", r, CodeResource)
+	}
+	for _, want := range []string{"<-- error:", "-- aborted:", "memory budget exceeded"} {
+		if !strings.Contains(r.Output, want) {
+			t.Errorf("partial tree missing %q:\n%s", want, r.Output)
+		}
+	}
+	if st := srv.Core().Admission().Stats(); st.Active != 0 || st.UsedBytes != 0 {
+		t.Fatalf("pool leaked after trip: %+v", st)
+	}
+}
+
+// explain analyze is a query of the tracer: /debug/queries lists it
+// with its plan and strategy.
+func TestServerExplainAnalyzeInDebugQueries(t *testing.T) {
+	srv := startTestServer(t, Config{MetricsAddr: "127.0.0.1:0"})
+	c := dialServer(t, srv.Addr())
+	c.mustOK("table R(a) = (1), (2)")
+	c.mustOK("table S(a) = (2), (3)")
+	c.mustOK("explain analyze R ->[R.a = S.a] S")
+	var recs []struct {
+		Query    string `json:"query"`
+		Strategy string `json:"strategy"`
+		PlanTree string `json:"plan_tree"`
+		Rows     int64  `json:"rows"`
+	}
+	if err := getJSON("http://"+srv.MetricsAddr()+"/debug/queries", &recs); err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Query != "explain analyze R ->[R.a = S.a] S" ||
+		recs[0].Strategy == "" || recs[0].PlanTree == "" || recs[0].Rows == 0 {
+		t.Fatalf("/debug/queries = %+v, want the explain analyze first", recs)
+	}
+}
+
+// The process-level flags parse into the Config fields both front ends
+// build their core from.
+func TestRegisterProcessFlags(t *testing.T) {
+	var cfg Config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	RegisterProcessFlags(fs, &cfg)
+	if err := fs.Parse([]string{"-metrics-addr", "127.0.0.1:0", "-pprof", "-slow-query", "250ms",
+		"-slow-query-log", "slow.jsonl", "-slow-query-log-max", "16MB", "-spill-dir", "/spill", "-plan-cache", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	want := Config{MetricsAddr: "127.0.0.1:0", Pprof: true, SlowQuery: 250 * time.Millisecond,
+		SlowQueryLog: "slow.jsonl", SlowQueryLogMaxBytes: 16 << 20, SpillDir: "/spill", PlanCache: 4}
+	if cfg != want {
+		t.Fatalf("parsed %+v, want %+v", cfg, want)
+	}
+	fs = flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	RegisterProcessFlags(fs, &cfg)
+	if err := fs.Parse([]string{"-slow-query-log-max", "lots"}); err == nil {
+		t.Fatal("a malformed byte size must be a flag error")
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -154,13 +155,14 @@ func NewSession(core *Core) *Session {
 	}
 }
 
-const sessionHelp = `commands (one per line; every answer is one JSON line):
+const sessionHelp = `commands (one per line):
   ping                                        liveness check
   table NAME(col, ...) = (v, ...), (v, ...)   define a table; null for nulls
   index NAME col                              build a hash index
   tables                                      list tables
   query EXPR                                  optimize and execute an expression
   explain EXPR                                show the chosen plan (no execution)
+  explain analyze EXPR                        execute it with per-operator statistics
   prepare NAME EXPR                           parse and plan a named query once
   execute NAME                                run a prepared query (plan-cache hit)
   set timeout DUR|off                         per-query deadline, admission wait included
@@ -191,10 +193,10 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 	case "tables":
 		return s.cmdTables()
 	case "query":
-		resp, _ := s.runQuery(ctx, "query "+rest, rest)
+		resp, _ := s.runQuery(ctx, "query "+rest, rest, false)
 		return resp
 	case "explain":
-		return s.cmdExplain(rest)
+		return s.cmdExplain(ctx, rest)
 	case "prepare":
 		return s.cmdPrepare(rest)
 	case "execute":
@@ -202,7 +204,7 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 		if !ok || rest == "" {
 			return errResp(CodeUsage, fmt.Errorf("no prepared query %q (use prepare NAME EXPR)", rest))
 		}
-		resp, _ := s.runQuery(ctx, "execute "+rest+": "+src, src)
+		resp, _ := s.runQuery(ctx, "execute "+rest+": "+src, src, false)
 		return resp
 	case "set":
 		return s.cmdSet(rest)
@@ -252,9 +254,17 @@ func (s *Session) cmdTables() Response {
 	return Response{OK: true, Output: strings.TrimRight(b.String(), "\n"), Rows: int64(len(names))}
 }
 
-func (s *Session) cmdExplain(rest string) Response {
-	if rest == "" {
-		return errResp(CodeUsage, fmt.Errorf("usage: explain EXPR"))
+// cmdExplain shows the plan of "explain EXPR" without executing it;
+// "explain analyze EXPR" runs the query lifecycle and answers with the
+// executed plan's per-operator statistics instead of the rows.
+func (s *Session) cmdExplain(ctx context.Context, rest string) Response {
+	if src, ok := strings.CutPrefix(rest, "analyze "); ok {
+		src = strings.TrimSpace(src)
+		resp, _ := s.runQuery(ctx, "explain analyze "+src, src, true)
+		return resp
+	}
+	if rest == "" || rest == "analyze" {
+		return errResp(CodeUsage, fmt.Errorf("usage: explain [analyze] EXPR"))
 	}
 	q, err := parse.Expr(rest)
 	if err != nil {
@@ -296,16 +306,12 @@ func (s *Session) cmdSet(rest string) Response {
 		if s.useCache && s.core.plans != nil {
 			cache = fmt.Sprintf("on (cap %d, %d cached)", s.core.plans.Cap(), s.core.plans.Len())
 		}
-		strategy := s.strategy
-		if strategy == "" {
-			strategy = "dp"
-		}
 		return Response{OK: true, Output: fmt.Sprintf(
 			"timeout: %s\nmemory_limit: %s\nspill: %s\nplan_cache: %s\nstrategy: %s\nbatch_size: %s",
 			orOff(s.timeout.String(), s.timeout == 0),
 			orOff(fmt.Sprintf("%d bytes", s.memLimit), s.memLimit == 0),
 			orOff("on", !s.spill),
-			cache, strategy, batchSizeString(s.batchSize))}
+			cache, cmp.Or(s.strategy, "dp"), batchSizeString(s.batchSize))}
 	}
 	name, val, _ := strings.Cut(rest, " ")
 	val = strings.TrimSpace(val)
@@ -358,27 +364,19 @@ func (s *Session) cmdSet(rest string) Response {
 			return errResp(CodeUsage, fmt.Errorf("usage: set plan_cache on|off"))
 		}
 	case "strategy":
-		switch strings.ToLower(val) {
-		case "dp":
-			s.strategy = ""
-			return Response{OK: true, Output: "strategy dp"}
-		case "yannakakis", "auto":
-			s.strategy = strings.ToLower(val)
-			return Response{OK: true, Output: "strategy " + s.strategy}
-		default:
+		strategy, err := ParseStrategy(val)
+		if err != nil {
 			return errResp(CodeUsage, fmt.Errorf("usage: set strategy dp|yannakakis|auto"))
 		}
+		s.strategy = strategy
+		return Response{OK: true, Output: "strategy " + cmp.Or(strategy, "dp")}
 	case "batch_size":
-		if strings.EqualFold(val, "default") {
-			s.batchSize = 0
-		} else {
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return errResp(CodeUsage, fmt.Errorf("usage: set batch_size N|default"))
-			}
-			s.batchSize = n
+		n, err := ParseBatchSize(val)
+		if err != nil {
+			return errResp(CodeUsage, fmt.Errorf("usage: set batch_size N|default"))
 		}
-		return Response{OK: true, Output: "batch_size " + batchSizeString(s.batchSize)}
+		s.batchSize = n
+		return Response{OK: true, Output: "batch_size " + batchSizeString(n)}
 	default:
 		return errResp(CodeUsage, fmt.Errorf("usage: set timeout|memory_limit|spill|plan_cache|strategy|batch_size VALUE|off"))
 	}
@@ -420,6 +418,33 @@ func (s *Session) newOptimizer() *optimizer.Optimizer {
 	return o
 }
 
+// ParseStrategy parses a planner strategy, case-insensitively: dp
+// (returned as "", the default), yannakakis or auto. "set strategy" and
+// ojserver's -strategy flag both parse with it.
+func ParseStrategy(v string) (string, error) {
+	switch v := strings.ToLower(v); v {
+	case "dp":
+		return "", nil
+	case "yannakakis", "auto":
+		return v, nil
+	}
+	return "", fmt.Errorf("unknown strategy %q (want dp, yannakakis or auto)", v)
+}
+
+// ParseBatchSize parses a rows-per-batch setting: a positive count, or
+// "default" (returned as 0). "set batch_size" and ojserver's
+// -batch-size flag both parse with it.
+func ParseBatchSize(v string) (int, error) {
+	if strings.EqualFold(v, "default") {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("bad batch size %q (want N or default)", v)
+	}
+	return n, nil
+}
+
 // batchSizeString renders the batch-size setting: the default size
 // when unset, else the explicit rows-per-batch count.
 func batchSizeString(n int) string {
@@ -433,20 +458,28 @@ func batchSizeString(n int) string {
 // text up in the plan cache (parsing it only on a miss, so a malformed
 // query is answered without waiting for admission), trace, admit
 // (queueing under the session deadline), plan — or take the cached
-// plan —, execute under the granted governor, release. The returned
-// relation backs in-process correctness checks; protocol clients read
-// the rendered Output.
-func (s *Session) runQuery(ctx context.Context, label, src string) (resp Response, outRel *relation.Relation) {
+// plan —, execute under the granted governor, release. With analyze the
+// execute step runs instrumented and the answer is the executed plan's
+// statistics ("explain analyze"), the partial tree on an abort. The
+// returned relation backs in-process correctness checks; protocol
+// clients read the rendered Output.
+func (s *Session) runQuery(ctx context.Context, label, src string, analyze bool) (resp Response, outRel *relation.Relation) {
 	o := s.newOptimizer()
 	stmt := o.LookupStatement(src)
 	var q *expr.Node
+	var parsed obs.Span // a miss's parse, timed before the trace starts
 	if !stmt.Hit() {
+		start := time.Now()
 		var err error
 		if q, err = parse.Expr(src); err != nil {
 			return errResp(CodeParse, err), nil
 		}
+		parsed = obs.Span{Name: "parse", Cat: "phase", Start: start, Dur: time.Since(start)}
 	}
 	qt := s.core.tracer.Start(label)
+	if q != nil {
+		qt.AddSpan(parsed)
+	}
 	// Panic isolation, registered before the grant's deferred Release so
 	// it runs last (LIFO): by the time the panic is converted to a typed
 	// response, the admission grant is already back in the pools.
@@ -515,8 +548,11 @@ func (s *Session) runQuery(ctx context.Context, label, src string) (resp Respons
 	// runs, and the pprof goroutine labels on the goroutine that runs
 	// every operator of the query let a CPU profile slice by
 	// query_id/fingerprint/strategy.
-	var c exec.Counters
 	qt.SetLabels(tr.Strategy, tr.Fingerprint)
+	if analyze {
+		return explainAnalyze(ctx, o, ec, p, tr, qt)
+	}
+	var c exec.Counters
 	qt.AttachProgress(c.RowsProduced, c.TuplesRetrieved, gov)
 	execDone := qt.Span("execute")
 	var out *relation.Relation
@@ -541,6 +577,29 @@ func (s *Session) runQuery(ctx context.Context, label, src string) (resp Respons
 		Tuples: c.TuplesRetrieved(), Cache: tr.CacheOutcome}
 	putRespBuf(buf)
 	return resp, out
+}
+
+// explainAnalyze is runQuery's execute step for "explain analyze": the
+// instrumented run fills the trace's spans and record, and the answer is
+// its rendered statistics — on an abort too, next to the typed code.
+func explainAnalyze(ctx context.Context, o *optimizer.Optimizer, ec *exec.ExecContext,
+	p *optimizer.Plan, tr *optimizer.Trace, qt *obs.QueryTrace) (Response, *relation.Relation) {
+	var out *relation.Relation
+	var c *exec.Counters
+	var text string
+	var err error
+	obs.WithQueryLabels(ctx, qt.Rec.ID, tr.Fingerprint, tr.Strategy, func(context.Context) {
+		out, c, text, err = o.ExplainAnalyzeTraced(ec, p, tr, qt)
+	})
+	qt.Rec.Fingerprint = tr.Fingerprint
+	qt.Finish(err)
+	if err != nil {
+		resp := errResp(classifyExecErr(err), err)
+		resp.Output = text
+		return resp, nil
+	}
+	return Response{OK: true, Output: text, Rows: int64(out.Len()), Tuples: c.TuplesRetrieved(),
+		Cache: tr.CacheOutcome, Plan: p.Tree()}, out
 }
 
 // rejectionResp maps an admission rejection onto the wire: load sheds

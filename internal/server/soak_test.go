@@ -56,7 +56,7 @@ func TestServerConcurrentSoak(t *testing.T) {
 	refSess := NewSession(core)
 	refs := make([]*relation.Relation, len(queries))
 	for i, q := range queries {
-		resp, rel := refSess.runQuery(context.Background(), "ref", q)
+		resp, rel := refSess.runQuery(context.Background(), "ref", q, false)
 		if !resp.OK {
 			t.Fatalf("reference run of %q failed: %s", q, resp.Error)
 		}
@@ -230,7 +230,7 @@ func tcpRequest(c *testClient, kind workload.MixKind, qi int, query string, ref 
 // sessionRequest issues one in-process query and compares full bags on
 // success.
 func sessionRequest(s *Session, kind workload.MixKind, query string, ref *relation.Relation, mu *sync.Mutex, bagErrs *[]string) workload.Outcome {
-	resp, rel := s.runQuery(context.Background(), string(kind)+" "+query, query)
+	resp, rel := s.runQuery(context.Background(), string(kind)+" "+query, query, false)
 	switch {
 	case resp.OK:
 		if !rel.EqualBag(ref) {

@@ -18,9 +18,9 @@ import (
 // statsEpoch is the process-wide statistics-epoch source. Every catalog
 // draws its epoch values from this single counter, so an epoch value is
 // never reused — not within one catalog, and not across catalogs either.
-// That matters because the plan cache is process-wide: a shell `restore`
-// swaps in a brand-new catalog, and if epochs restarted at zero the new
-// catalog could alias a cached plan optimized for the old one.
+// That matters wherever one plan cache serves more than one catalog: if
+// each catalog counted from zero, two catalogs could share an epoch value
+// and one could be served a plan optimized for the other's tables.
 var statsEpoch atomic.Uint64
 
 // Table is a named relation plus its indexes and statistics. The
@@ -419,6 +419,23 @@ func (c *Catalog) Add(t *Table) {
 	c.tables[t.Name()] = t
 	c.mu.Unlock()
 	t.setOnChange(c.bumpEpoch)
+	c.bumpEpoch()
+}
+
+// Replace makes src's tables the catalog's, dropping every table it had,
+// and moves to a fresh stats epoch, so no plan cached against the old
+// tables is served again. Sessions holding the catalog see the new
+// tables at once (a shell "restore"). src must not be used afterwards.
+func (c *Catalog) Replace(src *Catalog) {
+	src.mu.Lock()
+	tables := src.tables
+	src.mu.Unlock()
+	c.mu.Lock()
+	c.tables = tables
+	c.mu.Unlock()
+	for _, t := range tables {
+		t.setOnChange(c.bumpEpoch)
+	}
 	c.bumpEpoch()
 }
 
