@@ -6,40 +6,104 @@ import (
 	"freejoin/internal/relation"
 )
 
-// slabPool recycles value slabs (batch backing stores, nested-loop
-// chunks) across operator lifetimes. Operators are rebuilt per
-// execution, so without recycling each query churns multiple megabytes
-// of pointer-bearing slabs and forces a collector cycle — which rescans
-// every resident relation — every few queries.
-var slabPool sync.Pool
-
-// getSlab returns a value slab with length n. Contents are unspecified;
-// callers must overwrite before reading.
-func getSlab(n int) []relation.Value {
-	if v, ok := slabPool.Get().(*[]relation.Value); ok && cap(*v) >= n {
-		return (*v)[:n]
-	}
-	return make([]relation.Value, n)
+// pool recycles slices of T across operator lifetimes, process-wide,
+// keyed by exact capacity: a slice comes back with the capacity it was
+// asked for, so a governor charge for n slots covers exactly the n slots
+// held. Operators are rebuilt per execution, so without recycling each
+// query churns megabytes of build arenas, indexes and batch slabs and
+// forces a collector cycle — which rescans every resident relation —
+// every few queries. Each capacity's slices sit in a sync.Pool, which
+// the collector empties, and the *[]T boxes that hold them are recycled
+// too, so neither get nor put allocates once warm. A pool keeps at most
+// maxClasses capacities; a slice of any other capacity is allocated on
+// get and dropped on put, as without a pool.
+type pool[T any] struct {
+	mu    sync.Mutex
+	byCap map[int]*sync.Pool
+	boxes sync.Pool // empty *[]T
 }
 
-// putSlab recycles s. The caller yields ownership: the slab must not be
-// read or written afterwards.
-func putSlab(s []relation.Value) {
+var (
+	valuePool pool[relation.Value] // batch slabs, hash and nested-loop arena chunks, semireduce keys
+	wordPool  pool[uint64]         // null bitmaps, semireduce key hashes
+	int32Pool pool[int32]          // hash-table bucket heads and chains
+	linkPool  pool[buildLink]      // the hash join's per-row index entries
+)
+
+const maxClasses = 1024
+
+// class returns the sync.Pool of capacity c, or nil past maxClasses.
+func (p *pool[T]) class(c int) *sync.Pool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sp := p.byCap[c]
+	if sp == nil && len(p.byCap) < maxClasses {
+		if p.byCap == nil {
+			p.byCap = make(map[int]*sync.Pool)
+		}
+		sp = new(sync.Pool)
+		p.byCap[c] = sp
+	}
+	return sp
+}
+
+// get returns a slice of length and capacity n. Contents are
+// unspecified; callers must overwrite before reading.
+func (p *pool[T]) get(n int) []T {
+	if sp := p.class(n); sp != nil {
+		if box, ok := sp.Get().(*[]T); ok {
+			s := *box
+			*box = nil
+			p.boxes.Put(box)
+			return s[:n]
+		}
+	}
+	return make([]T, n)
+}
+
+// put recycles s under its capacity. The caller yields ownership: the
+// slice must not be read or written afterwards.
+func (p *pool[T]) put(s []T) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:0]
-	slabPool.Put(&s)
+	sp := p.class(cap(s))
+	if sp == nil {
+		return
+	}
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s[:0]
+	sp.Put(box)
 }
 
-// releaseBatch recycles a batch's backing slab and neutralizes the
-// batch; it always returns nil so callers can clear their field in the
-// same statement (making a second Close a no-op on an already-released
-// batch).
+// grow returns s with room for n more elements, moved to a pooled slice
+// of at least twice the capacity when it is full.
+func (p *pool[T]) grow(s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	c := max(16, 2*cap(s))
+	for c < len(s)+n {
+		c *= 2
+	}
+	t := p.get(c)[:len(s)]
+	copy(t, s)
+	p.put(s)
+	return t
+}
+
+// releaseBatch recycles a batch's slab and null bitmap and neutralizes
+// the batch; it always returns nil so callers can clear their field in
+// the same statement (making a second Close a no-op on an
+// already-released batch).
 func releaseBatch(b *Batch) *Batch {
 	if b != nil {
-		putSlab(b.vals)
-		b.vals = nil
+		valuePool.put(b.vals)
+		wordPool.put(b.nulls)
+		b.vals, b.nulls = nil, nil
 	}
 	return nil
 }
@@ -80,12 +144,14 @@ func NewBatch(scheme *relation.Scheme, capacity int) *Batch {
 		capacity = DefaultBatchSize
 	}
 	w := scheme.Len()
+	nulls := wordPool.get((capacity*w + 63) / 64)
+	clear(nulls)
 	return &Batch{
 		scheme:  scheme,
 		width:   w,
 		capRows: capacity,
-		vals:    getSlab(capacity * w)[:0],
-		nulls:   make([]uint64, (capacity*w+63)/64),
+		vals:    valuePool.get(capacity * w)[:0],
+		nulls:   nulls,
 	}
 }
 
@@ -256,6 +322,16 @@ func Batching(it Iterator, size int) BatchIterator {
 		size = DefaultBatchSize
 	}
 	return &batchAdapter{child: it, size: size}
+}
+
+// closeLeft closes a join's left input through the adapter Batching
+// made for it at Open, if any, so the adapter's batch goes back to its
+// pool.
+func closeLeft(left Iterator, bleft BatchIterator) error {
+	if bleft != nil {
+		return bleft.Close()
+	}
+	return left.Close()
 }
 
 type batchAdapter struct {

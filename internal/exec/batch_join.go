@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"freejoin/internal/exec/spill"
-	"freejoin/internal/hashutil"
 	"freejoin/internal/obs"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
@@ -45,9 +44,10 @@ type BatchHashJoin struct {
 	ec   *ExecContext
 	held hold
 
-	// Build arena: one chunk per build batch, sized as that batch's
+	// Build arena: one pooled chunk per build batch, sized as that batch's
 	// governor charge and never regrown, so no row is re-copied; links
 	// (one per row) carry each row's key hash, bucket chain and location.
+	// Chunks, links and heads go back to their pools on resetBuild.
 	chunks [][]relation.Value
 	brows  int
 	links  []buildLink
@@ -59,7 +59,6 @@ type BatchHashJoin struct {
 	lb    *Batch
 	lpos  int
 	ldone bool
-	kbuf  []byte           // scratch join-key encoding, hashed
 	crow  []relation.Value // scratch concat row for the residual
 
 	// A left row whose match chain outgrew the output batch: emission
@@ -78,7 +77,7 @@ type BatchHashJoin struct {
 
 // buildLink is one build row's entry in the hash index.
 type buildLink struct {
-	hash       uint32 // hash of the row's join-key encoding
+	hash       uint32 // low half of the row's keyHash
 	next       int32  // next row in the same bucket, -1 at the end
 	chunk, off int32  // the row is chunks[chunk][off : off+rwidth]
 }
@@ -222,20 +221,32 @@ func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 	return nil
 }
 
-// appendBuild copies a right batch's non-null-key rows into a new arena
-// chunk, sized for the whole batch: the batch's charge covers it.
+// appendBuild copies a right batch's non-null-key rows into a pooled
+// arena chunk of exactly the whole batch's size: the batch's charge
+// covers every slot of it.
 func (h *BatchHashJoin) appendBuild(b *Batch) {
 	n := b.Len()
-	chunk := make([]relation.Value, 0, n*h.rwidth)
+	chunk := valuePool.get(n * h.rwidth)[:0]
 	for i := 0; i < n; i++ {
 		if !nullKey(b, i, h.rkeys) { // null keys never match; only the left side drives emission
 			chunk = append(chunk, b.Row(i)...)
 		}
 	}
-	if len(chunk) > 0 {
-		h.chunks = append(h.chunks, chunk)
-		h.brows += len(chunk) / h.rwidth
+	if len(chunk) == 0 {
+		valuePool.put(chunk)
+		return
 	}
+	h.chunks = append(h.chunks, chunk)
+	h.brows += len(chunk) / h.rwidth
+}
+
+// keyHash hashes row's key columns, chaining relation.HashJoinKey from
+// seed.
+func keyHash(seed uint64, row []relation.Value, keys []int) uint64 {
+	for _, k := range keys {
+		seed = relation.HashJoinKey(seed, row[k])
+	}
+	return seed
 }
 
 // nullKey reports whether row i of b has a null in any key column.
@@ -256,28 +267,15 @@ func (h *BatchHashJoin) buildIndex() {
 		n <<= 1
 	}
 	h.mask = uint32(n - 1)
-	if cap(h.heads) >= n {
-		h.heads = h.heads[:n]
-	} else {
-		h.heads = make([]int32, n)
-	}
+	h.heads = int32Pool.get(n)
 	for i := range h.heads {
 		h.heads[i] = -1
 	}
-	if cap(h.links) >= h.brows {
-		h.links = h.links[:h.brows]
-	} else {
-		h.links = make([]buildLink, h.brows)
-	}
+	h.links = linkPool.get(h.brows)
 	j := int32(0)
 	for c, chunk := range h.chunks {
 		for off := 0; off < len(chunk); off += h.rwidth {
-			kb := h.kbuf[:0]
-			for _, k := range h.rkeys {
-				kb = relation.AppendJoinKey(kb, chunk[off+k])
-			}
-			h.kbuf = kb
-			hash := hashutil.Sum32(kb)
+			hash := uint32(keyHash(0, chunk[off:], h.rkeys))
 			b := hash & h.mask
 			h.links[j] = buildLink{hash: hash, next: h.heads[b], chunk: int32(c), off: int32(off)}
 			h.heads[b] = j
@@ -383,12 +381,7 @@ func (h *BatchHashJoin) probeRow(out *Batch, i int) {
 		}
 		return
 	}
-	kb := h.kbuf[:0]
-	for _, k := range h.lkeys {
-		kb = relation.AppendJoinKey(kb, lrow[k])
-	}
-	h.kbuf = kb
-	hash := hashutil.Sum32(kb)
+	hash := uint32(keyHash(0, lrow, h.lkeys))
 	idx := h.heads[hash&h.mask]
 	switch h.mode {
 	case InnerMode, LeftOuterMode:
@@ -443,12 +436,18 @@ func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
 	return h.cur.next(h.NextBatch)
 }
 
-// resetBuild drops the arena and returns its governor charge, keeping
-// the index allocations for reuse within this Open cycle.
+// resetBuild returns the arena and the index to their pools and the
+// arena's governor charge to the governor.
 func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
+	for _, c := range h.chunks {
+		valuePool.put(c)
+	}
 	clear(h.chunks)
 	h.chunks = h.chunks[:0]
 	h.brows = 0
+	linkPool.put(h.links)
+	int32Pool.put(h.heads)
+	h.links, h.heads = nil, nil
 	h.held.release(ec)
 }
 
@@ -481,8 +480,8 @@ func (h *BatchHashJoin) Close() error {
 	h.lb, h.pendRow, h.pendIdx = nil, nil, -1
 	err := h.closeGrace()
 	h.resetBuild(h.ec)
-	h.chunks, h.links, h.heads = nil, nil, nil
-	if lerr := h.left.Close(); err == nil {
+	h.chunks = nil
+	if lerr := closeLeft(h.left, h.bleft); err == nil {
 		err = lerr
 	}
 	return err
@@ -650,34 +649,29 @@ func (h *BatchHashJoin) partitionProbe(ec *ExecContext, parts int) ([]*spill.Run
 type partitioner struct {
 	ws   []*spill.Writer
 	keys []int
-	salt uint32
-	kbuf []byte
+	salt uint64
 }
 
 func (h *BatchHashJoin) newPartitioner(keys []int, parts int) *partitioner {
-	p := &partitioner{ws: make([]*spill.Writer, parts), keys: keys, salt: uint32(h.grace.depth) * 0x9e3779b9}
+	p := &partitioner{ws: make([]*spill.Writer, parts), keys: keys, salt: partitionSalt(h.grace.depth)}
 	for i := range p.ws {
 		p.ws[i] = h.grace.root.file.NewWriter()
 	}
 	return p
 }
 
+// partitionSalt seeds the key hash of the partitioning at depth: the
+// unsalted hash the in-memory index uses is depth 0's.
+func partitionSalt(depth int) uint64 { return uint64(depth) * 0x9e3779b97f4a7c15 }
+
+// part returns the partition row's salted key hash lands in, taken from
+// the hash's high half (the index buckets on the low half).
+func (p *partitioner) part(row []relation.Value) int {
+	return int((keyHash(p.salt, row, p.keys) >> 32) * uint64(len(p.ws)) >> 32)
+}
+
 func (p *partitioner) add(row []relation.Value) error {
-	kb := p.kbuf[:0]
-	for _, k := range p.keys {
-		kb = relation.AppendJoinKey(kb, row[k])
-	}
-	p.kbuf = kb
-	// FNV's low bits depend only on the low bits of each key byte, so
-	// the salted hash goes through a full-avalanche finalizer (murmur3's
-	// fmix32) and the partition comes from its high bits.
-	x := hashutil.Sum32(kb) ^ p.salt
-	x ^= x >> 16
-	x *= 0x85ebca6b
-	x ^= x >> 13
-	x *= 0xc2b2ae35
-	x ^= x >> 16
-	return p.ws[uint64(x)*uint64(len(p.ws))>>32].Append(row)
+	return p.ws[p.part(row)].Append(row)
 }
 
 // finish seals every partition into a run, or — after err, or if
@@ -873,7 +867,7 @@ func (s *runScan) Close() error {
 
 // BatchSemiReduce is the semijoin filter left ⋉ right for a pure equi
 // predicate — the physical semijoin step of the Yannakakis full-reducer
-// program. The right input's distinct join keys land in a key-bytes
+// program. The right input's distinct join keys land in a pooled key
 // arena behind an open-addressed set, and each left batch is compacted
 // in place down to the rows whose key is present: the output scheme is
 // the left scheme, and surviving rows are never copied. Any other
@@ -895,16 +889,16 @@ type BatchSemiReduce struct {
 	ec   *ExecContext
 	held hold
 
-	keyBytes []byte
-	koff     []int32
-	hashes   []uint32
-	nkeys    int
-	heads    []int32
-	chain    []int32
-	mask     uint32
+	// The key set: each distinct key's values (len(rkeys) per key) and
+	// keyHash, chained from heads by the hash's low bits. The arrays are
+	// pooled and go back on resetKeys.
+	keys   []relation.Value
+	hashes []uint64
+	heads  []int32
+	chain  []int32
+	mask   uint32
 
 	bleft BatchIterator
-	kbuf  []byte
 	cur   batchCursor
 
 	nl *BatchNestedLoopJoin // serves the semijoin after a memory trip
@@ -1001,46 +995,41 @@ func (s *BatchSemiReduce) spill(ec *ExecContext) error {
 	return nil
 }
 
-// rehash (re)builds the open-addressed index over the first nkeys keys
-// with at least n buckets.
+// rehash (re)builds the open-addressed index over the keys held with
+// at least n buckets.
 func (s *BatchSemiReduce) rehash(n int) {
-	for n < 16 || n < 2*s.nkeys {
+	nkeys := len(s.hashes)
+	for n < 16 || n < 2*nkeys {
 		n <<= 1
 	}
-	if cap(s.heads) >= n {
-		s.heads = s.heads[:n]
-	} else {
-		s.heads = make([]int32, n)
-	}
+	int32Pool.put(s.heads)
+	s.heads = int32Pool.get(n)
 	for i := range s.heads {
 		s.heads[i] = -1
 	}
 	s.mask = uint32(n - 1)
-	if cap(s.chain) >= s.nkeys {
-		s.chain = s.chain[:s.nkeys]
-	} else {
-		s.chain = append(s.chain[:cap(s.chain)], make([]int32, s.nkeys-cap(s.chain))...)
-	}
-	for i := 0; i < s.nkeys; i++ {
-		b := s.hashes[i] & s.mask
+	s.chain = int32Pool.grow(s.chain[:0], nkeys)[:nkeys]
+	for i, hash := range s.hashes {
+		b := uint32(hash) & s.mask
 		s.chain[i] = s.heads[b]
 		s.heads[b] = int32(i)
 	}
 }
 
-func (s *BatchSemiReduce) keyEnd(j int32) int32 {
-	if int(j)+1 < len(s.koff) {
-		return s.koff[j+1]
-	}
-	return int32(len(s.keyBytes))
-}
-
-// lookup reports whether the key in kb (with hash) is in the set.
-func (s *BatchSemiReduce) lookup(kb []byte, hash uint32) bool {
-	for j := s.heads[hash&s.mask]; j >= 0; j = s.chain[j] {
-		if s.hashes[j] == hash && string(s.keyBytes[s.koff[j]:s.keyEnd(j)]) == string(kb) {
-			return true
+// lookup reports whether the key in row's cols (with hash) is in the set.
+func (s *BatchSemiReduce) lookup(row []relation.Value, cols []int, hash uint64) bool {
+next:
+	for j := s.heads[uint32(hash)&s.mask]; j >= 0; j = s.chain[j] {
+		if s.hashes[j] != hash {
+			continue
 		}
+		key := s.keys[int(j)*len(cols):]
+		for i, c := range cols {
+			if !relation.JoinKeyEqual(row[c], key[i]) {
+				continue next
+			}
+		}
+		return true
 	}
 	return false
 }
@@ -1050,38 +1039,25 @@ func (s *BatchSemiReduce) lookup(kb []byte, hash uint32) bool {
 func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
 	n := b.Len()
 	for i := 0; i < n; i++ {
-		null := false
-		for _, k := range s.rkeys {
-			if b.IsNull(i, k) {
-				null = true
-				break
-			}
-		}
-		if null {
+		if nullKey(b, i, s.rkeys) {
 			continue // null keys never match; the filter can skip them
 		}
 		row := b.Row(i)
-		kb := s.kbuf[:0]
-		for _, k := range s.rkeys {
-			kb = relation.AppendJoinKey(kb, row[k])
-		}
-		s.kbuf = kb
-		hash := hashutil.Sum32(kb)
-		if s.lookup(kb, hash) {
+		hash := keyHash(0, row, s.rkeys)
+		if s.lookup(row, s.rkeys, hash) {
 			continue
 		}
-		start := len(s.keyBytes)
-		s.keyBytes = append(s.keyBytes, kb...)
-		s.koff = append(s.koff, int32(start))
-		s.hashes = append(s.hashes, hash)
-		j := int32(s.nkeys)
-		s.nkeys++
-		if 2*s.nkeys > len(s.heads) {
+		s.keys = valuePool.grow(s.keys, len(s.rkeys))
+		for _, k := range s.rkeys {
+			s.keys = append(s.keys, row[k])
+		}
+		s.hashes = append(wordPool.grow(s.hashes, 1), hash)
+		if nkeys := len(s.hashes); 2*nkeys > len(s.heads) {
 			s.rehash(2 * len(s.heads))
 		} else {
-			bkt := hash & s.mask
-			s.chain = append(s.chain, s.heads[bkt])
-			s.heads[bkt] = j
+			bkt := uint32(hash) & s.mask
+			s.chain = append(int32Pool.grow(s.chain, 1), s.heads[bkt])
+			s.heads[bkt] = int32(nkeys - 1)
 		}
 		rows++
 		bytes += rowBytes(row)
@@ -1106,23 +1082,11 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 		obs.SemiReduceInputRows.Add(int64(n))
 		keep := 0
 		for i := 0; i < n; i++ {
-			null := false
-			for _, k := range s.lkeys {
-				if b.IsNull(i, k) {
-					null = true
-					break
-				}
-			}
-			if null {
+			if nullKey(b, i, s.lkeys) {
 				continue // a null key cannot match any right row
 			}
 			row := b.Row(i)
-			kb := s.kbuf[:0]
-			for _, k := range s.lkeys {
-				kb = relation.AppendJoinKey(kb, row[k])
-			}
-			s.kbuf = kb
-			if !s.lookup(kb, hashutil.Sum32(kb)) {
+			if !s.lookup(row, s.lkeys, keyHash(0, row, s.lkeys)) {
 				continue
 			}
 			b.MoveRow(keep, i)
@@ -1142,13 +1106,14 @@ func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
 	return s.cur.next(s.NextBatch)
 }
 
-// resetKeys drops the key set and returns its governor charge.
+// resetKeys returns the key set to its pools and its charge to the
+// governor.
 func (s *BatchSemiReduce) resetKeys(ec *ExecContext) {
-	s.keyBytes = s.keyBytes[:0]
-	s.koff = s.koff[:0]
-	s.hashes = s.hashes[:0]
-	s.chain = s.chain[:0]
-	s.nkeys = 0
+	valuePool.put(s.keys)
+	wordPool.put(s.hashes)
+	int32Pool.put(s.heads)
+	int32Pool.put(s.chain)
+	s.keys, s.hashes, s.heads, s.chain = nil, nil, nil, nil
 	s.held.release(ec)
 }
 
@@ -1158,7 +1123,7 @@ func (s *BatchSemiReduce) BufferedRows() int {
 	if s.nl != nil {
 		return s.nl.BufferedRows()
 	}
-	return s.nkeys
+	return len(s.hashes)
 }
 
 // SpillInfo implements Spiller: only the nested-loop join a trip hands
@@ -1178,6 +1143,5 @@ func (s *BatchSemiReduce) Close() error {
 		return s.nl.Close()
 	}
 	s.resetKeys(s.ec)
-	s.keyBytes, s.koff, s.hashes, s.heads, s.chain = nil, nil, nil, nil, nil
-	return s.left.Close()
+	return closeLeft(s.left, s.bleft)
 }

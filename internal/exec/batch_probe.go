@@ -251,7 +251,7 @@ func (j *BatchIndexJoin) Close() error {
 	j.cur.reset()
 	j.out = releaseBatch(j.out)
 	j.lb, j.pendRow, j.pendPositions = nil, nil, nil
-	return j.left.Close()
+	return closeLeft(j.left, j.bleft)
 }
 
 // BatchNestedLoopJoin joins on an arbitrary predicate. The right input
@@ -496,7 +496,7 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 			}
 			return err
 		}
-		vals := getSlab(len(b.vals))
+		vals := valuePool.get(len(b.vals))
 		copy(vals, b.vals)
 		n.chunks = append(n.chunks, nlChunk{vals: vals, rows: b.Len()})
 		n.rrows += b.Len()
@@ -905,11 +905,11 @@ func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
 	return n.cur.next(n.NextBatch)
 }
 
-// resetBuild drops the slab and returns its governor charge, keeping
-// the allocation for reuse within this Open cycle.
+// resetBuild returns the chunks to their pool and their charge to the
+// governor.
 func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
 	for i := range n.chunks {
-		putSlab(n.chunks[i].vals)
+		valuePool.put(n.chunks[i].vals)
 		n.chunks[i].vals = nil
 	}
 	n.chunks = n.chunks[:0]
@@ -939,7 +939,7 @@ func (n *BatchNestedLoopJoin) Close() error {
 	n.resetBuild(n.ec)
 	n.chunks = nil
 	n.dropRun()
-	lerr := n.left.Close()
+	lerr := closeLeft(n.left, n.bleft)
 	if rerr != nil {
 		return rerr
 	}

@@ -1,30 +1,17 @@
-// Package hashutil provides the FNV-1a hash used across the system:
-// the executor partitions join keys with Sum32, and the plan cache
-// fingerprints canonical query-graph text with the 64-bit streaming
-// Hash64. Both match the stdlib hash/fnv parameters exactly; keeping
+// Package hashutil provides the 64-bit FNV-1a hash used across the
+// system: the plan cache fingerprints canonical query-graph text with
+// the streaming Hash64, and relation.HashJoinKey hashes string join keys
+// with it. It matches the stdlib hash/fnv parameters exactly; keeping
 // one local implementation avoids the stdlib's interface allocation on
-// the executor's per-row hot path while guaranteeing the two callers
-// can never drift apart.
+// the executor's per-row hot path while guaranteeing the callers can
+// never drift apart.
 package hashutil
 
 // FNV-1a parameters (Fowler–Noll–Vo).
 const (
-	offset32 = 2166136261
-	prime32  = 16777619
-
 	offset64 = 14695981039346656037
 	prime64  = 1099511628211
 )
-
-// Sum32 returns the 32-bit FNV-1a hash of b.
-func Sum32(b []byte) uint32 {
-	h := uint32(offset32)
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= prime32
-	}
-	return h
-}
 
 // Sum64 returns the 64-bit FNV-1a hash of b.
 func Sum64(b []byte) uint64 {

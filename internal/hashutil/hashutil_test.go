@@ -7,25 +7,9 @@ import (
 )
 
 // The local FNV-1a must agree with the stdlib byte for byte: the
-// executor's partitioner and the plan-cache fingerprint both lean on
-// this single implementation, so equivalence with hash/fnv pins the
-// algorithm against accidental edits.
-func TestSum32MatchesStdlib(t *testing.T) {
-	rnd := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		b := make([]byte, rnd.Intn(64))
-		rnd.Read(b)
-		ref := fnv.New32a()
-		ref.Write(b)
-		if got, want := Sum32(b), ref.Sum32(); got != want {
-			t.Fatalf("Sum32(%v) = %#x, stdlib fnv-1a = %#x", b, got, want)
-		}
-	}
-	if got, want := Sum32(nil), uint32(2166136261); got != want {
-		t.Fatalf("Sum32(nil) = %#x, want offset basis %#x", got, want)
-	}
-}
-
+// plan-cache fingerprint and the executor's string join-key hash both
+// lean on this single implementation, so equivalence with hash/fnv pins
+// the algorithm against accidental edits.
 func TestSum64MatchesStdlib(t *testing.T) {
 	rnd := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {

@@ -246,20 +246,31 @@ func TestValueTextMatchesOracle(t *testing.T) {
 // TestJoinKeyEqualMatchesEncoding: comparing join keys by value agrees
 // with comparing their AppendJoinKey bytes on every pair, including an
 // integral float against the equal int, -0 against 0, NaN against NaN
-// and floats past the int range.
+// and floats past the int range. Keys JoinKeyEqual calls equal have
+// equal HashJoinKey hashes from any seed, and on this set unequal keys
+// never collide.
 func TestJoinKeyEqualMatchesEncoding(t *testing.T) {
 	rnd := rand.New(rand.NewSource(5))
 	vals := []Value{Int(0), Float(0), Float(math.Copysign(0, -1)), Int(3), Float(3), Float(3.5),
-		Int(1e18), Float(1e18), Float(9.2e18), Float(9.3e18), Int(math.MaxInt64),
-		Float(math.NaN()), Float(math.Inf(1)), Str("3"), Str(""), Bool(true), Int(1)}
+		Int(-3), Float(-3), Int(1e18), Float(1e18), Float(9.2e18), Int(9.2e18), Float(-9.2e18), Int(-9.2e18),
+		Float(math.Nextafter(9.2e18, math.Inf(1))), Float(9.3e18), Int(math.MaxInt64),
+		Float(math.NaN()), Float(math.Float64frombits(0x7ff8000000000001)), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Str("3"), Str(""), Str("abc"), Str("abd"), Bool(true), Bool(false), Int(1)}
 	for i := 0; i < 60; i++ {
 		vals = append(vals, randomValue(rnd))
 	}
 	for _, a := range vals {
 		for _, b := range vals {
 			want := string(AppendJoinKey(nil, a)) == string(AppendJoinKey(nil, b))
-			if got := JoinKeyEqual(a, b); got != want {
-				t.Fatalf("JoinKeyEqual(%s %v, %s %v) = %v, encodings say %v", a.kind, a, b.kind, b, got, want)
+			eq := JoinKeyEqual(a, b)
+			if eq != want {
+				t.Fatalf("JoinKeyEqual(%s %v, %s %v) = %v, encodings say %v", a.kind, a, b.kind, b, eq, want)
+			}
+			for _, h := range []uint64{0, 0x9e3779b97f4a7c15, HashJoinKey(0, Str("salt"))} {
+				if ha, hb := HashJoinKey(h, a), HashJoinKey(h, b); (ha == hb) != eq {
+					t.Fatalf("seed %#x: HashJoinKey(%s %v) = %#x, HashJoinKey(%s %v) = %#x, JoinKeyEqual = %v",
+						h, a.kind, a, ha, b.kind, b, hb, eq)
+				}
 			}
 		}
 	}

@@ -15,6 +15,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"freejoin/internal/hashutil"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -283,6 +285,30 @@ func JoinKeyEqual(a, b Value) bool {
 func floatJoinKeyEqual(a, b Value) bool {
 	a, b = a.joinKey(), b.joinKey()
 	return a.kind == b.kind && a.i == b.i && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
+// HashJoinKey mixes v's join key into h, for hash joins that hash key
+// values instead of encoding them: values JoinKeyEqual calls equal hash
+// alike, so an integral float hashes like the equal int and -0 like 0.
+// Strings hash their bytes with FNV-64, and each step ends in murmur3's
+// 64-bit finalizer, so chaining from a different h re-spreads the keys.
+func HashJoinKey(h uint64, v Value) uint64 {
+	v = v.joinKey()
+	x := uint64(v.i)
+	switch v.kind {
+	case KindFloat:
+		x = math.Float64bits(v.f)
+	case KindString:
+		fnv := hashutil.New64()
+		fnv.WriteString(v.s)
+		x = fnv.Sum64()
+	}
+	x = h ^ (x + uint64(v.kind)*0x9e3779b97f4a7c15)
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
 }
 
 // joinKey maps an integral float to the equal int, the one value
