@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build test race cover bench benchmark-ab deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt fmt-check vet clean
+.PHONY: all check build test race cover bench allocs benchmark-ab deadcode faults obs spill server chaos yannakakis batch fuzz fuzz-smoke fmt fmt-check vet clean
 
 all: check
 
@@ -20,6 +20,13 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Allocation pins: every test under internal/ named *Allocs or
+# *Allocations, three times, without the race detector (its sync.Pool
+# drops puts at random, so pool-backed bounds do not hold there). A pin
+# that only sometimes holds fails here.
+allocs:
+	$(GO) test -count=3 -run 'Allocs|Allocations' ./internal/...
 
 # Served-query A/B: the benchmark at REF against the working tree in
 # PAIRS alternating pairs of SECONDS-second runs per workload (seeds

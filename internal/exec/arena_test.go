@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"freejoin/internal/relation"
@@ -67,6 +68,81 @@ func TestBatchHashJoinBuildAllocs(t *testing.T) {
 	}
 	if charged := uint64(gov.UsedBytes()); charged < values {
 		t.Errorf("governor charge %d bytes does not cover the %d-byte value arena", charged, values)
+	}
+}
+
+// raceEnabled is set under the race detector, whose sync.Pool drops
+// puts at random, so pool-backed allocation bounds do not hold there.
+var raceEnabled bool
+
+// spilledJoinAllocBytes is a third of what one warm execution of
+// BenchmarkBatchHashJoin/spilled allocated before the spill blocks came
+// from a pool (412 KB per execution).
+const spilledJoinAllocBytes = 412 << 10 / 3
+
+// TestSpilledHashJoinAllocs: BenchmarkBatchHashJoin/spilled's join — a
+// 6,000-row unique-key build under a 64 KB budget, which grace-partitions
+// into 8 pairs of runs — allocates at most a third of what it did when
+// every spill writer grew its block by append and every reader made its
+// own window, and spills exactly as much as it did then: 16 runs, 8
+// partitions, 83,744 bytes.
+func TestSpilledHashJoinAllocs(t *testing.T) {
+	const rows = 6000
+	left := relation.New(relation.SchemeOf("R", "a", "b"))
+	right := relation.New(relation.SchemeOf("S", "a", "b"))
+	for i := 0; i < rows; i++ {
+		left.MustAppend(relation.Int(int64(i)), relation.Int(int64(i)))
+		right.MustAppend(relation.Int(int64(i)), relation.Int(int64(i)))
+	}
+	gov := NewGovernor(0, 64<<10)
+	ec := NewExecContext(context.Background(), gov)
+	ec.EnableSpill(SpillConfig{Dir: t.TempDir()})
+	run := func() SpillStats {
+		h, err := NewBatchHashJoin(NewRelationScan(left), NewRelationScan(right),
+			[]relation.Attr{relation.A("R", "a")}, []relation.Attr{relation.A("S", "a")}, nil, InnerMode, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Open(ec); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			b, ok, err := h.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n += b.Len()
+		}
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != rows {
+			t.Fatalf("join emitted %d rows, want %d", n, rows)
+		}
+		return h.SpillInfo()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run()
+	const reps = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		if got, want := run(), (SpillStats{Runs: 16, Partitions: 8, Bytes: 83744}); got != want {
+			t.Fatalf("spill %+v, want %+v", got, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / reps
+	t.Logf("%d bytes, %d allocations per warm execution", perRun, (after.Mallocs-before.Mallocs)/reps)
+	if !raceEnabled && perRun > spilledJoinAllocBytes {
+		t.Errorf("warm spilled join allocated %d bytes, want <= %d", perRun, spilledJoinAllocBytes)
+	}
+	if gov.UsedBytes() != 0 || gov.UsedSpillBytes() != 0 {
+		t.Errorf("governor not drained: bytes=%d spill=%d", gov.UsedBytes(), gov.UsedSpillBytes())
 	}
 }
 

@@ -1,99 +1,22 @@
 package exec
 
 import (
-	"sync"
+	"math/bits"
 
+	"freejoin/internal/pool"
 	"freejoin/internal/relation"
 )
 
-// pool recycles slices of T across operator lifetimes, process-wide,
-// keyed by exact capacity: a slice comes back with the capacity it was
-// asked for, so a governor charge for n slots covers exactly the n slots
-// held. Operators are rebuilt per execution, so without recycling each
-// query churns megabytes of build arenas, indexes and batch slabs and
-// forces a collector cycle — which rescans every resident relation —
-// every few queries. Each capacity's slices sit in a sync.Pool, which
-// the collector empties, and the *[]T boxes that hold them are recycled
-// too, so neither get nor put allocates once warm. A pool keeps at most
-// maxClasses capacities; a slice of any other capacity is allocated on
-// get and dropped on put, as without a pool.
-type pool[T any] struct {
-	mu    sync.Mutex
-	byCap map[int]*sync.Pool
-	boxes sync.Pool // empty *[]T
-}
-
+// Process-wide pools of the executor's slices (see package pool): a
+// slice comes back with the capacity it was asked for, so a governor
+// charge for n slots covers exactly the n slots held.
 var (
-	valuePool pool[relation.Value] // batch slabs, hash and nested-loop arena chunks, semireduce keys
-	wordPool  pool[uint64]         // null bitmaps, semireduce key hashes
-	int32Pool pool[int32]          // hash-table bucket heads and chains
-	linkPool  pool[buildLink]      // the hash join's per-row index entries
+	valuePool pool.Pool[relation.Value]   // batch slabs, hash and nested-loop arena chunks, semireduce keys, result slabs
+	wordPool  pool.Pool[uint64]           // null bitmaps, semireduce key hashes
+	int32Pool pool.Pool[int32]            // hash-table bucket heads and chains
+	linkPool  pool.Pool[buildLink]        // the hash join's per-row index entries
+	rowsPool  pool.Pool[[]relation.Value] // result row lists and slab lists
 )
-
-const maxClasses = 1024
-
-// class returns the sync.Pool of capacity c, or nil past maxClasses.
-func (p *pool[T]) class(c int) *sync.Pool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sp := p.byCap[c]
-	if sp == nil && len(p.byCap) < maxClasses {
-		if p.byCap == nil {
-			p.byCap = make(map[int]*sync.Pool)
-		}
-		sp = new(sync.Pool)
-		p.byCap[c] = sp
-	}
-	return sp
-}
-
-// get returns a slice of length and capacity n. Contents are
-// unspecified; callers must overwrite before reading.
-func (p *pool[T]) get(n int) []T {
-	if sp := p.class(n); sp != nil {
-		if box, ok := sp.Get().(*[]T); ok {
-			s := *box
-			*box = nil
-			p.boxes.Put(box)
-			return s[:n]
-		}
-	}
-	return make([]T, n)
-}
-
-// put recycles s under its capacity. The caller yields ownership: the
-// slice must not be read or written afterwards.
-func (p *pool[T]) put(s []T) {
-	if cap(s) == 0 {
-		return
-	}
-	sp := p.class(cap(s))
-	if sp == nil {
-		return
-	}
-	box, _ := p.boxes.Get().(*[]T)
-	if box == nil {
-		box = new([]T)
-	}
-	*box = s[:0]
-	sp.Put(box)
-}
-
-// grow returns s with room for n more elements, moved to a pooled slice
-// of at least twice the capacity when it is full.
-func (p *pool[T]) grow(s []T, n int) []T {
-	if len(s)+n <= cap(s) {
-		return s
-	}
-	c := max(16, 2*cap(s))
-	for c < len(s)+n {
-		c *= 2
-	}
-	t := p.get(c)[:len(s)]
-	copy(t, s)
-	p.put(s)
-	return t
-}
 
 // releaseBatch recycles a batch's slab and null bitmap and neutralizes
 // the batch; it always returns nil so callers can clear their field in
@@ -101,8 +24,8 @@ func (p *pool[T]) grow(s []T, n int) []T {
 // already-released batch).
 func releaseBatch(b *Batch) *Batch {
 	if b != nil {
-		valuePool.put(b.vals)
-		wordPool.put(b.nulls)
+		valuePool.Put(b.vals)
+		wordPool.Put(b.nulls)
 		b.vals, b.nulls = nil, nil
 	}
 	return nil
@@ -144,13 +67,13 @@ func NewBatch(scheme *relation.Scheme, capacity int) *Batch {
 		capacity = DefaultBatchSize
 	}
 	w := scheme.Len()
-	nulls := wordPool.get((capacity*w + 63) / 64)
+	nulls := wordPool.Get((capacity*w + 63) / 64)
 	clear(nulls)
 	return &Batch{
 		scheme:  scheme,
 		width:   w,
 		capRows: capacity,
-		vals:    valuePool.get(capacity * w)[:0],
+		vals:    valuePool.Get(capacity * w)[:0],
 		nulls:   nulls,
 	}
 }
@@ -281,21 +204,58 @@ func (b *Batch) Bytes() int64 {
 	return n
 }
 
-// appendToRelation copies the batch's rows into out. Each row gets a
-// fresh sub-slice of one per-batch slab, so the result does not alias
-// the (reused) batch.
-func (b *Batch) appendToRelation(out *relation.Relation) {
+// collected is a relation being drained from batches: the row list and
+// the slabs its rows are carved from, all taken from the pools, so that
+// Recycle can give them back once the relation is done with.
+type collected struct {
+	rows, slabs [][]relation.Value
+}
+
+// add copies the batch's rows into a new slab, so the rows do not alias
+// the (reused) batch. A full batch's slab takes the batch's capacity; a
+// partial one's the next power of two, so small results add no pool
+// class per result size.
+func (c *collected) add(b *Batch) {
 	if b.n == 0 {
 		return
 	}
-	slab := make([]relation.Value, len(b.vals))
+	n := len(b.vals)
+	slab := valuePool.Get(max(n, min(1<<bits.Len(uint(n-1)), b.capRows*b.width)))[:n]
 	copy(slab, b.vals)
-	out.Grow(b.n)
+	c.slabs = append(rowsPool.Grow(c.slabs, 1), slab)
+	c.rows = rowsPool.Grow(c.rows, b.n)
 	for i := 0; i < b.n; i++ {
 		s := i * b.width
 		e := s + b.width
-		out.AppendRaw(slab[s:e:e])
+		c.rows = append(c.rows, slab[s:e:e])
 	}
+}
+
+// result hands the rows over to a relation that owns them.
+func (c *collected) result(scheme *relation.Scheme) *relation.Relation {
+	return relation.Owning(scheme, c.rows, c.slabs)
+}
+
+// recycle gives the rows' storage back to the pools.
+func (c *collected) recycle() {
+	for _, s := range c.slabs {
+		valuePool.Put(s)
+	}
+	rowsPool.Put(c.slabs)
+	rowsPool.Put(c.rows)
+	c.rows, c.slabs = nil, nil
+}
+
+// Recycle gives the storage of a relation that CollectCtx returned back
+// to the pools, for the next result to reuse. The caller yields the
+// relation: it is empty afterwards, and no row read from it before may
+// be used again. A caller that never recycles leaves the storage to the
+// collector. Relations built any other way are left as they are.
+// Nil-safe.
+func Recycle(r *relation.Relation) {
+	rows, slabs := r.Disown()
+	c := collected{rows: rows, slabs: slabs}
+	c.recycle()
 }
 
 // BatchIterator is an Iterator that can also hand rows up a batch at a

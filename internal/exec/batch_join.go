@@ -226,14 +226,14 @@ func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 // covers every slot of it.
 func (h *BatchHashJoin) appendBuild(b *Batch) {
 	n := b.Len()
-	chunk := valuePool.get(n * h.rwidth)[:0]
+	chunk := valuePool.Get(n * h.rwidth)[:0]
 	for i := 0; i < n; i++ {
 		if !nullKey(b, i, h.rkeys) { // null keys never match; only the left side drives emission
 			chunk = append(chunk, b.Row(i)...)
 		}
 	}
 	if len(chunk) == 0 {
-		valuePool.put(chunk)
+		valuePool.Put(chunk)
 		return
 	}
 	h.chunks = append(h.chunks, chunk)
@@ -267,11 +267,11 @@ func (h *BatchHashJoin) buildIndex() {
 		n <<= 1
 	}
 	h.mask = uint32(n - 1)
-	h.heads = int32Pool.get(n)
+	h.heads = int32Pool.Get(n)
 	for i := range h.heads {
 		h.heads[i] = -1
 	}
-	h.links = linkPool.get(h.brows)
+	h.links = linkPool.Get(h.brows)
 	j := int32(0)
 	for c, chunk := range h.chunks {
 		for off := 0; off < len(chunk); off += h.rwidth {
@@ -440,13 +440,13 @@ func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
 // arena's governor charge to the governor.
 func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
 	for _, c := range h.chunks {
-		valuePool.put(c)
+		valuePool.Put(c)
 	}
 	clear(h.chunks)
 	h.chunks = h.chunks[:0]
 	h.brows = 0
-	linkPool.put(h.links)
-	int32Pool.put(h.heads)
+	linkPool.Put(h.links)
+	int32Pool.Put(h.heads)
 	h.links, h.heads = nil, nil
 	h.held.release(ec)
 }
@@ -861,7 +861,9 @@ func (s *runScan) Next() ([]relation.Value, bool, error) { return s.cur.next(s.N
 
 func (s *runScan) Close() error {
 	s.out = releaseBatch(s.out)
-	s.rd = nil
+	if s.rd != nil {
+		s.rd.Close()
+	}
 	return nil
 }
 
@@ -1002,13 +1004,13 @@ func (s *BatchSemiReduce) rehash(n int) {
 	for n < 16 || n < 2*nkeys {
 		n <<= 1
 	}
-	int32Pool.put(s.heads)
-	s.heads = int32Pool.get(n)
+	int32Pool.Put(s.heads)
+	s.heads = int32Pool.Get(n)
 	for i := range s.heads {
 		s.heads[i] = -1
 	}
 	s.mask = uint32(n - 1)
-	s.chain = int32Pool.grow(s.chain[:0], nkeys)[:nkeys]
+	s.chain = int32Pool.Grow(s.chain[:0], nkeys)[:nkeys]
 	for i, hash := range s.hashes {
 		b := uint32(hash) & s.mask
 		s.chain[i] = s.heads[b]
@@ -1047,16 +1049,16 @@ func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
 		if s.lookup(row, s.rkeys, hash) {
 			continue
 		}
-		s.keys = valuePool.grow(s.keys, len(s.rkeys))
+		s.keys = valuePool.Grow(s.keys, len(s.rkeys))
 		for _, k := range s.rkeys {
 			s.keys = append(s.keys, row[k])
 		}
-		s.hashes = append(wordPool.grow(s.hashes, 1), hash)
+		s.hashes = append(wordPool.Grow(s.hashes, 1), hash)
 		if nkeys := len(s.hashes); 2*nkeys > len(s.heads) {
 			s.rehash(2 * len(s.heads))
 		} else {
 			bkt := uint32(hash) & s.mask
-			s.chain = append(int32Pool.grow(s.chain, 1), s.heads[bkt])
+			s.chain = append(int32Pool.Grow(s.chain, 1), s.heads[bkt])
 			s.heads[bkt] = int32(nkeys - 1)
 		}
 		rows++
@@ -1109,10 +1111,10 @@ func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
 // resetKeys returns the key set to its pools and its charge to the
 // governor.
 func (s *BatchSemiReduce) resetKeys(ec *ExecContext) {
-	valuePool.put(s.keys)
-	wordPool.put(s.hashes)
-	int32Pool.put(s.heads)
-	int32Pool.put(s.chain)
+	valuePool.Put(s.keys)
+	wordPool.Put(s.hashes)
+	int32Pool.Put(s.heads)
+	int32Pool.Put(s.chain)
 	s.keys, s.hashes, s.heads, s.chain = nil, nil, nil, nil
 	s.held.release(ec)
 }

@@ -496,7 +496,7 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 			}
 			return err
 		}
-		vals := valuePool.get(len(b.vals))
+		vals := valuePool.Get(len(b.vals))
 		copy(vals, b.vals)
 		n.chunks = append(n.chunks, nlChunk{vals: vals, rows: b.Len()})
 		n.rrows += b.Len()
@@ -909,7 +909,7 @@ func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
 // governor.
 func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
 	for i := range n.chunks {
-		valuePool.put(n.chunks[i].vals)
+		valuePool.Put(n.chunks[i].vals)
 		n.chunks[i].vals = nil
 	}
 	n.chunks = n.chunks[:0]

@@ -78,7 +78,7 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 		if err := a.Open(nil); err != nil {
 			t.Fatal(err)
 		}
-		got := relation.New(a.Scheme())
+		var col collected
 		for {
 			b, ok, err := a.NextBatch()
 			if err != nil {
@@ -90,8 +90,9 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 			if b.Len() == 0 || b.Len() > size {
 				t.Fatalf("size %d: batch of %d rows", size, b.Len())
 			}
-			b.appendToRelation(got)
+			col.add(b)
 		}
+		got := col.result(a.Scheme())
 		if err := a.Close(); err != nil {
 			t.Fatal(err)
 		}

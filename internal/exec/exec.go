@@ -260,23 +260,28 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 			it.Close()
 		}
 	}()
-	out := relation.New(it.Scheme())
+	var out *relation.Relation
 	if bi, ok := it.(BatchIterator); ok {
-		// Batch drain: one NextBatch call and one slab copy per batch.
+		// Batch drain: one NextBatch call and one pooled slab copy per
+		// batch; Recycle gives the slabs back.
+		var col collected
 		for {
 			b, ok, err := bi.NextBatch()
 			if err != nil {
 				closed = true
 				it.Close()
+				col.recycle()
 				return nil, err
 			}
 			if !ok {
 				break
 			}
-			b.appendToRelation(out)
+			col.add(b)
 			c.AddRows(int64(b.Len()))
 		}
+		out = col.result(it.Scheme())
 	} else {
+		out = relation.New(it.Scheme())
 		var arena rowArena
 		for {
 			row, ok, err := it.Next()
@@ -295,6 +300,7 @@ func CollectCtx(ec *ExecContext, it Iterator, c *Counters) (*relation.Relation, 
 	}
 	closed = true
 	if err := it.Close(); err != nil {
+		Recycle(out)
 		return nil, err
 	}
 	return out, nil

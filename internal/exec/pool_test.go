@@ -46,37 +46,6 @@ func TestGracePartitionBalance(t *testing.T) {
 	}
 }
 
-// TestPoolExactCapacity: a pooled slice has exactly the capacity asked
-// for (the governor charged for that many slots), grow doubles through
-// the pool, and a pool stops adding capacities at maxClasses.
-func TestPoolExactCapacity(t *testing.T) {
-	var p pool[int32]
-	for _, n := range []int{1, 7, 2048, 1760, 7} {
-		s := p.get(n)
-		if len(s) != n || cap(s) != n {
-			t.Fatalf("get(%d): len %d cap %d", n, len(s), cap(s))
-		}
-		p.put(s)
-	}
-	s := p.grow(nil, 3)
-	if len(s) != 0 || cap(s) != 16 {
-		t.Fatalf("grow(nil, 3): len %d cap %d, want 0 and 16", len(s), cap(s))
-	}
-	s = p.grow(append(s, make([]int32, 16)...), 1)
-	if len(s) != 16 || cap(s) != 32 {
-		t.Fatalf("grow of a full 16: len %d cap %d, want 16 and 32", len(s), cap(s))
-	}
-	for n := 1; n <= 2*maxClasses; n++ {
-		p.put(p.get(n))
-	}
-	if len(p.byCap) != maxClasses {
-		t.Fatalf("pool keeps %d capacities, want %d", len(p.byCap), maxClasses)
-	}
-	if s := p.get(3 * maxClasses); cap(s) != 3*maxClasses {
-		t.Fatalf("get past maxClasses: cap %d", cap(s))
-	}
-}
-
 // TestBatchJoinsSharePoolsConcurrently: 8 goroutines run inner and left
 // outer hash joins and the semijoin filter, 50 times each, all drawing
 // build arenas, indexes, key sets and batch slabs from the same pools.

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"freejoin/internal/obs"
+	"freejoin/internal/pool"
 	"freejoin/internal/relation"
 	"freejoin/internal/resource"
 )
@@ -34,6 +35,17 @@ import (
 // BlockSize bounds a writer's buffer: a writer flushes once it holds
 // this many encoded bytes, and a reader reads a run this much at a time.
 const BlockSize = 4096
+
+// writeBlock is the capacity of a writer's buffer: it holds less than
+// BlockSize bytes before an Append, so any row of up to BlockSize
+// encoded bytes fits without regrowing it.
+const writeBlock = 2 * BlockSize
+
+// blockPool recycles the writers' buffers and the readers' windows: a
+// writer takes its buffer at its first Append and gives it back at
+// Finish or Abort, a reader takes its window at its first read and
+// gives it back at Close.
+var blockPool pool.Pool[byte]
 
 // extent is a byte range of the spill file.
 type extent struct{ off, n int64 }
@@ -133,7 +145,7 @@ func (f *File) NewWriter() *Writer {
 
 // Writer streams rows into a new run of a File. The caller must end the
 // writer with exactly one of Finish (sealing a Run that now owns the
-// writer's extents) or Abort (freeing them).
+// writer's extents) or Abort (freeing them); both return its buffer.
 type Writer struct {
 	file  *File
 	buf   []byte
@@ -147,8 +159,11 @@ type Writer struct {
 // Append encodes one row, flushing the buffer once it holds BlockSize
 // bytes. On error (including a spill-budget trip) call Abort.
 func (w *Writer) Append(row []relation.Value) error {
+	if w.buf == nil {
+		w.buf = blockPool.Get(writeBlock)[:0]
+	}
 	n := len(w.buf)
-	w.buf = appendRow(w.buf, row)
+	w.buf = appendRow(w.buf, row) // a row over BlockSize bytes regrows buf off the pool
 	w.bytes += int64(len(w.buf) - n)
 	w.rows++
 	if len(w.buf) >= BlockSize {
@@ -174,6 +189,7 @@ func (w *Writer) Finish() (*Run, error) {
 		return nil, err
 	}
 	w.done = true
+	w.putBuf()
 	obs.SpillRuns.Inc()
 	obs.SpillBytes.Add(w.bytes)
 	obs.SpillWriteLatency.ObserveDuration(time.Since(w.start))
@@ -188,7 +204,16 @@ func (w *Writer) Abort() {
 	}
 	w.done = true
 	w.file.release(w.exts)
-	w.exts, w.buf = nil, nil
+	w.exts = nil
+	w.putBuf()
+}
+
+// putBuf returns the buffer to blockPool unless a huge row regrew it.
+func (w *Writer) putBuf() {
+	if cap(w.buf) == writeBlock {
+		blockPool.Put(w.buf)
+	}
+	w.buf = nil
 }
 
 // Run is a sealed sequence of Rows rows over Bytes encoded bytes, stored
@@ -217,7 +242,8 @@ func (r *Run) Drop() {
 
 // Reader iterates a run's rows in write order. Unread bytes sit in a
 // window refilled from the file a block at a time; a row larger than
-// the window grows it.
+// the window grows it. The window comes from a pool at the first read
+// and goes back at Close.
 type Reader struct {
 	run *Run
 	ext int   // extent being read
@@ -226,9 +252,17 @@ type Reader struct {
 	pos int // buf[pos:] is unread
 }
 
-// Rewind restarts the reader at the run's first row, keeping its buffer.
+// Rewind restarts the reader at the run's first row, keeping its window.
 func (r *Reader) Rewind() {
 	r.ext, r.off, r.buf, r.pos = 0, 0, r.buf[:0], 0
+}
+
+// Close returns the reader's window to the pool. The reader may be
+// rewound and read again afterwards, which takes a new window.
+// Idempotent.
+func (r *Reader) Close() {
+	blockPool.Put(r.buf)
+	r.buf, r.pos = nil, 0
 }
 
 // AppendNext decodes the next row's values onto dst and returns the
@@ -267,10 +301,13 @@ func (r *Reader) fill() (bool, error) {
 	if r.ext == len(exts) {
 		return false, nil
 	}
+	if r.buf == nil {
+		r.buf = blockPool.Get(BlockSize)[:0]
+	}
 	n := copy(r.buf, r.buf[r.pos:])
 	r.buf, r.pos = r.buf[:n], 0
 	if n == cap(r.buf) {
-		r.buf = append(make([]byte, 0, max(2*n, BlockSize)), r.buf...)
+		r.buf = blockPool.Grow(r.buf, 1)
 	}
 	e := exts[r.ext]
 	chunk := min(int64(cap(r.buf)-n), e.n-r.off)

@@ -387,3 +387,80 @@ func TestSweepStale(t *testing.T) {
 		t.Fatalf("aged sweep = (%d, %v); want (2, nil) [%s, %s]", n, err, fresh, mkOld)
 	}
 }
+
+// intRows is n two-column int rows, enough for several blocks.
+func intRows(n int) [][]relation.Value {
+	rows := make([][]relation.Value, n)
+	for i := range rows {
+		rows[i] = []relation.Value{relation.Int(int64(i) << 20), relation.Int(-int64(i))}
+	}
+	return rows
+}
+
+// readAll reads rd to the end of its run into one flat slice.
+func readAll(t *testing.T, rd *Reader) []relation.Value {
+	t.Helper()
+	var got []relation.Value
+	for {
+		var ok bool
+		var err error
+		if got, ok, err = rd.AppendNext(got); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			return got
+		}
+	}
+}
+
+// TestSpillReaderClose: Close gives the reader's window back and is
+// idempotent; a reader rewound after Close takes a new window and reads
+// the whole run again, and a Close mid-run loses nothing on the reread.
+func TestSpillReaderClose(t *testing.T) {
+	f := newFile(t, spillCtx(t, nil))
+	w := f.NewWriter()
+	rows := intRows(3000)
+	for _, row := range rows {
+		if err := w.Append(row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.Bytes <= 2*BlockSize {
+		t.Fatalf("run of %d bytes spans too few blocks", run.Bytes)
+	}
+	check := func(what string, got []relation.Value) {
+		t.Helper()
+		if len(got) != 2*len(rows) {
+			t.Fatalf("%s: %d values, want %d", what, len(got), 2*len(rows))
+		}
+		for i, row := range rows {
+			if !got[2*i].Identical(row[0]) || !got[2*i+1].Identical(row[1]) {
+				t.Fatalf("%s: row %d = %v, want %v", what, i, got[2*i:2*i+2], row)
+			}
+		}
+	}
+	rd := run.Open()
+	rd.Close() // before any read: nothing to give back
+	check("first read", readAll(t, rd))
+	rd.Close()
+	if rd.buf != nil {
+		t.Fatal("Close kept the window")
+	}
+	rd.Close()
+	rd.Rewind()
+	check("read after Close", readAll(t, rd))
+	rd.Rewind()
+	for i := 0; i < 1000; i++ {
+		if _, ok, err := rd.AppendNext(nil); !ok || err != nil {
+			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	rd.Close()
+	rd.Rewind()
+	check("reread after a Close mid-run", readAll(t, rd))
+	rd.Close()
+	run.Drop()
+}

@@ -97,17 +97,17 @@ func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
 		bc.Close()
 		return err
 	}
-	rel := relation.New(s.child.Scheme())
+	var col collected
 	var err error
 	for {
 		b, ok, nerr := bc.NextBatch()
 		if err = nerr; err != nil || !ok {
 			break
 		}
-		b.appendToRelation(rel)
+		col.add(b)
 		if err = s.held.chargeN(ec, "spool", int64(b.Len()), b.Bytes()); err != nil {
 			if spillable(ec, err) {
-				s.file, s.run, err = spillRest(ec, "spool", "shared rows", rel.RawRows(),
+				s.file, s.run, err = spillRest(ec, "spool", "shared rows", col.slabs,
 					func() { s.held.release(ec) }, bc)
 			}
 			break
@@ -116,17 +116,25 @@ func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
 	if cerr := bc.Close(); err == nil {
 		err = cerr
 	}
+	if err != nil || s.run != nil {
+		col.recycle()
+	} else {
+		s.table = storage.NewTable("spool", col.result(s.child.Scheme()))
+	}
 	if err != nil {
 		s.release()
-	} else if s.run == nil {
-		s.table = storage.NewTable("spool", rel)
 	}
 	return err
 }
 
-// release drops the rows, their charge and the spill file.
+// release drops the rows, their charge and the spill file. Every reader
+// is closed by then, and a reader's BatchScan copies the rows out, so
+// nothing reads the rows' slabs any more.
 func (s *Spool) release() {
 	s.held.release(s.ec)
+	if s.table != nil {
+		Recycle(s.table.Relation())
+	}
 	s.table, s.run = nil, nil
 	s.file.Close()
 	s.file = nil

@@ -15,11 +15,32 @@ import (
 type Relation struct {
 	scheme *Scheme
 	rows   [][]Value
+	slabs  [][]Value // the storage the rows are carved from, when the relation owns it
 }
 
 // New returns an empty relation over the scheme.
 func New(scheme *Scheme) *Relation {
 	return &Relation{scheme: scheme}
+}
+
+// Owning returns a relation over rows whose values live in slabs, and
+// which owns both lists and the slabs, so that Disown can hand them
+// back to whoever recycles them. The executor builds its results so.
+func Owning(scheme *Scheme, rows, slabs [][]Value) *Relation {
+	return &Relation{scheme: scheme, rows: rows, slabs: slabs}
+}
+
+// Disown empties a relation that Owning built and returns its row list
+// and slabs for the caller to recycle; no row read from the relation
+// before may be used afterwards. Any other relation may share its
+// storage, so it is left as it is and Disown returns nils.
+func (r *Relation) Disown() (rows, slabs [][]Value) {
+	if r == nil || r.slabs == nil {
+		return nil, nil
+	}
+	rows, slabs = r.rows, r.slabs
+	r.rows, r.slabs = nil, nil
+	return rows, slabs
 }
 
 // Scheme returns the relation's scheme.
@@ -33,9 +54,6 @@ func (r *Relation) Row(i int) Tuple { return Tuple{scheme: r.scheme, vals: r.row
 
 // RawRow returns the i-th row's value slice; callers must not modify it.
 func (r *Relation) RawRow(i int) []Value { return r.rows[i] }
-
-// RawRows returns every row without copying; callers must not modify them.
-func (r *Relation) RawRows() [][]Value { return r.rows }
 
 // Append adds a row; the arity must match the scheme.
 func (r *Relation) Append(vals ...Value) error {
@@ -134,14 +152,6 @@ func compareRows(a, b []Value) int {
 		}
 	}
 	return 0
-}
-
-// Grow makes room for n more rows, at least doubling the row list when
-// it reallocates (append regrows a large slice by only 1.25x).
-func (r *Relation) Grow(n int) {
-	if len(r.rows)+n > cap(r.rows) {
-		r.rows = slices.Grow(r.rows, max(n, len(r.rows)))
-	}
 }
 
 // EqualBag reports multiset equality of two relations. The schemes must

@@ -276,28 +276,6 @@ func TestJoinKeyEqualMatchesEncoding(t *testing.T) {
 	}
 }
 
-func TestGrowDoubles(t *testing.T) {
-	r := New(SchemeOf("R", "a"))
-	row := []Value{Int(1)}
-	grows := 0
-	for i := 0; i < 6000; i += 100 {
-		c := cap(r.rows)
-		r.Grow(100)
-		if cap(r.rows) != c {
-			grows++
-			if c > 0 && cap(r.rows) < 2*c {
-				t.Fatalf("Grow from cap %d to %d: want at least doubling", c, cap(r.rows))
-			}
-		}
-		for k := 0; k < 100; k++ {
-			r.AppendRaw(row)
-		}
-	}
-	if grows > 8 {
-		t.Errorf("6,000 rows took %d reallocations", grows)
-	}
-}
-
 // TestAppendTextAllocs: rendering into a buffer that is already large
 // enough allocates only the sort order and the column widths.
 func TestAppendTextAllocs(t *testing.T) {

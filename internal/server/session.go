@@ -193,8 +193,7 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 	case "tables":
 		return s.cmdTables()
 	case "query":
-		resp, _ := s.runQuery(ctx, "query "+rest, rest, false)
-		return resp
+		return served(s.runQuery(ctx, "query "+rest, rest, false))
 	case "explain":
 		return s.cmdExplain(ctx, rest)
 	case "prepare":
@@ -204,8 +203,7 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 		if !ok || rest == "" {
 			return errResp(CodeUsage, fmt.Errorf("no prepared query %q (use prepare NAME EXPR)", rest))
 		}
-		resp, _ := s.runQuery(ctx, "execute "+rest+": "+src, src, false)
-		return resp
+		return served(s.runQuery(ctx, "execute "+rest+": "+src, src, false))
 	case "set":
 		return s.cmdSet(rest)
 	case "stats":
@@ -213,6 +211,14 @@ func (s *Session) Exec(ctx context.Context, line string) Response {
 	default:
 		return errResp(CodeUnknownCommand, fmt.Errorf("unknown command %q (try help)", cmd))
 	}
+}
+
+// served ends a query command: the response carries the rendered rows,
+// so the result relation is done with and its slabs go back to the
+// executor's pools for the next result.
+func served(resp Response, out *relation.Relation) Response {
+	exec.Recycle(out)
+	return resp
 }
 
 func (s *Session) cmdTable(rest string) Response {
@@ -260,8 +266,7 @@ func (s *Session) cmdTables() Response {
 func (s *Session) cmdExplain(ctx context.Context, rest string) Response {
 	if src, ok := strings.CutPrefix(rest, "analyze "); ok {
 		src = strings.TrimSpace(src)
-		resp, _ := s.runQuery(ctx, "explain analyze "+src, src, true)
-		return resp
+		return served(s.runQuery(ctx, "explain analyze "+src, src, true))
 	}
 	if rest == "" || rest == "analyze" {
 		return errResp(CodeUsage, fmt.Errorf("usage: explain [analyze] EXPR"))
@@ -461,8 +466,9 @@ func batchSizeString(n int) string {
 // plan —, execute under the granted governor, release. With analyze the
 // execute step runs instrumented and the answer is the executed plan's
 // statistics ("explain analyze"), the partial tree on an abort. The
-// returned relation backs in-process correctness checks; protocol
-// clients read the rendered Output.
+// returned relation backs in-process correctness checks and is live
+// until its caller recycles it (Exec does, once Output is rendered);
+// protocol clients read the rendered Output.
 func (s *Session) runQuery(ctx context.Context, label, src string, analyze bool) (resp Response, outRel *relation.Relation) {
 	o := s.newOptimizer()
 	stmt := o.LookupStatement(src)
