@@ -53,7 +53,7 @@ deadcode:
 # Fault-injection and resource-governance suite; -count=2 shakes out
 # state reuse across re-Open (operators must fully reset).
 faults:
-	$(GO) test -count=2 -run 'Fault|ErrorPath|Cancelled|Deadline|MemoryBudget|Degradation|Governor|Leak|Collect' ./internal/exec ./internal/storage ./internal/resource ./internal/optimizer
+	$(GO) test -count=2 -run 'Fault|ErrorPath|Cancelled|Deadline|MemoryBudget|Degradation|Governor|Leak|Collect' ./internal/exec ./internal/resource ./internal/optimizer
 
 # Observability suite: the metrics registry and tracer, the span/stats
 # consistency property, concurrent scraping during concurrent joins, and

@@ -3,8 +3,9 @@
 // seed — drops connections at arbitrary byte offsets, leaves writes
 // half-done, stalls reads and writes, corrupts inbound protocol bytes,
 // and injects garbage that never frames into a valid line. It extends
-// the storage fault-injection philosophy (internal/storage.Fault) one
-// layer up, to the session and wire boundary: the server's contract is
+// the executor's fault-injection philosophy (the fault wrapper of
+// internal/exec's tests) up to the session and wire boundary: the
+// server's contract is
 // that under any of these faults every query still produces either the
 // correct bag or a clean typed error — never a hang, a leak, or a
 // crash — and the chaos soak drives that contract under load.

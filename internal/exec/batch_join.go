@@ -55,7 +55,6 @@ type BatchHashJoin struct {
 	mask   uint32
 
 	// Probe state.
-	bleft BatchIterator
 	lb    *Batch
 	lpos  int
 	ldone bool
@@ -70,7 +69,6 @@ type BatchHashJoin struct {
 	pendMatched bool
 
 	out *Batch
-	cur batchCursor
 
 	grace *graceJoin // set by a build trip (a sub-join's is set before it opens)
 }
@@ -146,7 +144,6 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 	h.closeGrace()     // ... and any stale spill state
 	h.grace = nil
 	h.ec = ec
-	h.cur.reset()
 	h.lb, h.lpos, h.ldone = nil, 0, false
 	h.pendRow, h.pendIdx, h.pendMatched = nil, -1, false
 	if err := ec.Err("hashjoin"); err != nil {
@@ -159,18 +156,15 @@ func (h *BatchHashJoin) Open(ec *ExecContext) error {
 // opens the left input; a memory trip degrades instead. Sub-joins of a
 // grace hash join start here, with their grace state already set.
 func (h *BatchHashJoin) open(ec *ExecContext) error {
-	size := resolveBatchSize(h.size)
-	h.out = ensureBatch(h.out, h.scheme, size)
-	h.bleft = Batching(h.left, size)
-	bright := Batching(h.right, size)
+	h.out = ensureBatch(h.out, h.scheme, resolveBatchSize(h.size))
 	if err := h.right.Open(ec); err != nil {
-		bright.Close()
+		h.right.Close()
 		return h.fallBack(ec, err)
 	}
 	for {
-		b, ok, err := bright.NextBatch()
+		b, ok, err := h.right.NextBatch()
 		if err != nil {
-			bright.Close()
+			h.right.Close()
 			h.resetBuild(ec)
 			return h.fallBack(ec, err)
 		}
@@ -180,15 +174,15 @@ func (h *BatchHashJoin) open(ec *ExecContext) error {
 		// Amortized accounting: one reservation per build batch.
 		if cerr := h.held.chargeN(ec, "hashjoin", int64(b.Len()), b.Bytes()); cerr != nil {
 			if spillable(ec, cerr) && (h.grace == nil || h.grace.depth < ec.Spill().Recursion()) {
-				return h.spill(ec, bright, b)
+				return h.spill(ec, b)
 			}
-			bright.Close()
+			h.right.Close()
 			h.resetBuild(ec)
 			return h.fallBack(ec, cerr)
 		}
 		h.appendBuild(b)
 	}
-	if err := bright.Close(); err != nil {
+	if err := h.right.Close(); err != nil {
 		h.resetBuild(ec)
 		return err
 	}
@@ -217,7 +211,7 @@ func (h *BatchHashJoin) fallBack(ec *ExecContext, err error) error {
 	}
 	ec.Governor().Note("hashjoin: memory budget trip, degraded to index strategy")
 	obs.GovernorDegradations.Inc()
-	h.trip().sub = Batching(fb, resolveBatchSize(h.size))
+	h.trip().sub = fb
 	return nil
 }
 
@@ -320,7 +314,7 @@ func (h *BatchHashJoin) chainHasMatch(lrow []relation.Value, hash uint32, idx in
 	return false
 }
 
-// NextBatch implements BatchIterator: the probe loop.
+// NextBatch implements Iterator: the probe loop.
 func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
 	if h.grace != nil && h.grace.tripped {
 		return h.graceBatch()
@@ -342,7 +336,7 @@ func (h *BatchHashJoin) NextBatch() (*Batch, bool, error) {
 			if h.ldone {
 				break
 			}
-			b, ok, err := h.bleft.NextBatch()
+			b, ok, err := h.left.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -431,11 +425,6 @@ func (h *BatchHashJoin) drainChain(out *Batch) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (h *BatchHashJoin) Next() ([]relation.Value, bool, error) {
-	return h.cur.next(h.NextBatch)
-}
-
 // resetBuild returns the arena and the index to their pools and the
 // arena's governor charge to the governor.
 func (h *BatchHashJoin) resetBuild(ec *ExecContext) {
@@ -475,13 +464,12 @@ func (h *BatchHashJoin) SpillInfo() SpillStats {
 // Close implements Iterator: the arena (and its charge) and any spill
 // state are released.
 func (h *BatchHashJoin) Close() error {
-	h.cur.reset()
 	h.out = releaseBatch(h.out)
 	h.lb, h.pendRow, h.pendIdx = nil, nil, -1
 	err := h.closeGrace()
 	h.resetBuild(h.ec)
 	h.chunks = nil
-	if lerr := closeLeft(h.left, h.bleft); err == nil {
+	if lerr := h.left.Close(); err == nil {
 		err = lerr
 	}
 	return err
@@ -499,9 +487,9 @@ type graceJoin struct {
 	file *spill.File // root only: every run of the operator
 	spst SpillStats  // root only
 
-	pairs []gracePair   // partition pairs still to join, next one last
-	cur   gracePair     // the pair sub is joining
-	sub   BatchIterator // the current pair's join, or the fallback
+	pairs []gracePair // partition pairs still to join, next one last
+	cur   gracePair   // the pair sub is joining
+	sub   Iterator    // the current pair's join, or the fallback
 }
 
 // gracePair is one partition: the build (r) and probe (l) rows whose
@@ -530,19 +518,19 @@ func (h *BatchHashJoin) trip() *graceJoin {
 // then the probe side is partitioned the same way, batch by batch,
 // leaving one pair of runs per partition for NextBatch to join. The
 // build child is never re-opened.
-func (h *BatchHashJoin) spill(ec *ExecContext, bright BatchIterator, b *Batch) error {
+func (h *BatchHashJoin) spill(ec *ExecContext, b *Batch) error {
 	g := h.trip()
 	if g.root.file == nil {
 		f, err := spill.Create(ec, "hashjoin")
 		if err != nil {
-			bright.Close()
+			h.right.Close()
 			h.resetBuild(ec)
 			return err
 		}
 		g.root.file = f
 	}
 	parts := ec.Spill().Fanout()
-	rruns, err := h.partitionBuild(bright, b, parts)
+	rruns, err := h.partitionBuild(b, parts)
 	h.resetBuild(ec) // the build rows now live on disk under the spill budget
 	var lruns []*spill.Run
 	if err == nil {
@@ -574,9 +562,9 @@ func (h *BatchHashJoin) spill(ec *ExecContext, bright BatchIterator, b *Batch) e
 }
 
 // partitionBuild writes the arena, the tripped batch b and the rest of
-// bright to the build partitions, closing bright. Null-key rows are
+// the right input to the build partitions, closing the right input. Null-key rows are
 // dropped: they never match.
-func (h *BatchHashJoin) partitionBuild(bright BatchIterator, b *Batch, parts int) ([]*spill.Run, error) {
+func (h *BatchHashJoin) partitionBuild(b *Batch, parts int) ([]*spill.Run, error) {
 	p := h.newPartitioner(h.rkeys, parts)
 	err := func() error {
 		for _, chunk := range h.chunks {
@@ -597,12 +585,12 @@ func (h *BatchHashJoin) partitionBuild(bright BatchIterator, b *Batch, parts int
 			}
 			var ok bool
 			var err error
-			if b, ok, err = bright.NextBatch(); err != nil || !ok {
+			if b, ok, err = h.right.NextBatch(); err != nil || !ok {
 				return err
 			}
 		}
 	}()
-	if cerr := bright.Close(); err == nil {
+	if cerr := h.right.Close(); err == nil {
 		err = cerr
 	}
 	return p.finish(err)
@@ -620,7 +608,7 @@ func (h *BatchHashJoin) partitionProbe(ec *ExecContext, parts int) ([]*spill.Run
 	keepNull := h.mode == LeftOuterMode || h.mode == AntiMode
 	err := func() error {
 		for {
-			b, ok, err := h.bleft.NextBatch()
+			b, ok, err := h.left.NextBatch()
 			if err != nil || !ok {
 				return err
 			}
@@ -637,7 +625,7 @@ func (h *BatchHashJoin) partitionProbe(ec *ExecContext, parts int) ([]*spill.Run
 			}
 		}
 	}()
-	if cerr := h.bleft.Close(); err == nil {
+	if cerr := h.left.Close(); err == nil {
 		err = cerr
 	}
 	return p.finish(err)
@@ -817,7 +805,6 @@ type runScan struct {
 	size   int
 	rd     *spill.Reader
 	out    *Batch
-	cur    batchCursor
 }
 
 func (s *runScan) Scheme() *relation.Scheme { return s.scheme }
@@ -829,7 +816,6 @@ func (s *runScan) Open(ec *ExecContext) error {
 		s.rd.Rewind()
 	}
 	s.out = ensureBatch(s.out, s.scheme, s.size)
-	s.cur.reset()
 	return nil
 }
 
@@ -856,8 +842,6 @@ func (s *runScan) NextBatch() (*Batch, bool, error) {
 	}
 	return b, true, nil
 }
-
-func (s *runScan) Next() ([]relation.Value, bool, error) { return s.cur.next(s.NextBatch) }
 
 func (s *runScan) Close() error {
 	s.out = releaseBatch(s.out)
@@ -900,9 +884,6 @@ type BatchSemiReduce struct {
 	chain  []int32
 	mask   uint32
 
-	bleft BatchIterator
-	cur   batchCursor
-
 	nl *BatchNestedLoopJoin // serves the semijoin after a memory trip
 }
 
@@ -936,22 +917,18 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		s.nl.Close()
 		s.nl = nil
 	}
-	s.cur.reset()
 	if err := ec.Err("semireduce"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(s.size)
-	s.bleft = Batching(s.left, size)
-	bright := Batching(s.right, size)
 	if err := s.right.Open(ec); err != nil {
-		bright.Close()
+		s.right.Close()
 		return err
 	}
 	s.rehash(16)
 	for {
-		b, ok, err := bright.NextBatch()
+		b, ok, err := s.right.NextBatch()
 		if err != nil {
-			bright.Close()
+			s.right.Close()
 			s.resetKeys(ec)
 			return err
 		}
@@ -961,7 +938,7 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 		newRows, newBytes := s.insertBatch(b)
 		// Charge only the retained (newly distinct) keys, once per batch.
 		if cerr := s.held.chargeN(ec, "semireduce", newRows, newBytes); cerr != nil {
-			bright.Close()
+			s.right.Close()
 			s.resetKeys(ec)
 			if !spillable(ec, cerr) {
 				return cerr
@@ -969,7 +946,7 @@ func (s *BatchSemiReduce) Open(ec *ExecContext) error {
 			return s.spill(ec)
 		}
 	}
-	if err := bright.Close(); err != nil {
+	if err := s.right.Close(); err != nil {
 		s.resetKeys(ec)
 		return err
 	}
@@ -1067,7 +1044,7 @@ func (s *BatchSemiReduce) insertBatch(b *Batch) (rows, bytes int64) {
 	return rows, bytes
 }
 
-// NextBatch implements BatchIterator: left batches compacted in place.
+// NextBatch implements Iterator: left batches compacted in place.
 func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 	if s.nl != nil {
 		return s.nl.NextBatch()
@@ -1076,7 +1053,7 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 		return nil, false, err
 	}
 	for {
-		b, ok, err := s.bleft.NextBatch()
+		b, ok, err := s.left.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -1101,11 +1078,6 @@ func (s *BatchSemiReduce) NextBatch() (*Batch, bool, error) {
 		obs.SemiReduceOutputRows.Add(int64(keep))
 		return b, true, nil
 	}
-}
-
-// Next implements Iterator through the batch cursor.
-func (s *BatchSemiReduce) Next() ([]relation.Value, bool, error) {
-	return s.cur.next(s.NextBatch)
 }
 
 // resetKeys returns the key set to its pools and its charge to the
@@ -1140,10 +1112,9 @@ func (s *BatchSemiReduce) SpillInfo() SpillStats {
 // Close implements Iterator: the key set (and its charge) is released.
 // After a trip the nested-loop join owns both children.
 func (s *BatchSemiReduce) Close() error {
-	s.cur.reset()
 	if s.nl != nil {
 		return s.nl.Close()
 	}
 	s.resetKeys(s.ec)
-	return closeLeft(s.left, s.bleft)
+	return s.left.Close()
 }

@@ -27,25 +27,42 @@ func ensureBatch(out *Batch, scheme *relation.Scheme, size int) *Batch {
 	return out
 }
 
-// BatchScan is Scan a batch at a time: each NextBatch copies up to size
-// base-table rows into a reused slab, with one error check and one
-// counter update per batch instead of per row.
+// BatchScan scans a table a batch at a time: each NextBatch copies up
+// to size rows into a reused slab, with one error check and one counter
+// update per batch. An index scan (NewBatchIndexScan) reads only the
+// rows a hash index lists for one value. Each fetched row counts as one
+// retrieved tuple.
 type BatchScan struct {
-	table    *storage.Table
-	counters *Counters
-	size     int
+	table     *storage.Table
+	counters  *Counters
+	size      int
+	positions []int // an index scan's row positions (non-nil); nil for a full scan
 
-	ec   *ExecContext
-	pos  int
-	rows int
-	out  *Batch
-	cur  batchCursor
+	ec        *ExecContext
+	pos, rows int
+	out       *Batch
 }
 
 // NewBatchScan returns a batched full-table scan; size <= 0 means
-// DefaultBatchSize (or the execution context's override).
+// DefaultBatchSize.
 func NewBatchScan(t *storage.Table, c *Counters, size int) *BatchScan {
 	return &BatchScan{table: t, counters: c, size: size}
+}
+
+// NewBatchIndexScan returns a batched scan of the rows of t whose column
+// col equals v, looked up once in t's hash index on col — the access
+// path a pushed-down equality restriction earns when the column is
+// indexed.
+func NewBatchIndexScan(t *storage.Table, col string, v relation.Value, c *Counters, size int) (*BatchScan, error) {
+	idx, ok := t.HashIndexOn(col)
+	if !ok {
+		return nil, fmt.Errorf("exec: table %s has no hash index on %s", t.Name(), col)
+	}
+	positions := idx.Lookup(v)
+	if positions == nil {
+		positions = []int{} // a miss is still an index scan
+	}
+	return &BatchScan{table: t, counters: c, size: size, positions: positions}, nil
 }
 
 // Scheme implements Iterator.
@@ -55,13 +72,15 @@ func (s *BatchScan) Scheme() *relation.Scheme { return s.table.Scheme() }
 func (s *BatchScan) Open(ec *ExecContext) error {
 	s.ec = ec
 	s.pos = 0
-	s.rows = s.table.Relation().Len()
-	s.out = ensureBatch(s.out, s.table.Scheme(), resolveBatchSize(s.size))
-	s.cur.reset()
+	if s.positions != nil {
+		s.rows = len(s.positions)
+	} else {
+		s.rows = s.table.Relation().Len()
+	}
 	return ec.Err("scan")
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (s *BatchScan) NextBatch() (*Batch, bool, error) {
 	if err := s.ec.Err("scan"); err != nil {
 		return nil, false, err
@@ -69,28 +88,27 @@ func (s *BatchScan) NextBatch() (*Batch, bool, error) {
 	if s.pos >= s.rows {
 		return nil, false, nil
 	}
-	s.out.Reset()
+	// The slab is taken at the first batch, not at Open: opening a
+	// scan (a join's probe side, opened as its build ends) takes none.
+	s.out = ensureBatch(s.out, s.table.Scheme(), resolveBatchSize(s.size))
 	rel := s.table.Relation()
-	n := s.out.Cap()
-	if left := s.rows - s.pos; left < n {
-		n = left
-	}
-	for i := 0; i < n; i++ {
-		s.out.AppendRow(rel.RawRow(s.pos + i))
+	n := min(s.out.Cap(), s.rows-s.pos)
+	if s.positions != nil {
+		for _, p := range s.positions[s.pos : s.pos+n] {
+			s.out.AppendRow(rel.RawRow(p))
+		}
+	} else {
+		for i := 0; i < n; i++ {
+			s.out.AppendRow(rel.RawRow(s.pos + i))
+		}
 	}
 	s.pos += n
 	s.counters.AddTuples(int64(n))
 	return s.out, true, nil
 }
 
-// Next implements Iterator through the batch cursor.
-func (s *BatchScan) Next() ([]relation.Value, bool, error) {
-	return s.cur.next(s.NextBatch)
-}
-
 // Close implements Iterator.
 func (s *BatchScan) Close() error {
-	s.cur.reset()
 	s.out = releaseBatch(s.out)
 	return nil
 }
@@ -102,20 +120,15 @@ func (s *BatchScan) Close() error {
 type BatchFilter struct {
 	child Iterator
 	bound predicate.Bound
-	size  int
-
-	bchild BatchIterator
-	cur    batchCursor
 }
 
-// NewBatchFilter compiles p against the child's scheme; size <= 0 means
-// DefaultBatchSize for the adapter when the child is row-at-a-time.
-func NewBatchFilter(child Iterator, p predicate.Predicate, size int) (*BatchFilter, error) {
+// NewBatchFilter compiles p against the child's scheme.
+func NewBatchFilter(child Iterator, p predicate.Predicate) (*BatchFilter, error) {
 	b, err := predicate.Bind(p, child.Scheme())
 	if err != nil {
 		return nil, fmt.Errorf("exec: filter: %w", err)
 	}
-	return &BatchFilter{child: child, bound: b, size: size}, nil
+	return &BatchFilter{child: child, bound: b}, nil
 }
 
 // Scheme implements Iterator.
@@ -126,15 +139,13 @@ func (f *BatchFilter) Open(ec *ExecContext) error {
 	if err := ec.Err("filter"); err != nil {
 		return err
 	}
-	f.bchild = Batching(f.child, resolveBatchSize(f.size))
-	f.cur.reset()
 	return f.child.Open(ec)
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
 	for {
-		b, ok, err := f.bchild.NextBatch()
+		b, ok, err := f.child.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -153,13 +164,5 @@ func (f *BatchFilter) NextBatch() (*Batch, bool, error) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (f *BatchFilter) Next() ([]relation.Value, bool, error) {
-	return f.cur.next(f.NextBatch)
-}
-
 // Close implements Iterator.
-func (f *BatchFilter) Close() error {
-	f.cur.reset()
-	return f.child.Close()
-}
+func (f *BatchFilter) Close() error { return f.child.Close() }

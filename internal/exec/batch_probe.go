@@ -31,7 +31,6 @@ type BatchIndexJoin struct {
 	size     int
 
 	ec      *ExecContext
-	bleft   BatchIterator
 	lb      *Batch
 	lpos    int
 	ldone   bool
@@ -51,7 +50,6 @@ type BatchIndexJoin struct {
 	useSpans bool
 
 	out *Batch
-	cur batchCursor
 }
 
 // NewBatchIndexJoin probes inner's hash index on idxCol with the value
@@ -97,13 +95,10 @@ func (j *BatchIndexJoin) Open(ec *ExecContext) error {
 	if err := ec.Err("indexjoin"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(j.size)
-	j.out = ensureBatch(j.out, j.scheme, size)
-	j.bleft = Batching(j.left, size)
+	j.out = ensureBatch(j.out, j.scheme, resolveBatchSize(j.size))
 	j.lb, j.lpos, j.ldone = nil, 0, false
 	j.pendRow, j.pendPositions, j.pendPos = nil, nil, 0
 	j.fetched = 0
-	j.cur.reset()
 	return j.left.Open(ec)
 }
 
@@ -119,7 +114,7 @@ func (j *BatchIndexJoin) residualHolds(lrow, irow []relation.Value) bool {
 	return j.residual.Holds(crow)
 }
 
-// NextBatch implements BatchIterator, flushing the amortized
+// NextBatch implements Iterator, flushing the amortized
 // retrieved-tuple count once per batch.
 func (j *BatchIndexJoin) NextBatch() (*Batch, bool, error) {
 	b, ok, err := j.nextBatch()
@@ -148,7 +143,7 @@ func (j *BatchIndexJoin) nextBatch() (*Batch, bool, error) {
 			if j.ldone {
 				break
 			}
-			b, ok, err := j.bleft.NextBatch()
+			b, ok, err := j.left.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -241,17 +236,11 @@ func (j *BatchIndexJoin) drainPend(out *Batch) {
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (j *BatchIndexJoin) Next() ([]relation.Value, bool, error) {
-	return j.cur.next(j.NextBatch)
-}
-
 // Close implements Iterator.
 func (j *BatchIndexJoin) Close() error {
-	j.cur.reset()
 	j.out = releaseBatch(j.out)
 	j.lb, j.pendRow, j.pendPositions = nil, nil, nil
-	return closeLeft(j.left, j.bleft)
+	return j.left.Close()
 }
 
 // BatchNestedLoopJoin joins on an arbitrary predicate. The right input
@@ -291,7 +280,6 @@ type BatchNestedLoopJoin struct {
 	chunks []nlChunk
 	rrows  int
 
-	bleft BatchIterator
 	lb    *Batch
 	next  *Batch // a left batch the Open-time peek read past, probed after lb
 	lpos  int
@@ -317,7 +305,6 @@ type BatchNestedLoopJoin struct {
 	first     *Batch
 	sdone     bool
 	smatched  bool
-	bright    BatchIterator
 	rightOpen bool
 	srb       *Batch // right batch suspended mid-emission
 	srpos     int
@@ -337,7 +324,6 @@ type BatchNestedLoopJoin struct {
 	spst     SpillStats
 
 	out *Batch
-	cur batchCursor
 }
 
 // NewBatchNestedLoopJoin builds a nested-loop join with predicate p. sch
@@ -382,7 +368,6 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 		n.right.Close()
 	}
 	n.ec = ec
-	n.cur.reset()
 	n.lb, n.next, n.lpos, n.ldone = nil, nil, 0, false
 	n.pendRow, n.pendChunk, n.pendOff, n.pendMatched = nil, 0, 0, false
 	n.stream, n.sdone, n.smatched = false, false, false
@@ -391,10 +376,7 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 	if err := ec.Err("nestedloop"); err != nil {
 		return err
 	}
-	size := resolveBatchSize(n.size)
-	n.out = ensureBatch(n.out, n.scheme, size)
-	n.bleft = Batching(n.left, size)
-	n.bright = Batching(n.right, size)
+	n.out = ensureBatch(n.out, n.scheme, resolveBatchSize(n.size))
 	if err := n.left.Open(ec); err != nil {
 		return err
 	}
@@ -436,7 +418,7 @@ func (n *BatchNestedLoopJoin) Open(ec *ExecContext) error {
 // pullLeft reads the next left batch, counting its rows into the
 // reduction counters in SemiMode.
 func (n *BatchNestedLoopJoin) pullLeft() (*Batch, bool, error) {
-	b, ok, err := n.bleft.NextBatch()
+	b, ok, err := n.left.NextBatch()
 	if ok && n.mode == SemiMode {
 		obs.SemiReduceInputRows.Add(int64(b.Len()))
 	}
@@ -473,7 +455,7 @@ func (n *BatchNestedLoopJoin) buildRight(ec *ExecContext) error {
 		return err
 	}
 	for {
-		b, ok, err := n.bright.NextBatch()
+		b, ok, err := n.right.NextBatch()
 		if err != nil {
 			n.right.Close()
 			n.resetBuild(ec)
@@ -522,7 +504,7 @@ func (n *BatchNestedLoopJoin) spill(ec *ExecContext, b *Batch) error {
 			held = append(held, ch.vals)
 		}
 		f, r, err := spillRest(ec, "nestedloop", "inner input", append(held, b.vals),
-			func() { n.resetBuild(ec) }, n.bright)
+			func() { n.resetBuild(ec) }, n.right)
 		if err != nil {
 			return err
 		}
@@ -566,7 +548,7 @@ type nlChunk struct {
 	rows int
 }
 
-// NextBatch implements BatchIterator: the probe loop.
+// NextBatch implements Iterator: the probe loop.
 func (n *BatchNestedLoopJoin) NextBatch() (*Batch, bool, error) {
 	b, ok, err := n.nextBatch()
 	if ok && n.mode == SemiMode {
@@ -742,7 +724,7 @@ func (n *BatchNestedLoopJoin) streamBatch() (*Batch, bool, error) {
 	}
 	for {
 		if n.srb == nil || n.srpos >= n.srb.Len() {
-			b, ok, err := n.bright.NextBatch()
+			b, ok, err := n.right.NextBatch()
 			if err != nil {
 				return nil, false, err
 			}
@@ -900,11 +882,6 @@ scan:
 	}
 }
 
-// Next implements Iterator through the batch cursor.
-func (n *BatchNestedLoopJoin) Next() ([]relation.Value, bool, error) {
-	return n.cur.next(n.NextBatch)
-}
-
 // resetBuild returns the chunks to their pool and their charge to the
 // governor.
 func (n *BatchNestedLoopJoin) resetBuild(ec *ExecContext) {
@@ -927,7 +904,6 @@ func (n *BatchNestedLoopJoin) SpillInfo() SpillStats { return n.spst }
 // Close implements Iterator: the slab (and its charge) or the spill run
 // is released.
 func (n *BatchNestedLoopJoin) Close() error {
-	n.cur.reset()
 	n.out = releaseBatch(n.out)
 	n.first = releaseBatch(n.first)
 	n.lb, n.next, n.pendRow, n.srb = nil, nil, nil, nil
@@ -939,7 +915,7 @@ func (n *BatchNestedLoopJoin) Close() error {
 	n.resetBuild(n.ec)
 	n.chunks = nil
 	n.dropRun()
-	lerr := closeLeft(n.left, n.bleft)
+	lerr := n.left.Close()
 	if rerr != nil {
 		return rerr
 	}

@@ -6,11 +6,10 @@ import (
 
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
-// Unit coverage for the batch layer itself: the null bitmap, the
-// row/batch adapter round-trip, boundary batch sizes, the hash join's
+// Unit coverage for the batch layer itself: the null bitmap, boundary
+// batch sizes, the hash join's
 // in-place spill, and the single-row stream mode of the nested-loop
 // join — with regression tests for the nested-loop join's spill
 // lifecycle (re-Open without Close dropping the stale run, and the
@@ -61,26 +60,20 @@ func TestBatchNullBitmap(t *testing.T) {
 	}
 }
 
-// TestBatchingAdapterRoundTrip drains the same input through the row
-// interface, the batch adapter, and a batch operator's row cursor, and
-// requires identical bags at awkward batch sizes (1, a non-divisor of
-// the input length, and one larger than the whole input).
-func TestBatchingAdapterRoundTrip(t *testing.T) {
+// TestBatchScanBoundarySizes drains a table through BatchScan at awkward
+// batch sizes (1, a non-divisor of the input length, and one larger
+// than the whole input): every batch holds 1..size rows and the bag is
+// the table's.
+func TestBatchScanBoundarySizes(t *testing.T) {
 	rt, _ := contractTables(t)
-	ref, err := Collect(NewRelationScan(rt.Relation()), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, size := range []int{1, 2, 3, 100} {
-		// Row child behind the adapter, drained by batches.
-		var c Counters
-		a := Batching(NewRelationScan(rt.Relation()), size)
-		if err := a.Open(nil); err != nil {
+		s := NewBatchScan(rt, nil, size)
+		if err := s.Open(nil); err != nil {
 			t.Fatal(err)
 		}
 		var col collected
 		for {
-			b, ok, err := a.NextBatch()
+			b, ok, err := s.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,21 +85,12 @@ func TestBatchingAdapterRoundTrip(t *testing.T) {
 			}
 			col.add(b)
 		}
-		got := col.result(a.Scheme())
-		if err := a.Close(); err != nil {
+		got := col.result(s.Scheme())
+		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if !got.EqualBag(ref) {
-			t.Errorf("size %d: adapter bag differs (%d rows, want %d)", size, got.Len(), ref.Len())
-		}
-
-		// Batch operator drained row by row through its cursor.
-		rows, err := Collect(NewBatchScan(rt, &c, size), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rows.EqualBag(ref) {
-			t.Errorf("size %d: BatchScan row cursor bag differs", size)
+		if !got.EqualBag(rt.Relation()) {
+			t.Errorf("size %d: scan bag differs (%d rows, want %d)", size, got.Len(), rt.Relation().Len())
 		}
 	}
 }
@@ -134,7 +118,7 @@ func TestBatchHashJoinTripSpills(t *testing.T) {
 		t.Fatal("join produced no rows")
 	}
 
-	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
+	rf := faultScan(st, Fault{}, 2)
 	h := mk(rf)
 	ec, gov, dir := spillCtx(t, 150)
 	got, err := CollectCtx(ec, h, nil)
@@ -261,7 +245,7 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 	if err := n.Open(ec); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := n.Next(); err != nil {
+	if _, _, err := n.NextBatch(); err != nil {
 		t.Fatal(err)
 	}
 	if !n.SpillInfo().Spilled() {
@@ -273,7 +257,7 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for {
-		_, ok, err := n.Next()
+		_, ok, err := n.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +278,8 @@ func TestBatchReopenDropsStaleSpill(t *testing.T) {
 // counters).
 func TestBatchPeekThenSpillBalancesChildren(t *testing.T) {
 	rt, st := contractTables(t)
-	lf := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
-	rf := storage.NewFaultTable(st, storage.Fault{}).Iterator()
+	lf := faultScan(rt, Fault{}, 2)
+	rf := faultScan(st, Fault{}, 2)
 	n, err := NewBatchNestedLoopJoin(lf, rf,
 		predicate.Eq(relation.A("R", "k"), relation.A("S", "k")), InnerMode, nil, 2)
 	if err != nil {
@@ -308,7 +292,7 @@ func TestBatchPeekThenSpillBalancesChildren(t *testing.T) {
 	if !n.SpillInfo().Spilled() {
 		t.Fatal("96-byte budget did not force the spill")
 	}
-	for name, f := range map[string]*storage.FaultIterator{"left": lf, "right": rf} {
+	for name, f := range map[string]*FaultIterator{"left": lf, "right": rf} {
 		if f.OpenCalls != 1 || !f.Balanced() {
 			t.Errorf("%s child: opens=%d closes=%d, want one balanced open", name, f.OpenCalls, f.CloseCalls)
 		}

@@ -42,7 +42,7 @@ func contractCases(t *testing.T, rt, st *storage.Table, c *Counters) map[string]
 	for name, oc := range reg {
 		oc := oc
 		cases[name] = func() Iterator {
-			ch, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			ch, _ := buildChildren(rt, st, oc, -1, Fault{})
 			return oc.build(t, ch)
 		}
 	}
@@ -57,18 +57,20 @@ func drainBag(t *testing.T, it Iterator) *relation.Relation {
 	}
 	out := relation.New(it.Scheme())
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		// The ownership contract says row is only valid until the next
-		// Next/Close; retaining it across calls requires a copy. (The
-		// batch evaluators really do reuse the backing slab, so aliasing
-		// here corrupts the drained bag.)
-		out.AppendRaw(slices.Clone(row))
+		// The ownership contract says a batch is only valid until the
+		// next NextBatch/Close; retaining its rows across calls requires
+		// a copy. (The operators really do reuse their slabs, so
+		// aliasing here corrupts the drained bag.)
+		for i := 0; i < b.Len(); i++ {
+			out.AppendRaw(slices.Clone(b.Row(i)))
+		}
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)

@@ -24,6 +24,13 @@ func randRel(rnd *rand.Rand, name string, n int) *relation.Relation {
 	return r
 }
 
+// NewRelationScan scans an in-memory relation the way a spool scans its
+// rows: a BatchScan at the default batch size over a table no catalog
+// holds, counting no retrieved tuples.
+func NewRelationScan(rel *relation.Relation) *BatchScan {
+	return NewBatchScan(storage.NewTable("relation", rel), nil, 0)
+}
+
 func scanOf(t *testing.T, name string, rel *relation.Relation, c *Counters) (*BatchScan, *storage.Table) {
 	t.Helper()
 	tb := storage.NewTable(name, rel)
@@ -72,34 +79,41 @@ func TestScanAndCollect(t *testing.T) {
 
 func TestIndexScan(t *testing.T) {
 	rel := relation.FromRows("R", []string{"k", "v"},
-		[]any{1, "a"}, []any{2, "b"}, []any{2, "c"}, []any{nil, "d"})
+		[]any{1, "a"}, []any{2, "b"}, []any{2, "c"}, []any{nil, "d"}, []any{2, "e"})
 	tb := storage.NewTable("R", rel)
-	if _, err := NewIndexScan(tb, "k", relation.Int(2), nil); err == nil {
+	if _, err := NewBatchIndexScan(tb, "k", relation.Int(2), nil, 0); err == nil {
 		t.Fatal("missing index must fail")
 	}
 	if _, err := tb.BuildHashIndex("k"); err != nil {
 		t.Fatal(err)
 	}
-	var c Counters
-	is, err := NewIndexScan(tb, "k", relation.Int(2), &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Collect(is, &c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 || c.TuplesRetrieved() != 2 {
-		t.Fatalf("rows=%d retrieved=%d", out.Len(), c.TuplesRetrieved())
+	for _, size := range hashJoinSizes {
+		var c Counters
+		is, err := NewBatchIndexScan(tb, "k", relation.Int(2), &c, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := Collect(is, &c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != 3 || c.TuplesRetrieved() != 3 {
+			t.Fatalf("size %d: rows=%d retrieved=%d, want 3 and 3", size, out.Len(), c.TuplesRetrieved())
+		}
+		want, _ := algebra.Restrict(rel, predicate.Cmp(predicate.EqOp,
+			predicate.Col(relation.A("R", "k")), predicate.Const(relation.Int(2))))
+		if !out.EqualBag(want) {
+			t.Errorf("size %d: index scan bag\n%vwant\n%v", size, out, want)
+		}
 	}
 	// Miss.
-	is2, _ := NewIndexScan(tb, "k", relation.Int(99), nil)
+	is2, _ := NewBatchIndexScan(tb, "k", relation.Int(99), nil, 0)
 	out2, _ := Collect(is2, nil)
 	if out2.Len() != 0 {
 		t.Error("miss must return no rows")
 	}
 	// Null key never matches.
-	is3, _ := NewIndexScan(tb, "k", relation.Null(), nil)
+	is3, _ := NewBatchIndexScan(tb, "k", relation.Null(), nil, 0)
 	out3, _ := Collect(is3, nil)
 	if out3.Len() != 0 {
 		t.Error("null key must return no rows")
@@ -110,7 +124,7 @@ func TestFilter(t *testing.T) {
 	rel := relation.FromRows("R", []string{"k", "v"}, []any{1, 2}, []any{3, 4}, []any{nil, 9})
 	s, _ := scanOf(t, "R", rel, nil)
 	p := predicate.Cmp(predicate.GtOp, predicate.Col(relation.A("R", "k")), predicate.Const(relation.Int(1)))
-	f, err := NewBatchFilter(s, p, 0)
+	f, err := NewBatchFilter(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +137,7 @@ func TestFilter(t *testing.T) {
 		t.Errorf("filter mismatch:\n%v\nvs\n%v", out, want)
 	}
 	s2, _ := scanOf(t, "R", rel, nil)
-	if _, err := NewBatchFilter(s2, predicate.NewIsNull(relation.A("Z", "z")), 0); err == nil {
+	if _, err := NewBatchFilter(s2, predicate.NewIsNull(relation.A("Z", "z"))); err == nil {
 		t.Error("unbindable filter must fail")
 	}
 }

@@ -11,6 +11,7 @@ import (
 // hash join over the equi-keys that additionally tracks which distinct
 // S-projections of the left input appeared in at least one join row; at
 // end-of-stream the missing projections are emitted padded with nulls.
+// Both inputs are read and the output emitted a batch at a time.
 type HashGOJ struct {
 	left, right Iterator
 	scheme      *relation.Scheme
@@ -18,23 +19,28 @@ type HashGOJ struct {
 	rkeys       []int
 	spos        []int // S columns within the left scheme
 	soutPos     []int // S columns within the output scheme
-	mode        JoinMode
+	size        int
 
 	ec        *ExecContext
 	held      hold
-	table     map[string][][]relation.Value
+	table     map[string][][]relation.Value // build rows by join key, copied out of the right batches
 	tableRows int
 	matched   map[string]struct{}         // S-projections seen in join rows
 	all       map[string][]relation.Value // every distinct S-projection of the left input
 	order     []string                    // first-seen order of S-projections
-	pending   [][]relation.Value
-	tail      int  // index into order while draining unmatched projections
-	drained   bool // left input exhausted
+	lb        *Batch
+	lpos      int
+	pendRow   []relation.Value   // the left row whose matches are being emitted
+	pend      [][]relation.Value // its matches still to emit
+	pad       []relation.Value   // scratch null-padded output row
+	tail      int                // index into order while draining unmatched projections
+	drained   bool               // left input exhausted
+	out       *Batch
 }
 
 // NewHashGOJ builds the operator. s must be attributes of the left
-// scheme.
-func NewHashGOJ(left, right Iterator, leftKeys, rightKeys []relation.Attr, s []relation.Attr) (*HashGOJ, error) {
+// scheme; size <= 0 means DefaultBatchSize.
+func NewHashGOJ(left, right Iterator, leftKeys, rightKeys []relation.Attr, s []relation.Attr, size int) (*HashGOJ, error) {
 	if len(leftKeys) != len(rightKeys) || len(leftKeys) == 0 {
 		return nil, fmt.Errorf("exec: hash GOJ needs matching non-empty key lists")
 	}
@@ -42,7 +48,7 @@ func NewHashGOJ(left, right Iterator, leftKeys, rightKeys []relation.Attr, s []r
 	if err != nil {
 		return nil, fmt.Errorf("exec: GOJ schemes overlap: %w", err)
 	}
-	g := &HashGOJ{left: left, right: right, scheme: sch, mode: InnerMode}
+	g := &HashGOJ{left: left, right: right, scheme: sch, size: size}
 	for _, a := range leftKeys {
 		p := left.Scheme().IndexOf(a)
 		if p < 0 {
@@ -71,46 +77,73 @@ func NewHashGOJ(left, right Iterator, leftKeys, rightKeys []relation.Attr, s []r
 // Scheme implements Iterator.
 func (g *HashGOJ) Scheme() *relation.Scheme { return g.scheme }
 
-// Open implements Iterator.
+// Open implements Iterator: drains the right input into the hash table,
+// charging each batch, then opens the left input.
 func (g *HashGOJ) Open(ec *ExecContext) error {
 	g.held.release(g.ec) // re-Open without Close: drop any stale charge
 	g.ec = ec
 	if err := ec.Err("goj"); err != nil {
 		return err
 	}
-	rows, err := materialize(g.right, ec, "goj", &g.held)
-	if err != nil {
+	if err := g.build(ec); err != nil {
+		g.table, g.tableRows = nil, 0
 		g.held.release(ec)
 		return err
-	}
-	g.table = make(map[string][][]relation.Value, len(rows))
-	g.tableRows = 0
-	var buf []byte
-build:
-	for _, row := range rows {
-		buf = buf[:0]
-		for _, k := range g.rkeys {
-			if row[k].IsNull() {
-				continue build
-			}
-			buf = relation.AppendJoinKey(buf, row[k])
-		}
-		g.table[string(buf)] = append(g.table[string(buf)], row)
-		g.tableRows++
 	}
 	g.matched = map[string]struct{}{}
 	g.all = map[string][]relation.Value{}
 	g.order = nil
-	g.pending = nil
+	g.lb, g.lpos, g.pendRow, g.pend = nil, 0, nil, nil
 	g.tail = 0
 	g.drained = false
+	g.out = ensureBatch(g.out, g.scheme, resolveBatchSize(g.size))
 	if err := g.left.Open(ec); err != nil {
-		g.table = nil
-		g.tableRows = 0
+		g.table, g.tableRows = nil, 0
 		g.held.release(ec)
 		return err
 	}
 	return nil
+}
+
+// build drains the right input into the hash table, closing it. Each
+// batch's rows are copied into one slab the table's rows are views of.
+func (g *HashGOJ) build(ec *ExecContext) error {
+	if err := g.right.Open(ec); err != nil {
+		g.right.Close()
+		return err
+	}
+	g.table = map[string][][]relation.Value{}
+	g.tableRows = 0
+	var buf []byte
+	for {
+		b, ok, err := g.right.NextBatch()
+		if err == nil && ok {
+			err = g.held.chargeN(ec, "goj", int64(b.Len()), b.Bytes())
+		}
+		if err != nil {
+			g.right.Close()
+			return err
+		}
+		if !ok {
+			break
+		}
+		slab := append([]relation.Value(nil), b.vals...)
+		w := b.width
+	rows:
+		for off := 0; off < len(slab); off += w {
+			row := slab[off : off+w : off+w]
+			buf = buf[:0]
+			for _, k := range g.rkeys {
+				if row[k].IsNull() {
+					continue rows
+				}
+				buf = relation.AppendJoinKey(buf, row[k])
+			}
+			g.table[string(buf)] = append(g.table[string(buf)], row)
+			g.tableRows++
+		}
+	}
+	return g.right.Close()
 }
 
 // sKey computes the duplicate-free S-projection key of a left row.
@@ -122,80 +155,108 @@ func (g *HashGOJ) sKey(lrow []relation.Value) string {
 	return string(buf)
 }
 
-// Next implements Iterator.
-func (g *HashGOJ) Next() ([]relation.Value, bool, error) {
-	for {
-		if len(g.pending) > 0 {
-			out := g.pending[0]
-			g.pending = g.pending[1:]
-			return out, true, nil
+// NextBatch implements Iterator.
+func (g *HashGOJ) NextBatch() (*Batch, bool, error) {
+	if err := g.ec.Err("goj"); err != nil {
+		return nil, false, err
+	}
+	out := g.out
+	out.Reset()
+	for !out.Full() {
+		if len(g.pend) > 0 {
+			out.AppendConcat(g.pendRow, g.pend[0])
+			g.pend = g.pend[1:]
+			continue
 		}
 		if g.drained {
 			// Emit the S-projections that never joined, padded.
-			for g.tail < len(g.order) {
-				key := g.order[g.tail]
-				g.tail++
-				if _, ok := g.matched[key]; ok {
-					continue
-				}
-				proj := g.all[key]
-				row := make([]relation.Value, g.scheme.Len())
-				for i, dst := range g.soutPos {
-					row[dst] = proj[i]
-				}
-				return row, true, nil
-			}
-			return nil, false, nil
-		}
-		lrow, ok, err := g.left.Next()
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			g.drained = true
-			continue
-		}
-		skey := g.sKey(lrow)
-		if _, seen := g.all[skey]; !seen {
-			proj := make([]relation.Value, len(g.spos))
-			for i, p := range g.spos {
-				proj[i] = lrow[p]
-			}
-			// The S-projection set grows with the stream; charge it.
-			if err := g.held.charge(g.ec, "goj", proj); err != nil {
-				return nil, false, err
-			}
-			g.all[skey] = proj
-			g.order = append(g.order, skey)
-		}
-		var buf []byte
-		nullKey := false
-		for _, k := range g.lkeys {
-			if lrow[k].IsNull() {
-				nullKey = true
+			if g.tail >= len(g.order) {
 				break
 			}
-			buf = relation.AppendJoinKey(buf, lrow[k])
-		}
-		if nullKey {
+			key := g.order[g.tail]
+			g.tail++
+			if _, ok := g.matched[key]; !ok {
+				g.appendPadded(out, g.all[key])
+			}
 			continue
 		}
-		for _, rrow := range g.table[string(buf)] {
-			g.matched[skey] = struct{}{}
-			g.pending = append(g.pending, concatRows(lrow, rrow))
+		if g.lb == nil || g.lpos >= g.lb.Len() {
+			b, ok, err := g.left.NextBatch()
+			if err != nil {
+				return nil, false, err
+			}
+			if !ok {
+				g.drained, g.lb = true, nil
+				continue
+			}
+			g.lb, g.lpos = b, 0
+		}
+		lrow := g.lb.Row(g.lpos)
+		g.lpos++
+		if err := g.probe(lrow); err != nil {
+			return nil, false, err
 		}
 	}
+	if out.Len() == 0 {
+		return nil, false, nil
+	}
+	return out, true, nil
+}
+
+// probe records lrow's S-projection and queues its matches. The row is a
+// view of the left batch, which is not advanced until they are emitted.
+func (g *HashGOJ) probe(lrow []relation.Value) error {
+	skey := g.sKey(lrow)
+	if _, seen := g.all[skey]; !seen {
+		proj := make([]relation.Value, len(g.spos))
+		for i, p := range g.spos {
+			proj[i] = lrow[p]
+		}
+		// The S-projection set grows with the stream; charge it.
+		if err := g.held.chargeN(g.ec, "goj", 1, rowBytes(proj)); err != nil {
+			return err
+		}
+		g.all[skey] = proj
+		g.order = append(g.order, skey)
+	}
+	var buf []byte
+	for _, k := range g.lkeys {
+		if lrow[k].IsNull() {
+			return nil
+		}
+		buf = relation.AppendJoinKey(buf, lrow[k])
+	}
+	if rows := g.table[string(buf)]; len(rows) > 0 {
+		g.matched[skey] = struct{}{}
+		g.pendRow, g.pend = lrow, rows
+	}
+	return nil
+}
+
+// appendPadded appends an S-projection padded with nulls to the output
+// width.
+func (g *HashGOJ) appendPadded(out *Batch, proj []relation.Value) {
+	if g.pad == nil {
+		g.pad = make([]relation.Value, g.scheme.Len())
+	}
+	for i, dst := range g.soutPos {
+		g.pad[dst] = proj[i]
+	}
+	out.AppendRow(g.pad)
+	clear(g.pad)
 }
 
 // BufferedRows implements Buffered.
-func (g *HashGOJ) BufferedRows() int { return g.tableRows + len(g.all) + len(g.pending) }
+func (g *HashGOJ) BufferedRows() int { return g.tableRows + len(g.all) }
 
 // Close implements Iterator: the build table and S-projection sets (and
 // their governor charge) are released.
 func (g *HashGOJ) Close() error {
 	g.table, g.matched, g.all = nil, nil, nil
 	g.tableRows = 0
-	g.pending, g.order = nil, nil
+	g.order = nil
+	g.lb, g.pendRow, g.pend = nil, nil, nil
+	g.out = releaseBatch(g.out)
 	g.held.release(g.ec)
 	return g.left.Close()
 }

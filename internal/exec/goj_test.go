@@ -30,19 +30,21 @@ func TestHashGOJMatchesAlgebra(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ls, _ := scanOf(t, "R", lrel, nil)
-		rs, _ := scanOf(t, "S", rrel, nil)
-		goj, err := NewHashGOJ(ls, rs,
-			[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Collect(goj, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.EqualBag(want) {
-			t.Fatalf("trial %d (S=%v): hash GOJ mismatch\ngot:\n%v\nwant:\n%v", trial, s, got, want)
+		for _, size := range hashJoinSizes {
+			ls, _ := scanOf(t, "R", lrel, nil)
+			rs, _ := scanOf(t, "S", rrel, nil)
+			goj, err := NewHashGOJ(ls, rs,
+				[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")}, s, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Collect(goj, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.EqualBag(want) {
+				t.Fatalf("trial %d (S=%v) size %d: hash GOJ mismatch\ngot:\n%v\nwant:\n%v", trial, s, size, got, want)
+			}
 		}
 	}
 }
@@ -62,7 +64,7 @@ func TestHashGOJAsOuterjoin(t *testing.T) {
 	rs, _ := scanOf(t, "S", rrel, nil)
 	goj, err := NewHashGOJ(ls, rs,
 		[]relation.Attr{relation.A("R", "k")}, []relation.Attr{relation.A("S", "k")},
-		lrel.Scheme().Attrs())
+		lrel.Scheme().Attrs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,16 +84,16 @@ func TestHashGOJErrors(t *testing.T) {
 	rs, _ := scanOf(t, "S", rrel, nil)
 	rk := []relation.Attr{relation.A("S", "k")}
 	lk := []relation.Attr{relation.A("R", "k")}
-	if _, err := NewHashGOJ(ls, rs, nil, nil, nil); err == nil {
+	if _, err := NewHashGOJ(ls, rs, nil, nil, nil, 0); err == nil {
 		t.Error("empty keys must fail")
 	}
-	if _, err := NewHashGOJ(ls, rs, []relation.Attr{relation.A("Z", "z")}, rk, nil); err == nil {
+	if _, err := NewHashGOJ(ls, rs, []relation.Attr{relation.A("Z", "z")}, rk, nil, 0); err == nil {
 		t.Error("bad left key must fail")
 	}
-	if _, err := NewHashGOJ(ls, rs, lk, []relation.Attr{relation.A("Z", "z")}, nil); err == nil {
+	if _, err := NewHashGOJ(ls, rs, lk, []relation.Attr{relation.A("Z", "z")}, nil, 0); err == nil {
 		t.Error("bad right key must fail")
 	}
-	if _, err := NewHashGOJ(ls, rs, lk, rk, []relation.Attr{relation.A("Z", "z")}); err == nil {
+	if _, err := NewHashGOJ(ls, rs, lk, rk, []relation.Attr{relation.A("Z", "z")}, 0); err == nil {
 		t.Error("S outside the left scheme must fail")
 	}
 }

@@ -6,31 +6,30 @@ import (
 	"testing"
 
 	"freejoin/internal/relation"
-	"freejoin/internal/storage"
 )
 
-// The row-ownership contract, exercised to its legal extremes across
+// The batch-ownership contract, exercised to its legal extremes across
 // the whole operator registry:
 //
-//   - A producer's row is valid only until the caller's next
-//     Next/Close on that producer. poisonIterator scribbles over every
-//     row it handed out the moment the caller advances, so a parent
-//     that retained the row by reference instead of copying surfaces
-//     the sentinel in its output bag.
-//   - A caller MAY mutate a row it was handed (filters compact in
-//     place). drainScribbled overwrites every received row after
+//   - A producer's batch is valid only until the caller's next
+//     NextBatch/Close on that producer. poisonIterator scribbles over
+//     every batch it handed out the moment the caller advances, so a
+//     parent that retained a row of it by reference instead of copying
+//     surfaces the sentinel in its output bag.
+//   - A caller MAY mutate a batch it was handed (filters compact in
+//     place). drainScribbled overwrites every received batch after
 //     copying it, so a producer that re-reads rows it already emitted
 //     computes garbage and fails the bag comparison.
 
 const poisonMark = "__POISON__"
 
-// poisonIterator wraps a child and scribbles over the row it handed out
-// as soon as the caller advances or closes. The child's own row is
-// copied first (scribbling the child's storage directly would corrupt
-// the base table, not test the parent).
+// poisonIterator wraps a child and scribbles over the batch it handed
+// out as soon as the caller advances or closes. The child's batch is
+// copied into a fresh batch first, so the scribble lands on storage no
+// later batch reuses: a row the parent kept shows the sentinel.
 type poisonIterator struct {
 	child Iterator
-	last  []relation.Value
+	last  *Batch
 }
 
 func (p *poisonIterator) Scheme() *relation.Scheme { return p.child.Scheme() }
@@ -41,19 +40,29 @@ func (p *poisonIterator) Open(ec *ExecContext) error {
 }
 
 func (p *poisonIterator) scribble() {
-	for i := range p.last {
-		p.last[i] = relation.Str(poisonMark)
-	}
+	scribble(p.last)
 	p.last = nil
 }
 
-func (p *poisonIterator) Next() ([]relation.Value, bool, error) {
+// scribble overwrites every value of b with the sentinel.
+func scribble(b *Batch) {
+	if b != nil {
+		for i := range b.vals {
+			b.vals[i] = relation.Str(poisonMark)
+		}
+	}
+}
+
+func (p *poisonIterator) NextBatch() (*Batch, bool, error) {
 	p.scribble()
-	row, ok, err := p.child.Next()
+	b, ok, err := p.child.NextBatch()
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	p.last = slices.Clone(row)
+	p.last = NewBatch(b.Scheme(), b.Cap())
+	for i := 0; i < b.Len(); i++ {
+		p.last.AppendRow(b.Row(i))
+	}
 	return p.last, true, nil
 }
 
@@ -62,9 +71,9 @@ func (p *poisonIterator) Close() error {
 	return p.child.Close()
 }
 
-// drainScribbled drains it, copying each row for the result bag and then
-// overwriting the producer's copy in place — the mutation a compacting
-// caller is allowed to make.
+// drainScribbled drains it, copying each batch's rows for the result bag
+// and then overwriting the producer's batch in place — the mutation a
+// compacting caller is allowed to make.
 func drainScribbled(t *testing.T, it Iterator) *relation.Relation {
 	t.Helper()
 	if err := it.Open(nil); err != nil {
@@ -72,17 +81,17 @@ func drainScribbled(t *testing.T, it Iterator) *relation.Relation {
 	}
 	out := relation.New(it.Scheme())
 	for {
-		row, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		out.AppendRaw(slices.Clone(row))
-		for i := range row {
-			row[i] = relation.Str(poisonMark)
+		for i := 0; i < b.Len(); i++ {
+			out.AppendRaw(slices.Clone(b.Row(i)))
 		}
+		scribble(b)
 	}
 	if err := it.Close(); err != nil {
 		t.Fatal(err)
@@ -111,12 +120,12 @@ func TestOwnershipRegistry(t *testing.T) {
 	for name, oc := range operatorRegistry(t, rt, st, &c) {
 		oc := oc
 		t.Run(name, func(t *testing.T) {
-			chRef, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chRef, _ := buildChildren(rt, st, oc, -1, Fault{})
 			ref := drainBag(t, oc.build(t, chRef))
 
 			// Probe 1: poisoned children. The wrapped fault iterators keep
 			// auditing the lifecycle underneath.
-			chP, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chP, _ := buildChildren(rt, st, oc, -1, Fault{})
 			for i := range chP {
 				chP[i] = &poisonIterator{child: chP[i]}
 			}
@@ -129,7 +138,7 @@ func TestOwnershipRegistry(t *testing.T) {
 
 			// Probe 2: a scribbling caller. Producers must never re-read
 			// rows they have already emitted.
-			chS, _ := buildChildren(rt, st, oc.children, -1, storage.Fault{})
+			chS, _ := buildChildren(rt, st, oc, -1, Fault{})
 			scribbled := drainScribbled(t, oc.build(t, chS))
 			if !ref.EqualBag(scribbled) {
 				t.Errorf("bag changed under a scribbling caller (operator re-read emitted rows):\nwant %d rows:\n%vgot %d rows:\n%v",

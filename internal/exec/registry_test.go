@@ -9,29 +9,41 @@ import (
 )
 
 // The shared operator inventory. Every physical operator is registered
-// here, the batched ones at the default batch size and (the batch*
-// cases) at two rows per batch, and the generic suites are all driven
-// off this one
-// map — the iterator contract (contract_test.go), the per-child
-// fault-injection matrix, the failed-Open governor drain, and the
-// cancelled-context fail-fast check (faults_test.go). Adding an
-// operator means adding one entry; the suites pick it up without any
-// further hand-maintained lists.
+// here once, and every registry suite runs each one at every size in
+// registrySizes — the iterator contract (contract_test.go), the
+// per-child fault-injection matrix, the failed-Open governor drain, and
+// the cancelled-context fail-fast check (faults_test.go), the ownership
+// probes (ownership_test.go), the span/stats property (spans_test.go)
+// and the spill oracle (spill_exec_test.go). Adding an operator means
+// adding one entry; the suites pick it up without any further
+// hand-maintained lists.
 
-// opCase describes one operator: how many fault-injectable child
-// positions it has and how to build it over those children. Position 0
-// reads R, position 1 (binary operators) reads S. Leaf operators have
-// no child position; their error paths are exercised by the context
-// tests in faults_test.go.
+// registrySizes are the batch sizes the registry builds each operator
+// and its inputs at: the default, where the 5-row inputs fit one batch,
+// and two rows, which refills every input and output batch several
+// times. A two-row case's name takes the "batch" prefix (scan and
+// batchscan), which keeps every recorded subtest name stable.
+var registrySizes = []struct {
+	prefix string
+	size   int
+}{{"", DefaultBatchSize}, {"batch", 2}}
+
+// opCase describes one operator at one batch size: how many
+// fault-injectable child positions it has and how to build it over
+// those children. Position 0 reads R, position 1 (binary operators)
+// reads S. Leaf operators have no child position; their error paths are
+// exercised by the context tests in faults_test.go.
 type opCase struct {
 	children int
+	size     int
 	build    func(t *testing.T, ch []Iterator) Iterator
 }
 
 // operatorRegistry enumerates every physical operator over the shared
-// contract tables (see contractTables). Each build must produce a
-// non-empty result on clean children, so the contract suite can tell a
-// working operator from one that silently emits nothing.
+// contract tables (see contractTables), at every registry size. Each
+// build must produce a non-empty result on clean children, so the
+// contract suite can tell a working operator from one that silently
+// emits nothing.
 func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[string]opCase {
 	t.Helper()
 	rk := relation.A("R", "k")
@@ -45,108 +57,84 @@ func operatorRegistry(t *testing.T, rt, st *storage.Table, c *Counters) map[stri
 		}
 		return it
 	}
-	cases := map[string]opCase{
-		"scan":         {0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, 0) }},
-		"relationscan": {0, func(t *testing.T, ch []Iterator) Iterator { return NewRelationScan(rt.Relation()) }},
-		"indexscan": {0, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewIndexScan(st, "k", relation.Int(2), c))
+	type algo struct {
+		children int
+		build    func(t *testing.T, ch []Iterator, size int) Iterator
+	}
+	algos := map[string]algo{
+		"scan": {0, func(t *testing.T, ch []Iterator, size int) Iterator { return NewBatchScan(rt, c, size) }},
+		"relationscan": {0, func(t *testing.T, ch []Iterator, size int) Iterator {
+			// An in-memory relation that is no catalog table (a
+			// materialized intermediate): scanned, not counted.
+			return NewBatchScan(storage.NewTable("R", rt.Relation()), nil, size)
 		}},
-		"filter": {1, func(t *testing.T, ch []Iterator) Iterator {
+		"indexscan": {0, func(t *testing.T, ch []Iterator, size int) Iterator {
+			return must(NewBatchIndexScan(st, "k", relation.Int(2), c, size))
+		}},
+		"filter": {1, func(t *testing.T, ch []Iterator, size int) Iterator {
 			return must(NewBatchFilter(ch[0],
-				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1))), 0))
+				predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1)))))
 		}},
-		"nestedloop": {2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, InnerMode, nil, 0))
+		"indexjoin": {1, func(t *testing.T, ch []Iterator, size int) Iterator {
+			return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c, size))
 		}},
-		"indexjoin": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c, 0))
-		}},
-		"hashgoj": {2, func(t *testing.T, ch []Iterator) Iterator {
+		"hashgoj": {2, func(t *testing.T, ch []Iterator, size int) Iterator {
 			return must(NewHashGOJ(ch[0], ch[1],
-				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk, relation.A("R", "v")}))
+				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk, relation.A("R", "v")}, size))
 		}},
-		"semireduce": {2, func(t *testing.T, ch []Iterator) Iterator {
+		"semireduce": {2, func(t *testing.T, ch []Iterator, size int) Iterator {
 			// Pure equi predicate: the hash-filter fast path.
-			return must(NewBatchSemiReduce(ch[0], ch[1], key, 0))
+			return must(NewBatchSemiReduce(ch[0], ch[1], key, size))
 		}},
-		"semireduce-scan": {2, func(t *testing.T, ch []Iterator) Iterator {
+		"semireduce-scan": {2, func(t *testing.T, ch []Iterator, size int) Iterator {
 			// Non-equi predicate: the nested-loop semijoin it lowers to.
-			return must(NewBatchNestedLoopJoin(ch[0], ch[1], lt, SemiMode, nil, 0))
+			return must(NewBatchNestedLoopJoin(ch[0], ch[1], lt, SemiMode, nil, size))
 		}},
-		"instrumented": {1, func(t *testing.T, ch []Iterator) Iterator {
+		"spool": {1, func(t *testing.T, ch []Iterator, size int) Iterator {
+			// One reader over one child: its Close is the last, so every
+			// cycle fills the spool and drops its rows.
+			return NewSpool(ch[0], size).Reader()
+		}},
+		"instrumented": {1, func(t *testing.T, ch []Iterator, size int) Iterator {
 			return Instrument(ch[0], "probe", c)
 		}},
-		"fault": {1, func(t *testing.T, ch []Iterator) Iterator {
-			return storage.NewFaultIterator(ch[0], storage.Fault{})
+		"fault": {1, func(t *testing.T, ch []Iterator, size int) Iterator {
+			return NewFaultIterator(ch[0], Fault{})
 		}},
 	}
-	// The cases above and the hash join run at the default batch size,
-	// where the 5-row inputs fit one batch; the batch* cases below refill
-	// every 2 rows.
-	for name, mode := range map[string]JoinMode{
-		"hashjoin": InnerMode, "hashjoin-outer": LeftOuterMode, "hashjoin-semi": SemiMode, "hashjoin-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, 0))
+	for suffix, mode := range map[string]JoinMode{"": InnerMode, "-outer": LeftOuterMode, "-semi": SemiMode, "-anti": AntiMode} {
+		algos["hashjoin"+suffix] = algo{2, func(t *testing.T, ch []Iterator, size int) Iterator {
+			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, size))
+		}}
+		algos["nestedloop"+suffix] = algo{2, func(t *testing.T, ch []Iterator, size int) Iterator {
+			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, nil, size))
 		}}
 	}
-	// The operators run through the contract/fault/ownership suites via
-	// their Iterator side (Next over the batch cursor). A tiny batch size
-	// forces multiple refills over the 5-row inputs.
-	const bsz = 2
-	cases["batchscan"] = opCase{0, func(t *testing.T, ch []Iterator) Iterator { return NewBatchScan(rt, c, bsz) }}
-	cases["batchfilter"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchFilter(ch[0],
-			predicate.Cmp(predicate.GtOp, predicate.Col(rk), predicate.Const(relation.Int(1))), bsz))
-	}}
-	cases["batchsemireduce"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchSemiReduce(ch[0], ch[1], key, bsz))
-	}}
-	cases["batchsemireduce-scan"] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchNestedLoopJoin(ch[0], ch[1], lt, SemiMode, nil, bsz))
-	}}
-	cases["spool"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		// One reader over one child: its Close is the last, so every
-		// cycle fills the spool and drops its rows.
-		return NewSpool(ch[0], bsz).Reader()
-	}}
-	cases["batchindexjoin"] = opCase{1, func(t *testing.T, ch []Iterator) Iterator {
-		return must(NewBatchIndexJoin(ch[0], st, "k", rk, nil, InnerMode, nil, c, bsz))
-	}}
-	for name, mode := range map[string]JoinMode{
-		"batchhashjoin": InnerMode, "batchhashjoin-outer": LeftOuterMode,
-		"batchhashjoin-semi": SemiMode, "batchhashjoin-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchHashJoin(ch[0], ch[1], []relation.Attr{rk}, []relation.Attr{sk}, nil, mode, nil, bsz))
-		}}
-	}
-	for name, mode := range map[string]JoinMode{
-		"batchnestedloop": InnerMode, "batchnestedloop-outer": LeftOuterMode,
-		"batchnestedloop-semi": SemiMode, "batchnestedloop-anti": AntiMode,
-	} {
-		mode := mode
-		cases[name] = opCase{2, func(t *testing.T, ch []Iterator) Iterator {
-			return must(NewBatchNestedLoopJoin(ch[0], ch[1], key, mode, nil, bsz))
-		}}
+	cases := make(map[string]opCase, len(algos)*len(registrySizes))
+	for name, a := range algos {
+		for _, rs := range registrySizes {
+			size := rs.size
+			cases[rs.prefix+name] = opCase{a.children, size, func(t *testing.T, ch []Iterator) Iterator {
+				return a.build(t, ch, size)
+			}}
+		}
 	}
 	return cases
 }
 
-// buildChildren vends fault-wrapped scans: position at gets the fault,
-// the others are clean wrappers (so their lifecycle is audited too).
-func buildChildren(rt, st *storage.Table, n, at int, f storage.Fault) ([]Iterator, []*storage.FaultIterator) {
+// buildChildren vends fault-wrapped scans at the case's batch size:
+// position at gets the fault, the others are clean wrappers (so their
+// lifecycle is audited too).
+func buildChildren(rt, st *storage.Table, oc opCase, at int, f Fault) ([]Iterator, []*FaultIterator) {
 	tables := []*storage.Table{rt, st}
-	ch := make([]Iterator, n)
-	fis := make([]*storage.FaultIterator, n)
-	for i := 0; i < n; i++ {
-		cfg := storage.Fault{}
+	ch := make([]Iterator, oc.children)
+	fis := make([]*FaultIterator, oc.children)
+	for i := range ch {
+		cfg := Fault{}
 		if i == at {
 			cfg = f
 		}
-		fi := storage.NewFaultTable(tables[i], cfg).Iterator()
+		fi := faultScan(tables[i], cfg, oc.size)
 		ch[i], fis[i] = fi, fi
 	}
 	return ch, fis

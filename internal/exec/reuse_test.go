@@ -34,7 +34,7 @@ func TestBatchHashJoinReuseAllocs(t *testing.T) {
 	ra, sa := relation.A("R", "a"), relation.A("S", "a")
 	gov := NewGovernor(0, 1<<30)
 	ec := NewExecContext(context.Background(), gov)
-	drain := func(it BatchIterator) {
+	drain := func(it Iterator) {
 		if err := it.Open(ec); err != nil {
 			t.Fatal(err)
 		}

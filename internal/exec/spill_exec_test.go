@@ -288,8 +288,8 @@ func TestGraceHashJoinReopenWithoutClose(t *testing.T) {
 	}
 }
 
-// diskWatch wraps a child and, at every row it yields, checks the spill
-// directory's disk bound: at most one ojspill-* file, never longer than
+// diskWatch wraps a child and, at every batch it yields, checks the
+// spill directory's disk bound: at most one ojspill-* file, never longer than
 // the governor's spill charge.
 type diskWatch struct {
 	Iterator
@@ -299,9 +299,9 @@ type diskWatch struct {
 	files int // most files seen at once
 }
 
-func (w *diskWatch) Next() ([]relation.Value, bool, error) {
+func (w *diskWatch) NextBatch() (*Batch, bool, error) {
 	w.check()
-	return w.Iterator.Next()
+	return w.Iterator.NextBatch()
 }
 
 func (w *diskWatch) check() int {
@@ -328,14 +328,14 @@ func (w *diskWatch) check() int {
 
 // TestGraceHashJoinSpillOneFile: the whole grace join — partitioning,
 // and the re-partitioning of pairs that trip again — lives in one spill
-// file that never outgrows its spill charge, checked at every input row
-// and after every output batch; nothing remains after Close.
+// file that never outgrows its spill charge, checked at every input
+// batch and after every output batch; nothing remains after Close.
 func TestGraceHashJoinSpillOneFile(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
 	for _, size := range hashJoinSizes {
 		ec, gov, dir := spillCtx(t, 400)
-		lw := &diskWatch{Iterator: NewBatchScan(rt, nil, 0), t: t, gov: gov, dir: dir}
-		rw := &diskWatch{Iterator: NewBatchScan(st, nil, 0), t: t, gov: gov, dir: dir}
+		lw := &diskWatch{Iterator: NewBatchScan(rt, nil, size), t: t, gov: gov, dir: dir}
+		rw := &diskWatch{Iterator: NewBatchScan(st, nil, size), t: t, gov: gov, dir: dir}
 		h, err := NewBatchHashJoin(lw, rw, []relation.Attr{relation.A("R", "k")},
 			[]relation.Attr{relation.A("S", "k")}, nil, InnerMode, nil, size)
 		if err != nil {
@@ -375,14 +375,14 @@ func TestGraceHashJoinSpillFaults(t *testing.T) {
 	rt, st := spillTables(t, 300, 300)
 	for _, tc := range []struct {
 		name        string
-		left, right storage.Fault
+		left, right Fault
 		cancelAt    int // cancel the context after this many output batches
 	}{
-		{"build", storage.Fault{}, storage.Fault{FailNext: true, FailAfter: 2}, -1},
-		{"partition-build", storage.Fault{}, storage.Fault{FailNext: true, FailAfter: 200}, -1},
-		{"partition-probe", storage.Fault{FailNext: true, FailAfter: 200}, storage.Fault{}, -1},
-		{"partition-close", storage.Fault{FailClose: true}, storage.Fault{}, -1},
-		{"probe", storage.Fault{}, storage.Fault{}, 1},
+		{"build", Fault{}, Fault{FailNext: true, FailAfter: 2}, -1},
+		{"partition-build", Fault{}, Fault{FailNext: true, FailAfter: 200}, -1},
+		{"partition-probe", Fault{FailNext: true, FailAfter: 200}, Fault{}, -1},
+		{"partition-close", Fault{FailClose: true}, Fault{}, -1},
+		{"probe", Fault{}, Fault{}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, size := range hashJoinSizes {
@@ -392,8 +392,8 @@ func TestGraceHashJoinSpillFaults(t *testing.T) {
 				gov := NewGovernor(0, 600)
 				ec := NewExecContext(ctx, gov)
 				ec.EnableSpill(SpillConfig{Dir: dir})
-				lf := storage.NewFaultTable(rt, tc.left).Iterator()
-				rf := storage.NewFaultTable(st, tc.right).Iterator()
+				lf := faultScan(rt, tc.left, size)
+				rf := faultScan(st, tc.right, size)
 				h, err := NewBatchHashJoin(lf, rf, []relation.Attr{relation.A("R", "k")},
 					[]relation.Attr{relation.A("S", "k")}, nil, LeftOuterMode, nil, size)
 				if err != nil {
@@ -413,11 +413,11 @@ func TestGraceHashJoinSpillFaults(t *testing.T) {
 					t.Fatalf("size %d: the injected fault was swallowed", size)
 				}
 				var re *ResourceError
-				if !errors.Is(err, storage.ErrInjected) && !(errors.As(err, &re) && re.Kind == Cancelled) {
+				if !errors.Is(err, ErrInjected) && !(errors.As(err, &re) && re.Kind == Cancelled) {
 					t.Errorf("size %d: unexpected error %v", size, err)
 				}
 				h.Close()
-				checkInvariants(t, h, []*storage.FaultIterator{lf, rf}, gov)
+				checkInvariants(t, h, []*FaultIterator{lf, rf}, gov)
 				checkSpillDrained(t, gov, dir)
 			}
 		})
@@ -534,22 +534,22 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 	var c Counters
 	faults := []struct {
 		name string
-		f    storage.Fault
+		f    Fault
 	}{
-		{"open", storage.Fault{FailOpen: true}},
-		{"next-first", storage.Fault{FailNext: true, FailAfter: 0}},
-		{"next-midstream", storage.Fault{FailNext: true, FailAfter: 2}},
+		{"open", Fault{FailOpen: true}},
+		{"next-first", Fault{FailNext: true, FailAfter: 0}},
+		{"next-midstream", Fault{FailNext: true, FailAfter: 2}},
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		for pos := 0; pos < fc.children; pos++ {
 			for _, fault := range faults {
 				t.Run(name+"/"+fault.name, func(t *testing.T) {
-					ch, _ := buildChildren(rt, st, fc.children, pos, fault.f)
+					ch, _ := buildChildren(rt, st, fc, pos, fault.f)
 					it := fc.build(t, ch)
 					gov := NewGovernor(0, 0)
 					err := it.Open(NewExecContext(context.Background(), gov))
 					if err == nil {
-						// Streaming operators defer the fault to Next; that
+						// Streaming operators defer the fault to NextBatch; that
 						// path is covered by TestErrorPathContract.
 						it.Close()
 						return
@@ -571,7 +571,7 @@ func TestFailedOpenDrainsGovernor(t *testing.T) {
 }
 
 // TestTripDuringOpenCloseSafe: every buffering operator whose Open (or
-// first Next) trips a 1-row budget must survive Close — twice — with
+// first NextBatch) trips a 1-row budget must survive Close — twice — with
 // buffers released and the governor drained: the mid-build trip
 // regression.
 func TestTripDuringOpenCloseSafe(t *testing.T) {
@@ -589,7 +589,7 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 		},
 		"goj": func(t *testing.T) Iterator {
 			g, err := NewHashGOJ(NewBatchScan(rt, nil, 0), NewBatchScan(st, nil, 0),
-				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk})
+				[]relation.Attr{rk}, []relation.Attr{sk}, []relation.Attr{rk}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -612,9 +612,9 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 			gov := NewGovernor(1, 0)
 			err := it.Open(NewExecContext(context.Background(), gov))
 			if err == nil {
-				// Streaming operators trip at Next instead.
+				// Streaming operators trip at NextBatch instead.
 				for {
-					_, ok, nerr := it.Next()
+					_, ok, nerr := it.NextBatch()
 					if nerr != nil {
 						err = nerr
 						break
@@ -652,7 +652,7 @@ func TestTripDuringOpenCloseSafe(t *testing.T) {
 func TestSpillFaultOracle(t *testing.T) {
 	rt, st := contractTables(t)
 	var c Counters
-	faults := []storage.Fault{
+	faults := []Fault{
 		{},
 		{FailOpen: true},
 		{FailNext: true, FailAfter: 0},
@@ -663,7 +663,7 @@ func TestSpillFaultOracle(t *testing.T) {
 	}
 	for name, fc := range operatorRegistry(t, rt, st, &c) {
 		// Clean reference bag, in memory and ungoverned.
-		chRef, _ := buildChildren(rt, st, fc.children, -1, storage.Fault{})
+		chRef, _ := buildChildren(rt, st, fc, -1, Fault{})
 		ref, err := Collect(fc.build(t, chRef), nil)
 		if err != nil {
 			t.Fatalf("%s: clean run failed: %v", name, err)
@@ -671,7 +671,7 @@ func TestSpillFaultOracle(t *testing.T) {
 		for pos := 0; pos < fc.children; pos++ {
 			for fi, fault := range faults {
 				t.Run(name, func(t *testing.T) {
-					ch, fis := buildChildren(rt, st, fc.children, pos, fault)
+					ch, fis := buildChildren(rt, st, fc, pos, fault)
 					it := fc.build(t, ch)
 					ec, gov, dir := spillCtx(t, 300)
 					got, err := CollectCtx(ec, it, nil)
@@ -681,7 +681,7 @@ func TestSpillFaultOracle(t *testing.T) {
 							t.Errorf("fault %d: spilled bag differs from clean in-memory run\nwant %d rows, got %d",
 								fi, ref.Len(), got.Len())
 						}
-					} else if !errors.Is(err, storage.ErrInjected) &&
+					} else if !errors.Is(err, ErrInjected) &&
 						!(errors.As(err, &re) && re.Kind == MemoryExceeded) {
 						// Operators without a spill path (hash GOJ) may
 						// trip the budget; that is a typed, clean failure,

@@ -37,7 +37,7 @@ type Spool struct {
 }
 
 // NewSpool returns a spool over child; size is the batch size of the
-// drain and of the readers (<= 0: DefaultBatchSize).
+// readers (<= 0: DefaultBatchSize).
 func NewSpool(child Iterator, size int) *Spool {
 	return &Spool{child: child, size: resolveBatchSize(size)}
 }
@@ -50,15 +50,11 @@ func (s *Spool) Reader() *SpoolReader {
 	return r
 }
 
-// WithSpools returns root, batch capability kept, with a Close that
-// also closes every reader of spools: operators close only the children
-// they opened, so a failed execution can leave a reader unreached.
+// WithSpools returns root with a Close that also closes every reader of
+// spools: operators close only the children they opened, so a failed
+// execution can leave a reader unreached.
 func WithSpools(root Iterator, spools []*Spool) Iterator {
-	sc := &spoolScope{Iterator: root, spools: spools}
-	if b, ok := root.(BatchIterator); ok {
-		return &batchSpoolScope{sc, b}
-	}
-	return sc
+	return &spoolScope{Iterator: root, spools: spools}
 }
 
 type spoolScope struct {
@@ -76,13 +72,6 @@ func (sc *spoolScope) Close() error {
 	return err
 }
 
-type batchSpoolScope struct {
-	*spoolScope
-	b BatchIterator
-}
-
-func (sc *batchSpoolScope) NextBatch() (*Batch, bool, error) { return sc.b.NextBatch() }
-
 // fill drains the child into memory, or into a spill run on a memory
 // trip; on error it holds nothing.
 func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
@@ -92,15 +81,14 @@ func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
 		// inclusive stats, so the child's entry moves under it.
 		s.at.Children, r.node.Children, s.at = nil, []*StatsNode{s.sub}, r.node
 	}
-	bc := Batching(s.child, s.size)
 	if err := s.child.Open(ec); err != nil {
-		bc.Close()
+		s.child.Close()
 		return err
 	}
 	var col collected
 	var err error
 	for {
-		b, ok, nerr := bc.NextBatch()
+		b, ok, nerr := s.child.NextBatch()
 		if err = nerr; err != nil || !ok {
 			break
 		}
@@ -108,12 +96,12 @@ func (s *Spool) fill(ec *ExecContext, r *SpoolReader) error {
 		if err = s.held.chargeN(ec, "spool", int64(b.Len()), b.Bytes()); err != nil {
 			if spillable(ec, err) {
 				s.file, s.run, err = spillRest(ec, "spool", "shared rows", col.slabs,
-					func() { s.held.release(ec) }, bc)
+					func() { s.held.release(ec) }, s.child)
 			}
 			break
 		}
 	}
-	if cerr := bc.Close(); err == nil {
+	if cerr := s.child.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil || s.run != nil {
@@ -143,16 +131,18 @@ func (s *Spool) release() {
 // SpoolReader is one consumer of a Spool.
 type SpoolReader struct {
 	s      *Spool
-	src    BatchIterator // a BatchScan of the rows, or a runScan of their run
+	src    Iterator // a BatchScan of the rows, or a runScan of their run
 	closed bool
 	node   *StatsNode
 }
 
-// Instrument wraps the reader like InstrumentIterator. sub, the
-// spooled child's stats entry, hangs under the reader that last filled
-// the spool (the first instrumented one until then): once in the tree.
+// Instrument wraps the reader in a stats collector (see Instrument).
+// sub, the spooled child's stats entry, hangs under the reader that
+// last filled the spool (the first instrumented one until then): once
+// in the tree.
 func (r *SpoolReader) Instrument(label string, c *Counters, sub *StatsNode) (Iterator, *StatsNode) {
-	w, n := InstrumentIterator(r, label, c)
+	w := Instrument(r, label, c)
+	n := w.Node()
 	r.node = n
 	if r.s.sub == nil {
 		r.s.sub, r.s.at, n.Children = sub, n, []*StatsNode{sub}
@@ -192,11 +182,8 @@ func (r *SpoolReader) Open(ec *ExecContext) error {
 	return err
 }
 
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (r *SpoolReader) NextBatch() (*Batch, bool, error) { return r.src.NextBatch() }
-
-// Next implements Iterator.
-func (r *SpoolReader) Next() ([]relation.Value, bool, error) { return r.src.Next() }
 
 func (r *SpoolReader) closeSrc() {
 	if r.src != nil {

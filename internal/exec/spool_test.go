@@ -5,8 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"freejoin/internal/storage"
 )
 
 // TestSpoolReaders: the spool's sharing contract over a counting child.
@@ -46,7 +44,7 @@ func TestSpoolReaders(t *testing.T) {
 	t.Run("fill-once", func(t *testing.T) {
 		for _, order := range [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}} {
 			for _, size := range hashJoinSizes {
-				fi := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
+				fi := faultScan(rt, Fault{}, size)
 				sp := NewSpool(fi, size)
 				rs := []*SpoolReader{sp.Reader(), sp.Reader(), sp.Reader()}
 				gov := NewGovernor(0, 0)
@@ -95,12 +93,12 @@ func TestSpoolReaders(t *testing.T) {
 	})
 
 	t.Run("source-error", func(t *testing.T) {
-		for _, f := range []storage.Fault{
+		for _, f := range []Fault{
 			{FailOpen: true},
 			{FailNext: true, FailAfter: 0},
 			{FailNext: true, FailAfter: 100},
 		} {
-			fi := storage.NewFaultTable(rt, f).Iterator()
+			fi := faultScan(rt, f, 7)
 			sp := NewSpool(fi, 7)
 			gov := NewGovernor(0, 0)
 			ec := NewExecContext(context.Background(), gov)
@@ -108,7 +106,7 @@ func TestSpoolReaders(t *testing.T) {
 			var first error
 			for i, r := range rs {
 				err := r.Open(ec)
-				if !errors.Is(err, storage.ErrInjected) {
+				if !errors.Is(err, ErrInjected) {
 					t.Fatalf("%+v: reader %d Open = %v, want the injected error", f, i, err)
 				}
 				if first == nil {
@@ -125,7 +123,7 @@ func TestSpoolReaders(t *testing.T) {
 	})
 
 	t.Run("spill", func(t *testing.T) {
-		fi := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
+		fi := faultScan(rt, Fault{}, 7)
 		sp := NewSpool(fi, 7)
 		rs := []*SpoolReader{sp.Reader(), sp.Reader(), sp.Reader()}
 		ec, gov, dir := spillCtx(t, 512)
@@ -157,14 +155,11 @@ func TestSpoolReaders(t *testing.T) {
 	t.Run("scope", func(t *testing.T) {
 		// A reader its consumer never reached (the execution failed
 		// first) is closed by the tree's root, which drops the rows.
-		fi := storage.NewFaultTable(rt, storage.Fault{}).Iterator()
+		fi := faultScan(rt, Fault{}, 7)
 		sp := NewSpool(fi, 7)
 		root := WithSpools(sp.Reader(), []*Spool{sp})
 		sp.Reader() // never opened
 		gov := NewGovernor(0, 0)
-		if _, ok := root.(BatchIterator); !ok {
-			t.Error("WithSpools dropped the root's batch capability")
-		}
 		got, err := CollectCtx(NewExecContext(context.Background(), gov), root, nil)
 		if err != nil || !got.EqualBag(ref) {
 			t.Fatalf("collect: %d rows, err %v", got.Len(), err)

@@ -14,12 +14,13 @@ import (
 // effort (tuples, rows, time, memory) was actually spent.
 //
 // TuplesRetrieved and WallTime are inclusive of the operator's subtree:
-// a parent's Next covers the child Next calls it triggers. Exclusive
-// ("self") tuples are derived by StatsNode.SelfTuples.
+// a parent's NextBatch covers the child NextBatch calls it triggers.
+// Exclusive ("self") tuples are derived by StatsNode.SelfTuples.
 type Stats struct {
 	// Opens counts Open calls (re-opens included).
 	Opens int64
-	// NextCalls counts Next calls, including the final end-of-stream one.
+	// NextCalls counts NextBatch calls — batches, not rows — including
+	// the final end-of-stream one.
 	NextCalls int64
 	// RowsOut counts rows this operator emitted.
 	RowsOut int64
@@ -30,8 +31,8 @@ type Stats struct {
 	// materialized at once (hash tables, join buffers); zero for
 	// streaming operators.
 	PeakBuffered int64
-	// WallTime is the total time spent inside Open and Next, children
-	// included.
+	// WallTime is the total time spent inside Open and NextBatch,
+	// children included.
 	WallTime time.Duration
 	// Spill counts the operator's spill-to-disk activity (zero unless a
 	// budget trip moved it to the external path).
@@ -72,7 +73,8 @@ type StatsNode struct {
 	Stats    Stats
 	Children []*StatsNode
 
-	// Err is the first error this operator surfaced (from Open or Next),
+	// Err is the first error this operator surfaced (from Open or
+	// NextBatch),
 	// so an aborted EXPLAIN ANALYZE can point at the failing node.
 	Err error
 }
@@ -177,26 +179,27 @@ func (w *Instrumented) Open(ec *ExecContext) error {
 	return w.noteErr(err)
 }
 
-// Next implements Iterator.
-func (w *Instrumented) Next() ([]relation.Value, bool, error) {
+// NextBatch implements Iterator, recording one NextCalls tick and
+// RowsOut += Len per batch, so instrumentation adds no per-row cost.
+func (w *Instrumented) NextBatch() (*Batch, bool, error) {
 	start := time.Now()
 	var t0 int64
 	if w.counters != nil {
 		t0 = w.counters.TuplesRetrieved()
 	}
-	row, ok, err := w.child.Next()
+	b, ok, err := w.child.NextBatch()
 	if w.counters != nil {
 		w.node.Stats.TuplesRetrieved += w.counters.TuplesRetrieved() - t0
 	}
 	w.node.Stats.WallTime += time.Since(start)
 	w.node.Stats.NextCalls++
 	if ok {
-		w.node.Stats.RowsOut++
+		w.node.Stats.RowsOut += int64(b.Len())
 	}
 	if w.buffered != nil || w.spiller != nil {
 		w.observeBuffer()
 	}
-	return row, ok, w.noteErr(err)
+	return b, ok, w.noteErr(err)
 }
 
 // noteErr records the first error crossing this wrapper and, for typed
@@ -219,50 +222,6 @@ func (w *Instrumented) noteErr(err error) error {
 
 // Close implements Iterator.
 func (w *Instrumented) Close() error { return w.child.Close() }
-
-// BatchInstrumented is Instrumented over a batch-capable child: it
-// preserves the NextBatch fast path, recording per-batch stat deltas
-// (one NextCalls tick and one RowsOut += Len per batch) so
-// instrumentation does not reintroduce the per-row costs batching
-// removed.
-type BatchInstrumented struct {
-	*Instrumented
-	bchild BatchIterator
-}
-
-// NextBatch implements BatchIterator.
-func (w *BatchInstrumented) NextBatch() (*Batch, bool, error) {
-	start := time.Now()
-	var t0 int64
-	if w.counters != nil {
-		t0 = w.counters.TuplesRetrieved()
-	}
-	b, ok, err := w.bchild.NextBatch()
-	if w.counters != nil {
-		w.node.Stats.TuplesRetrieved += w.counters.TuplesRetrieved() - t0
-	}
-	w.node.Stats.WallTime += time.Since(start)
-	w.node.Stats.NextCalls++
-	if ok {
-		w.node.Stats.RowsOut += int64(b.Len())
-	}
-	if w.buffered != nil || w.spiller != nil {
-		w.observeBuffer()
-	}
-	return b, ok, w.noteErr(err)
-}
-
-// InstrumentIterator is Instrument preserving the child's batch
-// capability: a BatchIterator child comes back wrapped as a
-// BatchIterator, anything else as the plain row wrapper. The returned
-// StatsNode is the entry the wrapper records into.
-func InstrumentIterator(child Iterator, label string, c *Counters, children ...*StatsNode) (Iterator, *StatsNode) {
-	w := Instrument(child, label, c, children...)
-	if bc, ok := child.(BatchIterator); ok {
-		return &BatchInstrumented{Instrumented: w, bchild: bc}, w.Node()
-	}
-	return w, w.Node()
-}
 
 func (w *Instrumented) observeBuffer() {
 	if w.buffered != nil {

@@ -55,9 +55,10 @@ func TestInstrumentStats(t *testing.T) {
 	if !n.Executed() || n.Stats.Opens != 1 {
 		t.Errorf("join Opens = %d, want 1", n.Stats.Opens)
 	}
-	// NextCalls includes the end-of-stream call.
-	if got := n.Stats.NextCalls; got != int64(out.Len())+1 {
-		t.Errorf("join NextCalls = %d, want %d", got, out.Len()+1)
+	// NextCalls counts batches: the 5-row result fits one, and the
+	// end-of-stream call is the second.
+	if got := n.Stats.NextCalls; got != 2 {
+		t.Errorf("join NextCalls = %d, want 2 (one batch and the end of stream)", got)
 	}
 }
 
@@ -103,14 +104,15 @@ func TestInstrumentedConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wrapR, nodeR := InstrumentIterator(NewBatchScan(rt, &c, 0), "scan R", &c)
-			wrapS, nodeS := InstrumentIterator(NewBatchScan(st, &c, 0), "scan S", &c)
+			wrapR := Instrument(NewBatchScan(rt, &c, 0), "scan R", &c)
+			wrapS := Instrument(NewBatchScan(st, &c, 0), "scan S", &c)
 			hj, err := NewBatchHashJoin(wrapR, wrapS, []relation.Attr{rk}, []relation.Attr{sk}, nil, InnerMode, nil, 0)
 			if err != nil {
 				errs <- err
 				return
 			}
-			root, node := InstrumentIterator(hj, "hash join", &c, nodeR, nodeS)
+			root := Instrument(hj, "hash join", &c, wrapR.Node(), wrapS.Node())
+			node := root.Node()
 			out, err := Collect(root, &c)
 			if err != nil {
 				errs <- err
@@ -160,14 +162,14 @@ func instrumentStatsResetOnReopen(t *testing.T, size int) {
 			t.Fatal(err)
 		}
 		for {
-			_, ok, err := root.Next()
+			b, ok, err := root.NextBatch()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
 				break
 			}
-			rows++
+			rows += b.Len()
 		}
 		if err := root.Close(); err != nil {
 			t.Fatal(err)

@@ -86,9 +86,9 @@ func (l *lowering) lower(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		var it exec.Iterator
+		var it *exec.BatchScan
 		if p.Algo == AlgoIndexScan {
-			if it, err = exec.NewIndexScan(t, p.IndexCol, p.IndexVal, c); err != nil {
+			if it, err = exec.NewBatchIndexScan(t, p.IndexCol, p.IndexVal, c, o.BatchSize); err != nil {
 				return nil, nil, err
 			}
 		} else {
@@ -231,15 +231,14 @@ func joinScheme(p *Plan, left exec.Iterator, right *relation.Scheme) *relation.S
 	return nil
 }
 
-// wrapNode instruments it as the physical realization of plan node p,
-// preserving the operator's batch capability.
+// wrapNode instruments it as the physical realization of plan node p.
 func wrapNode(it exec.Iterator, p *Plan, c *exec.Counters, ins bool, kids ...*exec.StatsNode) (exec.Iterator, *exec.StatsNode) {
 	if !ins {
 		return it, nil
 	}
-	w, n := exec.InstrumentIterator(it, nodeLabel(p), c, kids...)
-	n.EstRows = p.EstRows
-	n.EstCost = p.Cost
+	w := exec.Instrument(it, nodeLabel(p), c, kids...)
+	n := w.Node()
+	n.EstRows, n.EstCost = p.EstRows, p.Cost
 	return w, n
 }
 

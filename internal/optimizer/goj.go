@@ -7,6 +7,7 @@ import (
 	"freejoin/internal/expr"
 	"freejoin/internal/predicate"
 	"freejoin/internal/relation"
+	"freejoin/internal/storage"
 )
 
 // Generalized-outerjoin planning (§6.2). Example 2's shape X → (Y — Z)
@@ -46,7 +47,7 @@ func (l *lowering) buildGOJ(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 		return nil, nil, err
 	}
 	if lk, rk, ok := predicate.EquiParts(p.Pred, p.Left.Scheme, p.Right.Scheme); ok {
-		it, err := exec.NewHashGOJ(left, right, lk, rk, p.GOJAttrs)
+		it, err := exec.NewHashGOJ(left, right, lk, rk, p.GOJAttrs, l.o.BatchSize)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -55,7 +56,7 @@ func (l *lowering) buildGOJ(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 	}
 	// General predicate: materialize and use the reference algebra. The
 	// children drain here, at build time, so their stats are already
-	// complete when the wrapping RelationScan starts streaming.
+	// complete when the (uncounted) scan of the result starts streaming.
 	lrel, err := exec.Collect(left, nil)
 	if err != nil {
 		return nil, nil, err
@@ -68,7 +69,7 @@ func (l *lowering) buildGOJ(p *Plan) (exec.Iterator, *exec.StatsNode, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	wrapped, node := wrapNode(exec.NewRelationScan(out), p, c, ins, lnode, rnode)
+	wrapped, node := wrapNode(exec.NewBatchScan(storage.NewTable("goj", out), nil, l.o.BatchSize), p, c, ins, lnode, rnode)
 	return wrapped, node, nil
 }
 

@@ -58,14 +58,14 @@ func rowsOf(t *testing.T, o *Optimizer, q *expr.Node) int {
 	defer it.Close()
 	n := 0
 	for {
-		_, ok, err := it.Next()
+		b, ok, err := it.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			return n
 		}
-		n++
+		n += b.Len()
 	}
 }
 

@@ -416,7 +416,7 @@ func (l *lowering) buildFilter(p *Plan) (exec.Iterator, *exec.StatsNode, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	it, err := exec.NewBatchFilter(child, p.Pred, l.o.BatchSize)
+	it, err := exec.NewBatchFilter(child, p.Pred)
 	if err != nil {
 		return nil, nil, err
 	}
